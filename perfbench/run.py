@@ -164,27 +164,32 @@ def _sessions(root, env, a, tmp: str, trace: bool, seconds: float) -> list[dict]
 
 
 def _end_to_end(sessions: list[dict], setup: list[float]) -> tuple[dict, dict]:
-    # Rounds hold the same ops, so each round estimates the same rate and
-    # percentiles; the median over rounds ignores a slow spell of the machine
-    # that lasts less than half the run.
+    # The shared host has slow spells, seconds to a minute long, that can
+    # cover most of a run, so a median over the run's rounds moves with the
+    # share of slow time.  As timeit does, an op's time is the best of its
+    # repetitions in the run: its cost while the host is not contended.  The
+    # rate and the percentiles are then taken over the distinct ops of a round.
     ops = [o for s in sessions for o in s["ops"]]
-    k = len(sessions[0]["ops"]) // len(sessions[0]["round_s"])
-    rounds = [sorted(o["s"] for o in s["ops"][i:i + k]) for s in sessions for i in range(0, len(s["ops"]), k)]
+    best: dict = {}
+    for o in ops:
+        best[o["key"]] = min(best.get(o["key"], math.inf), o["s"])
+    times = sorted(best.values())
+    rounds = sum(len(s["round_s"]) for s in sessions)
     pct = _tail_pct(len(ops), sessions[0]["tail_pct"])
     metrics = {
         "setup_s": statistics.median(setup),
-        "ops_per_s": statistics.median(k / sum(r) for r in rounds),
-        "op_p50_ms": 1e3 * statistics.median(_percentile(r, 50) for r in rounds),
-        "op_tail_ms": 1e3 * statistics.median(_percentile(r, pct) for r in rounds),
+        "ops_per_s": len(times) / sum(times),
+        "op_p50_ms": 1e3 * _percentile(times, 50),
+        "op_tail_ms": 1e3 * _percentile(times, pct),
         "peak_rss_mb": max(s["rss_mb"] for s in sessions),
     }
     mc = [o for o in ops if o["samples"]]
-    info = {"tail_pct": pct, "ops": len(ops), "rounds": len(rounds)}
+    info = {"tail_pct": pct, "ops": len(ops), "distinct_ops": len(times), "rounds": rounds}
     if mc:
         info["mc_samples_per_s"] = sum(o["samples"] for o in mc) / sum(o["s"] for o in mc)
         # time to a standard error of 0.01, per round, over passing ops with a stderr
         info["mc_cost_s"] = sum(o["s"] * (o["stderr"] / 0.01) ** 2 for o in mc
-                                if o["status"] == "ok" and o["stderr"] is not None) / len(rounds)
+                                if o["status"] == "ok" and o["stderr"] is not None) / rounds
     return metrics, info
 
 

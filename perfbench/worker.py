@@ -34,7 +34,7 @@ def _setup(args) -> dict:
     return {"setup_s": (t1 - t0) + (t3 - t2)}
 
 
-def _run_op(op, rec) -> dict:
+def _run_op(op, key: int, rec) -> dict:
     """Time one op (closed loop: nothing else runs meanwhile), then check it."""
     status, detail, result = "ok", None, None
     if rec is not None:
@@ -59,7 +59,7 @@ def _run_op(op, rec) -> dict:
             status = "error" if detail.startswith(("non-finite", "statistical")) else "wrong"
         if op.stderr_of is not None:
             stderr = op.stderr_of(result)
-    return {"kind": op.kind, "s": elapsed, "status": status, "detail": detail,
+    return {"kind": op.kind, "key": key, "s": elapsed, "status": status, "detail": detail,
             "samples": op.samples, "stderr": stderr if stderr is None or math.isfinite(stderr) else None}
 
 
@@ -87,7 +87,11 @@ def _session(args) -> dict:
         r = 0
         while True:
             t0 = time.perf_counter()
-            records.extend(_run_op(op, rec) for op in w.rounds(r))
+            ops = w.rounds(r)
+            # an op's key is its place in the round; an op repeated within a
+            # round keeps the key of its first place
+            first: dict = {}
+            records.extend(_run_op(op, first.setdefault(id(op), i), rec) for i, op in enumerate(ops))
             round_s.append(time.perf_counter() - t0)
             r += 1
             # whole rounds only, so every run has the same op mix

@@ -29,7 +29,7 @@ import oracle
 Z_MAX = 4.0           # MC-vs-exact agreement bound, in standard errors
 Z_GROSS = 8.0         # beyond this a miss is a wrong answer, not a statistical fluke
 EXACT_RTOL = 1e-8     # exact results against the oracle, relative to the coefficient scale
-MC_SAMPLES = {"thm_a": 4000, "wilson": 20000, "haar": 20000, "strong": 5000, "brownian": 200, "g2_draws": 3}
+MC_SAMPLES = {"thm_a": 1000, "wilson": 4000, "haar": 4000, "strong": 5000, "brownian": 100, "g2_draws": 2}
 
 
 @dataclass
@@ -165,7 +165,8 @@ def _theorem_a_check(report) -> str | None:
 # haar_cold
 # ---------------------------------------------------------------------------
 
-# (family, n, n_plus, n_minus, Weingarten source or None)
+# (family, n, n_plus, n_minus, Weingarten source or None), the shapes up to
+# D = 729 first
 HAAR_SHAPES = [
     ("su", 3, 3, 0, "nullspace"),
     ("u", 3, 2, 2, "permutations"),
@@ -174,23 +175,34 @@ HAAR_SHAPES = [
     ("so", 5, 4, 0, "pairings"),
     ("g2", 0, 2, 0, "g2u"),          # second moment dd/7
     ("g2", 0, 3, 0, "nullspace"),
-    ("g2", 0, 4, 0, "nullspace"),
     ("u", 3, 3, 3, "permutations"),
-    ("u", 4, 3, 3, "permutations"),  # D = 4096, the default budget
     ("u1power", 0, 0, 0, None),      # U(1) characters: character algebra
+    ("g2", 0, 4, 0, "nullspace"),
+    ("u", 4, 3, 3, "permutations"),  # D = 4096, the default budget
 ]
 TINY_HAAR = {("su", 3), ("u", 3), ("sp", 2), ("so", 4), ("u1power", 0)}
+REPEAT_MAX_DIM = 729  # the warm queries of shapes up to this D recur through the round
 
 
 def haar_cold(seed: int, tiny: bool = False, tmpdir: str = ".") -> Workload:
+    """One round per process: per shape a cold query, then warm ones.
+
+    The warm queries of the small shapes recur after the small shapes and
+    after every query of a large shape, so each is timed at several points
+    of the round.
+    """
     shapes = [s for s in HAAR_SHAPES if not tiny or (s[0], s[1]) in TINY_HAAR
               and s[2] + s[3] <= 4]
     w = Workload("haar_cold", lambda r: ops, tail_pct=75)
-    ops: list[Op] = []
+    small: list[Op] = []
+    warm: list[Op] = []
+    large: list[list[Op]] = []
     for idx, (fam, n, npl, nmi, source) in enumerate(shapes):
         gen = _rng(seed, 1, idx)
         if fam == "u1power":
-            ops.extend(_u1_ops(gen))
+            block = _u1_ops(gen)
+            small.extend(block)
+            warm.extend(block)
             continue
         rep = _rep(fam, n)
         inv = _invariant_fn(rep)
@@ -198,21 +210,32 @@ def haar_cold(seed: int, tiny: bool = False, tmpdir: str = ".") -> Workload:
         # cold query: loops of two slots, alternating signs where there are both;
         # warm query: one loop over all slots
         cold = _grouped_words(rep, gen, _interleave(signs), [2] * (len(signs) // 2) + [1] * (len(signs) % 2))
-        warm = _grouped_words(rep, gen, signs, [len(signs)])
+        warm_words = _grouped_words(rep, gen, signs, [len(signs)])
         label = f"{fam}{n}_{npl}{nmi}"
-        ops.append(Op(f"haar.expect.cold.{label}", lambda cold=cold: lgm.expect_product(cold, lgm.MeasureSpec.haar()),
-                      _exact_check(w, ("cold", idx), lambda cold=cold: cold, inv)))
+        block = [Op(f"haar.expect.cold.{label}", lambda cold=cold: lgm.expect_product(cold, lgm.MeasureSpec.haar()),
+                    _exact_check(w, ("cold", idx), lambda cold=cold: cold, inv))]
         zs = [_cscalar(gen) for _ in signs]
         chars = [lgm.linear_loop(rep, np.eye(rep.dim), s, z) for s, z in zip(signs, zs)]
         ref = math.prod(zs) * oracle.INVARIANT_DIMS[(fam, n, npl, nmi)]
-        ops.append(Op(f"haar.character.{label}", lambda chars=chars: lgm.expect_product(chars, lgm.MeasureSpec.haar()),
-                      _close_check(ref, abs(ref))))
-        ops.append(Op(f"haar.weingarten.{label}",
-                      lambda rep=rep, a=npl, b=nmi, s=source: lgm.weingarten(lgm.spanning_set(rep, a, b, s)).moment_matrix(),
-                      _weingarten_check(rep, npl, nmi, fam == "so" and npl + nmi == n,
-                                        G2_SECOND_MOMENT if (fam, npl, nmi) == ("g2", 2, 0) else None)))
-        ops.append(Op(f"haar.expect.warm.{label}", lambda warm=warm: lgm.expect_product(warm, lgm.MeasureSpec.haar()),
-                      _exact_check(w, ("warm", idx), lambda warm=warm: warm, inv)))
+        block.append(Op(f"haar.character.{label}",
+                        lambda chars=chars: lgm.expect_product(chars, lgm.MeasureSpec.haar()),
+                        _close_check(ref, abs(ref))))
+        block.append(Op(f"haar.weingarten.{label}",
+                        lambda rep=rep, a=npl, b=nmi, s=source:
+                        lgm.weingarten(lgm.spanning_set(rep, a, b, s)).moment_matrix(),
+                        _weingarten_check(rep, npl, nmi, fam == "so" and npl + nmi == n,
+                                          G2_SECOND_MOMENT if (fam, npl, nmi) == ("g2", 2, 0) else None)))
+        block.append(Op(f"haar.expect.warm.{label}",
+                        lambda warm_words=warm_words: lgm.expect_product(warm_words, lgm.MeasureSpec.haar()),
+                        _exact_check(w, ("warm", idx), lambda warm_words=warm_words: warm_words, inv)))
+        if rep.dim ** (npl + nmi) <= REPEAT_MAX_DIM:
+            small.extend(block)
+            warm.extend(block[1:])
+        else:
+            large.append(block)
+    ops: list[Op] = small + warm
+    for op in (op for block in large for op in block):
+        ops.extend([op] + warm)
     return w
 
 
@@ -435,23 +458,22 @@ def brownian_mc(seed: int, tiny: bool = False, tmpdir: str = ".") -> Workload:
     for idx, (fam, n) in enumerate(BROWNIAN_GROUPS):
         gen = _rng(seed, 4, idx)
         rep = _rep(fam, n)
-        for q, signs in enumerate([(1, -1), (1, 1), (1,), (-1, 1, -1)]):
-            word = _word(rep, gen, signs)
-            t = float(0.5 + gen.random())
-            measure = lgm.MeasureSpec.brownian(t)
-            bound = abs(word.scale) * math.prod(float(np.linalg.norm(c)) for c, _ in word.factors)
-            # Euler-geodesic weak error is O(h), h = t / steps
-            allowance = 2.0 * t / BROWNIAN_STEPS * bound
-            ops.append(_mc_op(f"brownian.mc.{fam}{n}", [word], measure,
-                              max(100, int(MC_SAMPLES["brownian"] * scale)), int(gen.integers(0, 2**31)),
-                              _z_check(lambda word=word, m=measure: lgm.expect_product([word], m), allowance)))
+        # one word per group keeps the round short, so each op recurs often
+        word = _word(rep, gen, (1, -1, 1))
+        t = float(0.5 + gen.random())
+        measure = lgm.MeasureSpec.brownian(t)
+        bound = abs(word.scale) * math.prod(float(np.linalg.norm(c)) for c, _ in word.factors)
+        # Euler-geodesic weak error is O(h), h = t / steps
+        allowance = 2.0 * t / BROWNIAN_STEPS * bound
+        ops.append(_mc_op(f"brownian.mc.{fam}{n}", [word], measure,
+                          max(100, int(MC_SAMPLES["brownian"] * scale)), int(gen.integers(0, 2**31)),
+                          _z_check(lambda word=word, m=measure: lgm.expect_product([word], m), allowance)))
     gen = _rng(seed, 4, 99)
     g2 = _rep("g2")
     draws = max(2, int(MC_SAMPLES["g2_draws"] * scale))
-    for q in range(2):
-        s = int(gen.integers(0, 2**31))
-        ops.append(Op("brownian.g2_draws", lambda s=s, k=draws: lgm.haar_sample_batch(g2, lgm.RngSpec(s), k),
-                      _g2_check(g2), samples=draws))
+    s = int(gen.integers(0, 2**31))
+    ops.append(Op("brownian.g2_draws", lambda s=s, k=draws: lgm.haar_sample_batch(g2, lgm.RngSpec(s), k),
+                  _g2_check(g2), samples=draws))
     return Workload("brownian_mc", lambda r: ops, tail_pct=75)
 
 
