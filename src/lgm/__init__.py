@@ -16,6 +16,6 @@ from .moments import (BudgetError, MeasureSpec, MomentOperator, SpanningSet,
 from .sampling import (BrownianPathSpec, MCEstimate, RngSpec, TheoremAReport,
                        brownian_path, brownian_path_batch, haar_sample,
                        haar_sample_batch, mc_expect, verify_theorem_a)
-from .tensor import HermitianEig, Tensor, contract, eig_hermitian, expm, pseudoinverse
+from .tensor import eig_hermitian, pseudoinverse
 
 __version__ = "0.1.0"

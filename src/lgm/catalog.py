@@ -380,39 +380,57 @@ def split_casimir(rep: RepData) -> SplitCasimir:
     return SplitCasimir(k)
 
 
+@lru_cache(maxsize=None)
+def _completeness_terms(spec: GroupSpec) -> tuple[tuple[float, str, np.ndarray | None], ...]:
+    """The family's completeness relation ``K = sum_a xi^a (x) xi^a`` as a term table.
+
+    Each term is ``(coef, kind, mat)``; as a 4-index tensor ``K_{ijkl}`` a kind is
+
+    * ``swap``: ``delta_il delta_jk``;
+    * ``trace``: ``delta_ij delta_kl``;
+    * ``transpose``: ``F_ik F_jl`` with ``F = mat`` (the form ``g^T = F g^{-1} F^T``
+      of SO, Sp and G2 keeps);
+    * ``insert``: ``M_ij M_kl`` with ``M = mat``.
+
+    ``closed_form_completeness`` sums this table into a tensor; merging and
+    twisting in ``lgm.loops`` read it as word surgery.
+    """
+    fam, n = spec.family, spec.n
+    swap = (-1.0, "swap", None)
+    if fam == "u":
+        terms = (swap,)
+    elif fam == "su":
+        terms = (swap, (1.0 / n, "trace", None))
+    elif fam == "so":
+        terms = ((1.0, "transpose", np.eye(n)), swap)
+    elif fam == "sp":
+        terms = ((1.0, "transpose", symplectic_form(n)), swap)
+    elif fam == "g2":
+        psi = octonion_psi()
+        terms = ((0.5, "transpose", np.eye(7)), (-0.5, "swap", None)) + tuple(
+            (-1.0 / 6.0, "insert", psi[r]) for r in range(7))
+    else:  # u1power: the one generator i*n; mixed characters pair their own generators
+        terms = ((1.0, "insert", np.array([[1j * n]])),)
+    for _, _, mat in terms:  # cached and shared by every caller
+        if mat is not None:
+            mat.setflags(write=False)
+    return terms
+
+
 def closed_form_completeness(spec: GroupSpec) -> SplitCasimir:
     """The family's completeness relation as an explicit 4-index tensor.
 
-    No generator sums are involved; this is the independent closed form the
-    generator-sum K is checked against.
+    Built from the term table alone, with no generator sums; this is the
+    independent closed form the generator-sum K is checked against.
     """
-    fam = spec.family
-    if fam == "u1power":
-        return SplitCasimir(np.full((1, 1, 1, 1), -float(spec.n) ** 2, dtype=np.complex128))
-    if fam == "g2":
-        d = 7
-        eye = np.eye(d)
-        psi = octonion_psi()
-        k = 0.5 * (np.einsum("ik,jl->ijkl", eye, eye) - np.einsum("il,jk->ijkl", eye, eye))
-        k = k - np.einsum("rij,rkl->ijkl", psi, psi) / 6.0
-        return SplitCasimir(k.astype(np.complex128))
-    n = spec.n
-    if fam == "so":
-        eye = np.eye(n)
-        k = np.einsum("ik,jl->ijkl", eye, eye) - np.einsum("il,jk->ijkl", eye, eye)
-    elif fam == "sp":
-        eye = np.eye(2 * n)
-        j = symplectic_form(n)
-        k = np.einsum("ik,jl->ijkl", j, j) - np.einsum("il,jk->ijkl", eye, eye)
-    elif fam == "u":
-        eye = np.eye(n)
-        k = -np.einsum("il,jk->ijkl", eye, eye)
-    elif fam == "su":
-        eye = np.eye(n)
-        k = -np.einsum("il,jk->ijkl", eye, eye) + np.einsum("ij,kl->ijkl", eye, eye) / n
-    else:  # pragma: no cover
-        raise ValueError(fam)
-    return SplitCasimir(k.astype(np.complex128))
+    d = {"sp": 2 * spec.n, "g2": 7, "u1power": 1}.get(spec.family, spec.n)
+    eye = np.eye(d)
+    k = np.zeros((d,) * 4, dtype=np.complex128)
+    for coef, kind, mat in _completeness_terms(spec):
+        subscripts, m = {"swap": ("il,jk", eye), "trace": ("ij,kl", eye),
+                         "transpose": ("ik,jl", mat), "insert": ("ij,kl", mat)}[kind]
+        k += coef * np.einsum(subscripts + "->ijkl", m, m)
+    return SplitCasimir(k)
 
 
 def casimir_eigenvalue(spec: GroupSpec) -> float:

@@ -253,8 +253,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="rng seed")
     common.add_argument("--stream", type=int, default=0, help="rng substream")
-    common.add_argument("--tol", type=float, default=1e-8,
-                        help="relative pseudoinverse/null-space cutoff")
     common.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="max tensor-power dimension")
     common.add_argument("--out", choices=("json", "jsonl", "text"), default="text")
@@ -287,6 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="dual power n' (defaults to --order)")
     wg.add_argument("--source", default="nullspace",
                     choices=("permutations", "pairings", "g2u", "nullspace"))
+    wg.add_argument("--tol", type=float, default=1e-8, help="relative pseudoinverse cutoff")
     wg.set_defaults(func=_cmd_weingarten)
 
     expect = sub.add_parser("expect", parents=[common], help="expectation of a loop product")

@@ -4,22 +4,21 @@ A loop is the function ``g -> scale * tr(c_1 rho(g^{s_1}) ... c_r rho(g^{s_r}))`
 given by an alternating word of coefficient matrices ``c_i`` and signed group
 slots ``s_i = +-1``.  Slot positions are 1-based.
 
-Merging and twisting insert an orthonormal Lie-algebra generator ``xi^a``
-next to a distinguished slot and sum over ``a``.  In terms of the factor
-word the insertion is purely local:
+Merging and twisting contract the split Casimir ``K = sum_a xi^a (x) xi^a``
+into two slots.  Both read the family's completeness relation from the term
+table in ``lgm.catalog`` and apply each term to the loop words directly:
 
-* a ``+`` slot at position j carries ``... c_j g ...``; inserting ``xi``
-  after the ``g`` multiplies the cyclically following coefficient from the
-  left, ``c_{j+1} -> xi c_{j+1}``;
-* a ``-`` slot carries ``... c_j g^{-1} ...``; inserting ``xi`` before the
-  ``g^{-1}`` multiplies the slot's own coefficient from the right,
-  ``c_j -> c_j xi``.
+* the word is cut open at a slot where a generator would go: after ``g``
+  for a ``+`` slot, between ``c_j`` and ``g^{-1}`` for a ``-`` slot;
+* ``swap`` joins the two open words of a merge into one trace, and splits a
+  twist into a product of two traces;
+* ``trace`` leaves a merge as the product of the two loops and a twist as
+  the loop itself;
+* ``transpose(F)`` reverses one open word, using ``(g^s)^T = F g^{-s} F^T``;
+* ``insert(M)`` puts ``M`` at both cuts (``insert_generator``).
 
-The sign of a merge/twist term is the product of the two slot signs.  This
-reproduces the four-case tables for merging and twisting; the coordinate
-evaluators at the bottom of the module implement those tables directly by
-contraction with a split-Casimir tensor and exist so tests can check the two
-routes against each other.
+Every term carries the product of the two slot signs.  The sum over
+generator insertions gives the same values and serves as the test oracle.
 
 Group elements are unitary matrices in the group's own realization (1x1 for
 the U(1) characters); the inverse is taken as the conjugate transpose.
@@ -32,7 +31,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .catalog import GroupSpec, RepData, build_representation, split_casimir
+from .catalog import GroupSpec, RepData, _completeness_terms, build_representation
 
 __all__ = [
     "Loop",
@@ -47,10 +46,7 @@ __all__ = [
     "total_twist",
     "laplacian",
     "conjugate_loop",
-    "merge_at_coordinate",
-    "twist_at_coordinate",
     "loops_to_tensor",
-    "slot_matrices",
     "loop_to_json",
     "loop_from_json",
     "loopsum_to_json",
@@ -190,22 +186,70 @@ def insert_generator(w: Loop, j: int, x: np.ndarray) -> Loop:
     return loop(w.rep, coeffs, signs, w.scale)
 
 
+def _cut(w: Loop, j: int) -> int:
+    """Where ``insert_generator`` puts a generator, in the word ``c_1, s_1, c_2, ...``."""
+    _check_slot(w, j)
+    return 2 * j - (w.signs[j - 1] == -1)
+
+
+def _word(w: Loop, j: int) -> list:
+    """The loop's word cut open at slot ``j``: ``w = w.scale * tr(word)``.
+
+    Its letters are coefficient matrices and slot signs.
+    """
+    letters = [x for factor in w.factors for x in factor]
+    cut = _cut(w, j)
+    return letters[cut:] + letters[:cut]
+
+
+def _close(rep: RepData, letters: list, scale: complex) -> Loop | complex:
+    """``scale * tr(word)`` as a loop, or as a number if the word has no slot."""
+    factors: list = []
+    acc = None
+    for x in letters:
+        if isinstance(x, int):
+            factors.append((np.eye(rep.dim) if acc is None else acc, x))
+            acc = None
+        else:
+            acc = x if acc is None else acc @ x
+    if not factors:
+        return scale * complex(np.trace(acc))
+    if acc is not None:  # the word's tail wraps round to its head
+        factors[0] = (acc @ factors[0][0], factors[0][1])
+    return Loop(rep, tuple(factors), scale)
+
+
+def _transposed(letters: list, f: np.ndarray) -> list:
+    """The word of ``X^T``, from ``(g^s)^T = F g^{-s} F^T``."""
+    out: list = []
+    for x in reversed(letters):
+        out.extend((f, -x, f.T) if isinstance(x, int) else (x.T,))
+    return out
+
+
 def merge_at(w1: Loop, j: int, w2: Loop, j2: int) -> LoopSum:
     """Merging of two loops at slots ``j`` of ``w1`` and ``j2`` of ``w2``.
 
-    Returns the generator sum ``sign * sum_a (w1 with xi^a at j) x (w2 with
-    xi^a at j2)`` as a LoopSum of split pair terms, with ``sign`` the product
-    of the two slot signs.
+    Equals ``sign * sum_a (w1 with xi^a at j) x (w2 with xi^a at j2)``, with
+    ``sign`` the product of the two slot signs, and returns one term per
+    completeness term: a loop (swap, transpose) or a pair (trace, insert).
     """
     _compatible(w1, w2)
-    _check_slot(w1, j)
-    _check_slot(w2, j2)
+    x1, x2 = _word(w1, j), _word(w2, j2)
     sgn = w1.signs[j - 1] * w2.signs[j2 - 1]
-    terms = []
-    for a in range(w1.rep.algebra_dim):
-        left = insert_generator(w1, j, w1.rep.generators[a]).scaled(sgn)
-        right = insert_generator(w2, j2, w2.rep.generators[a])
-        terms.append(LoopPair(left, right))
+    joined = sgn * w1.scale * w2.scale
+    terms: list[Term] = []
+    for (coef, kind, m1), (_, _, m2) in zip(_completeness_terms(w1.rep.spec),
+                                            _completeness_terms(w2.rep.spec)):
+        if kind == "swap":  # tr(X1 X2)
+            terms.append(_close(w1.rep, x1 + x2, coef * joined))
+        elif kind == "transpose":  # tr(X1 F X2^T F^T)
+            terms.append(_close(w1.rep, x1 + [m1] + _transposed(x2, m1) + [m1.T], coef * joined))
+        elif kind == "trace":
+            terms.append(LoopPair(w1.scaled(sgn * coef), w2))
+        else:
+            terms.append(LoopPair(insert_generator(w1, j, m1).scaled(sgn * coef),
+                                  insert_generator(w2, j2, m2)))
     return LoopSum(tuple(terms))
 
 
@@ -219,16 +263,35 @@ def total_merge(w1: Loop, w2: Loop) -> LoopSum:
 
 
 def twist_at(w: Loop, j: int, j2: int) -> LoopSum:
-    """Twisting of a loop at two distinct slots of the same trace."""
-    _check_slot(w, j)
-    _check_slot(w, j2)
+    """Twisting of a loop at two distinct slots of the same trace.
+
+    With the word cut into ``A`` (from slot ``j`` to ``j2``) and ``B`` (the
+    rest), each completeness term gives ``tr(A) tr(B)`` (swap), the loop
+    itself (trace), ``tr(F A^T F B)`` (transpose) or ``tr(M A M B)`` (insert).
+    """
+    x = _word(w, j)
+    q = (_cut(w, j2) - _cut(w, j)) % len(x)
     if j == j2:
         raise ValueError("twisting requires two distinct slot positions")
     sgn = w.signs[j - 1] * w.signs[j2 - 1]
-    terms = []
-    for a in range(w.rep.algebra_dim):
-        xi = w.rep.generators[a]
-        terms.append(insert_generator(insert_generator(w, j, xi), j2, xi).scaled(sgn))
+    a, b = x[:q], x[q:]
+    terms: list[Term] = []
+    for coef, kind, m in _completeness_terms(w.rep.spec):
+        scale = sgn * coef * w.scale
+        if kind == "swap":  # tr(A) tr(B); a piece without a slot is a number
+            left, right = _close(w.rep, a, scale), _close(w.rep, b, 1.0)
+            if not isinstance(left, Loop):
+                terms.append(right.scaled(left))
+            elif not isinstance(right, Loop):
+                terms.append(left.scaled(right))
+            else:
+                terms.append(LoopPair(left, right))
+        elif kind == "transpose":
+            terms.append(_close(w.rep, [m] + _transposed(a, m) + [m] + b, scale))
+        elif kind == "trace":
+            terms.append(w.scaled(sgn * coef))
+        else:
+            terms.append(insert_generator(insert_generator(w, j, m), j2, m).scaled(sgn * coef))
     return LoopSum(tuple(terms))
 
 
@@ -263,88 +326,6 @@ def conjugate_loop(w: Loop) -> Loop:
 
 
 # ---------------------------------------------------------------------------
-# coordinate-form evaluation driven by a split-Casimir tensor
-# ---------------------------------------------------------------------------
-
-
-def _isolate_one(w: Loop, j: int, g: np.ndarray) -> tuple[np.ndarray, int]:
-    """Rewrite ``w`` as ``tr(C g^{s_j})`` at the element ``g``.
-
-    Returns the (g-dependent) matrix ``C`` with the loop's scale folded in,
-    and the slot sign.
-    """
-    jj = j - 1
-    rot = w.factors[jj + 1:] + w.factors[: jj + 1]
-    acc = np.eye(w.rep.dim, dtype=np.complex128) * w.scale
-    for coeff, sign in rot[:-1]:
-        acc = acc @ coeff @ w.rep.rho(g, sign)
-    return acc @ rot[-1][0], rot[-1][1]
-
-
-def _isolate_two(w: Loop, j: int, j2: int, g: np.ndarray):
-    """Rewrite ``w`` as ``tr(C g^{s_j} D g^{s_{j2}})`` at the element ``g``."""
-    jj, jj2 = j - 1, j2 - 1
-    rot = w.factors[jj2 + 1:] + w.factors[: jj2 + 1]
-    pos = (jj - jj2 - 1) % w.n_slots  # index of slot j inside the rotated word
-    acc = np.eye(w.rep.dim, dtype=np.complex128) * w.scale
-    for coeff, sign in rot[:pos]:
-        acc = acc @ coeff @ w.rep.rho(g, sign)
-    c = acc @ rot[pos][0]
-    acc = np.eye(w.rep.dim, dtype=np.complex128)
-    for coeff, sign in rot[pos + 1: -1]:
-        acc = acc @ coeff @ w.rep.rho(g, sign)
-    d = acc @ rot[-1][0]
-    return c, rot[pos][1], d, rot[-1][1]
-
-
-def _k_tensor(rep: RepData, k: np.ndarray | None) -> np.ndarray:
-    return split_casimir(rep).k if k is None else np.asarray(k, dtype=np.complex128)
-
-
-def merge_at_coordinate(w1: Loop, j: int, w2: Loop, j2: int, g: np.ndarray,
-                        k: np.ndarray | None = None) -> complex:
-    """Evaluate the merge at ``g`` by contracting a split-Casimir tensor.
-
-    ``k`` defaults to the generator sum; passing the closed completeness
-    form evaluates the merge without touching any generator.
-    """
-    if w1.rep.spec != w2.rep.spec:
-        raise ValueError("coordinate-form merging needs a common representation")
-    kt = _k_tensor(w1.rep, k)
-    c, s1 = _isolate_one(w1, j, g)
-    d, s2 = _isolate_one(w2, j2, g)
-    gp, gm = w1.rep.rho(g, 1), w1.rep.rho(g, -1)
-    if (s1, s2) == (1, 1):
-        val = np.einsum("ijkl,js,si,lt,tk->", kt, c, gp, d, gp)
-    elif (s1, s2) == (1, -1):
-        val = -np.einsum("ijkl,js,si,tk,lt->", kt, c, gp, d, gm)
-    elif (s1, s2) == (-1, 1):
-        val = -np.einsum("ijkl,si,js,lt,tk->", kt, c, gm, d, gp)
-    else:
-        val = np.einsum("ijkl,si,js,tk,lt->", kt, c, gm, d, gm)
-    return complex(val)
-
-
-def twist_at_coordinate(w: Loop, j: int, j2: int, g: np.ndarray,
-                        k: np.ndarray | None = None) -> complex:
-    """Evaluate the twist at ``g`` by contracting a split-Casimir tensor."""
-    if j == j2:
-        raise ValueError("twisting requires two distinct slot positions")
-    kt = _k_tensor(w.rep, k)
-    c, s1, d, s2 = _isolate_two(w, j, j2, g)
-    gp, gm = w.rep.rho(g, 1), w.rep.rho(g, -1)
-    if (s1, s2) == (1, 1):
-        val = np.einsum("ijkl,ls,si,jt,tk->", kt, c, gp, d, gp)
-    elif (s1, s2) == (1, -1):
-        val = -np.einsum("ijkl,ts,si,jk,lt->", kt, c, gp, d, gm)
-    elif (s1, s2) == (-1, 1):
-        val = -np.einsum("ijkl,li,js,st,tk->", kt, c, gm, d, gp)
-    else:
-        val = np.einsum("ijkl,ti,js,sk,lt->", kt, c, gm, d, gm)
-    return complex(val)
-
-
-# ---------------------------------------------------------------------------
 # flattening products of loops into a coefficient tensor
 # ---------------------------------------------------------------------------
 
@@ -357,8 +338,8 @@ def loops_to_tensor(loops: Iterable[Loop]) -> tuple[np.ndarray, tuple[int, ...]]
     slots", and ``a`` carries one ``(d, d)`` axis pair per slot in that
     order.  For a + slot the pair is ``(i, j)`` contracting against
     ``rho(g)_{ij}``; for a - slot it is ``(i', j')`` contracting against
-    ``rho(g^{-1})_{j' i'}``.  Contracting ``a`` with the slot matrices of
-    ``slot_matrices`` reproduces the product of loop values.
+    ``rho(g^{-1})_{j' i'}``.  Contracting ``a`` with those slot matrices
+    reproduces the product of loop values.
     """
     loops = list(loops)
     if not loops:
@@ -401,23 +382,6 @@ def loops_to_tensor(loops: Iterable[Loop]) -> tuple[np.ndarray, tuple[int, ...]]
     a = np.transpose(acc, perm) if perm else acc
     pattern = tuple([1] * len(plus) + [-1] * len(minus))
     return np.ascontiguousarray(a), pattern
-
-
-def slot_matrices(rep: RepData, g: np.ndarray, pattern: Sequence[int]) -> list[np.ndarray]:
-    """Per-slot matrices whose full contraction with the coefficient tensor
-    reproduces the loop product at ``g``."""
-    gp = rep.rho(g, 1)
-    gm_t = rep.rho(g, -1).T  # [i', j'] entry equals rho(g^{-1})_{j' i'}
-    return [gp if s == 1 else gm_t for s in pattern]
-
-
-def contract_with_slots(a: np.ndarray, mats: Sequence[np.ndarray]) -> complex:
-    args: list = []
-    for s, m in enumerate(mats):
-        args.extend([m, [2 * s, 2 * s + 1]])
-    args.extend([a, list(range(2 * len(mats)))])
-    args.append([])
-    return complex(np.einsum(*args))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ Euler scheme ``g <- g expm(sqrt(h) z_a xi^a)``, which stays on the group to
 roundoff; its weak error in moments is O(h).
 
 Estimators are deterministic functions of an RngSpec.  The Wilson action is
-handled by self-normalized importance sampling over Haar draws.
+handled by self-normalized importance sampling over Haar draws, refused when
+the weights leave fewer than ``WILSON_MIN_ESS`` effective draws.
 """
 
 from __future__ import annotations
@@ -52,6 +53,10 @@ __all__ = [
 #: defaults for the approximate G2 Haar sampler (long-time Brownian mixing)
 G2_HAAR_TIME = 50.0
 G2_HAAR_STEPS = 5000
+
+#: smallest Kish effective sample size a Wilson estimate is returned from; the
+#: standard error is a normal approximation, which needs tens of effective draws
+WILSON_MIN_ESS = 30.0
 
 
 @dataclass(frozen=True)
@@ -209,6 +214,32 @@ def _mean_and_stderr(vals: np.ndarray) -> tuple[complex, float]:
     return complex(mean), float(np.sqrt(var / vals.size))
 
 
+def _wilson_estimate(measure: MeasureSpec, gs: np.ndarray,
+                     vals: np.ndarray) -> tuple[complex, float, np.ndarray]:
+    """Self-normalized importance-sampling mean of ``vals`` over Haar draws ``gs``.
+
+    The weights ``exp(beta * Re sum_p W_p)`` are shifted by their maximum
+    before ``exp``; the estimate is refused when their Kish effective sample
+    size ``(sum w)^2 / sum w^2`` falls below ``WILSON_MIN_ESS``.  Returns the
+    value, its standard error and the action at each draw.
+    """
+    action = np.zeros(gs.shape[0], dtype=np.complex128)
+    for p in measure.plaquettes:
+        action = action + p.evaluate_batch(gs)
+    log_w = measure.beta * action.real
+    weights = np.exp(log_w - np.max(log_w))
+    wsum = np.sum(weights)
+    ess = float(wsum ** 2 / np.sum(weights ** 2))
+    if not ess >= WILSON_MIN_ESS:
+        raise RuntimeError(
+            f"effective sample size {ess:.3g} of {gs.shape[0]} draws is below {WILSON_MIN_ESS:g}: "
+            "the Wilson weights collapsed onto a few draws"
+        )
+    value = complex(np.sum(weights * vals) / wsum)
+    stderr = float(np.sqrt(np.sum(weights ** 2 * np.abs(vals - value) ** 2)) / wsum)
+    return value, stderr, action
+
+
 def mc_expect(items: Sequence, measure: MeasureSpec, samples: int, rng: RngSpec,
               steps: int = 200) -> MCEstimate:
     """Monte-Carlo expectation of a product of loops under a measure.
@@ -232,19 +263,8 @@ def mc_expect(items: Sequence, measure: MeasureSpec, samples: int, rng: RngSpec,
     if not measure.plaquettes:
         raise ValueError("the Wilson measure needs an explicit plaquette list")
     gs = haar_sample_batch(rep, rng, samples)
-    action = np.zeros(samples, dtype=np.complex128)
-    for p in measure.plaquettes:
-        action = action + p.evaluate_batch(gs)
-    with np.errstate(over="ignore"):  # the finiteness guard below handles it
-        weights = np.exp(measure.beta * action.real)
-    imag_discarded = float(np.max(np.abs(measure.beta * action.imag))) if samples else 0.0
-    wsum = float(np.sum(weights))
-    if not np.isfinite(wsum) or wsum <= 0.0:
-        raise RuntimeError("zero effective sample size: all Wilson weights vanished")
-    vals = _product_values(items, gs)
-    value = complex(np.sum(weights * vals) / wsum)
-    resid = vals - value
-    stderr = float(np.sqrt(np.sum(weights ** 2 * np.abs(resid) ** 2)) / wsum)
+    value, stderr, action = _wilson_estimate(measure, gs, _product_values(items, gs))
+    imag_discarded = float(np.max(np.abs(measure.beta * action.imag)))
     return MCEstimate(value, stderr, samples, imag_discarded)
 
 
@@ -298,6 +318,12 @@ def _exact_haar_residual(loops: Sequence[Loop], budget: int):
     return lhs, rhs
 
 
+def _exact_report(kind: str, lhs: complex, rhs: complex, tol: float) -> TheoremAReport:
+    lhs, rhs, tol = complex(lhs), complex(rhs), float(tol)
+    residual = abs(lhs - rhs)
+    return TheoremAReport(kind, lhs, rhs, residual, tol, residual <= tol)
+
+
 def verify_theorem_a(loops: Sequence[Loop], measure: MeasureSpec,
                      samples: int | None = None, rng: RngSpec | None = None,
                      budget: int = DEFAULT_BUDGET, fd_step: float = 1e-4) -> TheoremAReport:
@@ -314,9 +340,7 @@ def verify_theorem_a(loops: Sequence[Loop], measure: MeasureSpec,
     loops = list(loops)
     if measure.kind == "haar":
         lhs, rhs = _exact_haar_residual(loops, budget)
-        residual = abs(lhs - rhs)
-        tol = 1e-9 * (1.0 + abs(lhs))
-        return TheoremAReport("haar", lhs, rhs, residual, tol, residual <= tol)
+        return _exact_report("haar", lhs, rhs, 1e-9 * (1.0 + abs(lhs)))
 
     if measure.kind == "brownian":
         t = measure.t
@@ -332,16 +356,12 @@ def verify_theorem_a(loops: Sequence[Loop], measure: MeasureSpec,
             rhs += 2.0 * expect_product([ms] + rest, at_t, budget)
         for ts, rest in twists:
             rhs += expect_product([ts] + rest, at_t, budget)
-        residual = abs(deriv2 - rhs)
-        tol = 1e-6 * (1.0 + abs(rhs))
-        return TheoremAReport("brownian", deriv2, rhs, residual, tol, residual <= tol)
+        return _exact_report("brownian", deriv2, rhs, 1e-6 * (1.0 + abs(rhs)))
 
     # Wilson action
     if measure.beta == 0.0:
         lhs, rhs = _exact_haar_residual(loops, budget)
-        residual = abs(lhs - rhs)
-        tol = 1e-9 * (1.0 + abs(lhs))
-        return TheoremAReport("wilson", lhs, rhs, residual, tol, residual <= tol)
+        return _exact_report("wilson", lhs, rhs, 1e-9 * (1.0 + abs(lhs)))
     if samples is None:
         raise ValueError("the Wilson check needs an explicit sample count")
     if rng is None:
@@ -369,15 +389,7 @@ def verify_theorem_a(loops: Sequence[Loop], measure: MeasureSpec,
     for p, p2 in itertools.product(effective, repeat=2):
         y = y - beta ** 2 * total_merge(p, p2).evaluate_batch(gs) * prod
 
-    action = np.zeros(samples, dtype=np.complex128)
-    for p in measure.plaquettes:
-        action = action + p.evaluate_batch(gs)
-    weights = np.exp(beta * action.real)
-    wsum = float(np.sum(weights))
-    if not np.isfinite(wsum) or wsum <= 0.0:
-        raise RuntimeError("zero effective sample size: all Wilson weights vanished")
-    value = complex(np.sum(weights * y) / wsum)
-    stderr = float(np.sqrt(np.sum(weights ** 2 * np.abs(y - value) ** 2)) / wsum)
+    value, stderr, _ = _wilson_estimate(measure, gs, y)
     z = abs(value) / stderr if stderr > 0 else float("inf")
     return TheoremAReport("wilson", value, 0.0, abs(value), 3.0 * stderr,
                           z <= 3.0, z_score=z, stderr=stderr, samples=samples)

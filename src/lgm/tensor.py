@@ -1,35 +1,19 @@
-"""Dense complex tensor arithmetic and numerical linear-algebra kernels.
+"""Numerical linear-algebra kernels and the sparse JSON form of tensors.
 
-All heavy lifting is delegated to LAPACK/BLAS through numpy (and to scipy
-only for the generic matrix-exponential fallback).  Conventions used
-throughout the package:
-
-* every tensor is a C-contiguous ``complex128`` ndarray in row-major
-  multi-index order;
-* contractions sum paired indices in lexicographic order over the flattened
-  paired multi-index (this is what ``np.tensordot`` does after its
-  transpose/reshape step), so results are reproducible run to run;
-* spectral routines symmetrize their input, ``(M + M*) / 2``, before calling
-  LAPACK, which absorbs Hermiticity roundoff.
+All heavy lifting is delegated to LAPACK/BLAS through numpy.  Tensors are
+C-contiguous ``complex128`` ndarrays in row-major multi-index order, and
+spectral routines symmetrize their input, ``(M + M*) / 2``, before calling
+LAPACK, which absorbs Hermiticity roundoff.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
-
 import numpy as np
-import scipy.linalg
 
 __all__ = [
-    "ShapeError",
-    "Tensor",
-    "HermitianEig",
-    "contract",
     "eig_hermitian",
     "pseudoinverse",
-    "expm",
+    "expm_skew_batch",
     "tensor_to_json",
     "tensor_from_json",
 ]
@@ -38,113 +22,18 @@ __all__ = [
 JSON_PRUNE_TOL = 1e-14
 
 
-class ShapeError(ValueError):
-    """Raised when tensor extents are incompatible with an operation."""
-
-
-def asarray(x) -> np.ndarray:
-    """Coerce ``x`` (Tensor or array-like) to a complex128 C-order ndarray."""
-    if isinstance(x, Tensor):
-        return x.array
-    return np.ascontiguousarray(np.asarray(x, dtype=np.complex128))
-
-
-@dataclass(frozen=True)
-class Tensor:
-    """A dense complex tensor: shape plus row-major complex128 data.
-
-    The wrapper exists for the serialization boundary (JSON, CLI); the
-    numerical routines in this package pass bare ndarrays around.
-    """
-
-    array: np.ndarray = field()
-
-    def __post_init__(self):
-        arr = np.ascontiguousarray(np.asarray(self.array, dtype=np.complex128))
-        if not np.all(np.isfinite(arr.view(np.float64))):
-            raise ValueError("tensor contains non-finite entries")
-        object.__setattr__(self, "array", arr)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.array.shape
-
-    def to_json(self) -> dict:
-        return tensor_to_json(self.array)
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "Tensor":
-        return cls(tensor_from_json(doc))
-
-
-class HermitianEig(NamedTuple):
-    """Spectral data of a Hermitian matrix.
-
-    Attributes
-    ----------
-    eigenvalues : ``(n,)`` real ndarray, sorted ascending.
-    eigenvectors : ``(n, n)`` unitary ndarray; column ``k`` belongs to
-        ``eigenvalues[k]``.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def _check_square(m: np.ndarray, op: str) -> np.ndarray:
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ShapeError(f"{op} requires a square matrix, got shape {m.shape}")
-    return m
-
-
-def _symmetrize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.conj().T)
-
-
-def contract(a, b, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
-    """Contract tensors ``a`` and ``b`` over the given axis pairs.
-
-    ``pairs`` is a list of ``(axis_of_a, axis_of_b)``.  The result carries
-    the unpaired axes of ``a`` (in order) followed by the unpaired axes of
-    ``b``.  Summation order over the paired indices is lexicographic.
-
-    Raises
-    ------
-    ShapeError
-        If an axis is out of range, repeated, or the paired extents differ.
-    """
-    ta, tb = asarray(a), asarray(b)
-    axes_a = [p[0] for p in pairs]
-    axes_b = [p[1] for p in pairs]
-    for name, t, axes in (("a", ta, axes_a), ("b", tb, axes_b)):
-        for ax in axes:
-            if not 0 <= ax < t.ndim:
-                raise ShapeError(
-                    f"axis {ax} of {name} out of range for shape {t.shape}"
-                )
-        if len(set(axes)) != len(axes):
-            raise ShapeError(f"repeated contraction axis on {name}: {axes}")
-    for ax_a, ax_b in pairs:
-        if ta.shape[ax_a] != tb.shape[ax_b]:
-            raise ShapeError(
-                f"cannot pair axis {ax_a} of a (extent {ta.shape[ax_a]}) "
-                f"with axis {ax_b} of b (extent {tb.shape[ax_b]})"
-            )
-    if not pairs:
-        return np.multiply.outer(ta, tb)
-    return np.tensordot(ta, tb, axes=(axes_a, axes_b))
-
-
-def eig_hermitian(m) -> HermitianEig:
-    """Eigendecomposition of a (numerically) Hermitian matrix.
+def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition ``(w, u)`` of a (numerically) Hermitian matrix.
 
     The input is symmetrized first; the caller asserts Hermiticity up to
-    roundoff.  Eigenvalues come back ascending and real, eigenvectors as the
-    columns of a unitary matrix.
+    roundoff.  Eigenvalues ``w`` come back ascending and real, eigenvectors
+    as the columns of the unitary matrix ``u``.
     """
-    mat = _check_square(asarray(m), "eig_hermitian")
-    w, u = np.linalg.eigh(_symmetrize(mat))
-    return HermitianEig(w, u)
+    mat = np.asarray(m, dtype=np.complex128)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"eig_hermitian requires a square matrix, got shape {mat.shape}")
+    w, u = np.linalg.eigh(0.5 * (mat + mat.conj().T))
+    return w, u
 
 
 def pseudoinverse(m, rel_cutoff: float = 1e-8) -> np.ndarray:
@@ -162,29 +51,6 @@ def pseudoinverse(m, rel_cutoff: float = 1e-8) -> np.ndarray:
         keep = np.abs(w) >= rel_cutoff * wmax
         inv[keep] = 1.0 / w[keep]
     return (u * inv) @ u.conj().T
-
-
-def expm(m) -> np.ndarray:
-    """Matrix exponential.
-
-    Hermitian and skew-Hermitian arguments go through an exact spectral
-    formula (``U exp(D) U*``); everything else falls back to
-    scaling-and-squaring via scipy.
-    """
-    mat = _check_square(asarray(m), "expm")
-    norm = np.linalg.norm(mat)
-    if norm == 0.0:
-        return np.eye(mat.shape[0], dtype=np.complex128)
-    herm_defect = np.linalg.norm(mat - mat.conj().T)
-    skew_defect = np.linalg.norm(mat + mat.conj().T)
-    if herm_defect <= 1e-12 * norm:
-        w, u = np.linalg.eigh(_symmetrize(mat))
-        return (u * np.exp(w)) @ u.conj().T
-    if skew_defect <= 1e-12 * norm:
-        # m = -i h with h Hermitian, so exp(m) = U exp(-i w) U*
-        w, u = np.linalg.eigh(_symmetrize(1j * mat))
-        return (u * np.exp(-1j * w)) @ u.conj().T
-    return scipy.linalg.expm(mat)
 
 
 def expm_skew_batch(x: np.ndarray) -> np.ndarray:
@@ -207,7 +73,7 @@ def tensor_to_json(arr) -> dict:
     Entries are listed in row-major order of their multi-index; re/im are
     emitted as Python floats and round-trip exactly.
     """
-    a = asarray(arr)
+    a = np.asarray(arr, dtype=np.complex128)
     entries = []
     flat = a.reshape(-1)
     keep = np.flatnonzero(np.abs(flat) >= JSON_PRUNE_TOL)
@@ -227,12 +93,3 @@ def tensor_from_json(doc: dict) -> np.ndarray:
         idx = tuple(int(i) for i in entry["idx"])
         a[idx] = complex(entry["re"], entry["im"])
     return a
-
-
-def dumps(arr, **kwargs) -> str:
-    """Serialize a tensor to a JSON string."""
-    return json.dumps(tensor_to_json(arr), **kwargs)
-
-
-def loads(text: str) -> np.ndarray:
-    return tensor_from_json(json.loads(text))

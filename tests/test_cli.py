@@ -91,6 +91,21 @@ class TestWeingarten:
         assert np.max(np.abs(np.sort(wg.real.flatten())
                              - np.sort([1 / 8, -1 / 24, -1 / 24, 1 / 8]))) <= 1e-12
 
+    def test_tol_reaches_pseudoinverse(self, capsys):
+        # a cutoff above every Gram eigenvalue ratio zeroes the pseudoinverse
+        code, out = run(capsys, "weingarten", "--family", "u", "--n", "3", "--order", "2",
+                        "--source", "permutations", "--tol", "0.9", "--out", "json")
+        assert code == 0
+        wg = np.array([[complex(re, im) for re, im in row] for row in json.loads(out)["wg"]])
+        assert wg.shape == (2, 2)
+        assert np.linalg.matrix_rank(wg) == 1
+
+    def test_tol_only_on_weingarten(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--family", "u", "--n", "2", "--tol", "1e-6"])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+
 
 class TestExpect:
     def test_haar_product(self, capsys, u3_pair_file):
@@ -191,3 +206,19 @@ class TestVerify:
         assert doc["passed"] is True
         assert doc["z"] <= 3.0
         assert doc["samples"] == 20000
+
+    def test_theorem_a_brownian_u1_characters_json(self, capsys, tmp_path):
+        # mixed U(1) characters take the character-algebra route
+        from lgm.catalog import GroupSpec, build_representation
+
+        r2, r1 = (build_representation(GroupSpec("u1power", n)) for n in (2, -1))
+        loops_file = tmp_path / "loops.json"
+        write_loops(loops_file, [linear_loop(r2, np.array([[0.5 + 0.2j]])),
+                                 linear_loop(r1, np.array([[1.0 - 0.3j]]), -1)])
+        code, out = run(capsys, "verify", "theorem-a", "--loops", str(loops_file),
+                        "--measure", "brownian:t=0.7", "--out", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["kind"] == "brownian"
+        assert doc["passed"] is True
+        assert doc["residual"] <= doc["tolerance"]

@@ -2,7 +2,8 @@
 
 The per-family merge/twist tables here (tr-combinations of C, D, g and the
 psi matrices for G2) are the closed completeness-relation forms; checking
-them against the generator-sum operations is the table-consistency check.
+them against the production merge/twist, and those against the sum over
+generator insertions, is the table-consistency check.
 """
 
 import json
@@ -13,12 +14,10 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lgm.catalog import GroupSpec, build_representation, closed_form_completeness, octonion_psi
-from lgm.loops import (LoopPair, LoopSum, conjugate_loop, contract_with_slots,
-                       insert_generator, laplacian, linear_loop, loop, loop_from_json,
-                       loop_to_json, loops_to_tensor, loopsum_from_json, loopsum_to_json,
-                       merge_at, merge_at_coordinate, slot_matrices, total_merge,
-                       twist_at, twist_at_coordinate)
+from lgm.catalog import GroupSpec, build_representation, octonion_psi
+from lgm.loops import (LoopPair, LoopSum, conjugate_loop, insert_generator, laplacian,
+                       linear_loop, loop, loop_from_json, loop_to_json, loops_to_tensor,
+                       loopsum_from_json, loopsum_to_json, merge_at, total_merge, twist_at)
 from lgm.sampling import RngSpec, brownian_path_batch, haar_sample
 
 REP = {
@@ -26,6 +25,7 @@ REP = {
     "u3": build_representation(GroupSpec("u", 3)),
     "su2": build_representation(GroupSpec("su", 2)),
     "su4": build_representation(GroupSpec("su", 4)),
+    "so2": build_representation(GroupSpec("so", 2)),
     "so3": build_representation(GroupSpec("so", 3)),
     "so4": build_representation(GroupSpec("so", 4)),
     "sp1": build_representation(GroupSpec("sp", 1)),
@@ -264,27 +264,52 @@ class TestU1Merging:
         assert laplacian(w).evaluate(z) == pytest.approx(-n ** 2 * w.evaluate(z), abs=1e-12)
 
 
-@pytest.mark.parametrize("key", ["so2", "so4", "sp1", "sp2", "u2", "u3", "su2", "su4", "g2"])
+def generator_merge(w1, j, w2, j2, g):
+    """Oracle: the merge as the sum over generator insertions at ``g``."""
+    sgn = w1.signs[j - 1] * w2.signs[j2 - 1]
+    return sgn * sum(insert_generator(w1, j, x1).evaluate(g) * insert_generator(w2, j2, x2).evaluate(g)
+                     for x1, x2 in zip(w1.rep.generators, w2.rep.generators))
+
+
+def generator_twist(w, j, j2, g):
+    """Oracle: the twist as the sum over generator insertions at ``g``."""
+    sgn = w.signs[j - 1] * w.signs[j2 - 1]
+    return sgn * sum(insert_generator(insert_generator(w, j, x), j2, x).evaluate(g)
+                     for x in w.rep.generators)
+
+
+@pytest.mark.parametrize("key", ["so2", "so4", "sp1", "sp2", "u2", "u3", "su2", "su4", "g2", "u1mixed"])
 def test_closed_form_matches_generator_sum(key):
-    """50 random (loop, g) instances per family: generator-sum merge/twist
-    equal the coordinate contraction with the closed completeness tensor."""
-    rep = (build_representation(GroupSpec("so", 2)) if key == "so2" else REP[key])
-    k_closed = closed_form_completeness(rep.spec).k
-    rng = np.random.default_rng(hash(key) % 2 ** 32)
+    """50 random (loop, g) instances per family: the production merge/twist,
+    read from the completeness table, equal the generator-insertion sums."""
+    u1 = [build_representation(GroupSpec("u1power", n)) for n in (-2, 1, 3)]
+    rep = u1[0] if key == "u1mixed" else REP[key]
+    rng = np.random.default_rng(sum(map(ord, key)))
     for trial in range(50):
-        w1 = rand_loop(rng, rep)
-        w2 = rand_loop(rng, rep)
+        w1 = rand_loop(rng, u1[trial % 3] if key == "u1mixed" else rep)
+        w2 = rand_loop(rng, u1[(trial + 1) % 3] if key == "u1mixed" else rep)
         g = sample(rep, trial % 7)
         j, j2 = int(rng.integers(1, w1.n_slots + 1)), int(rng.integers(1, w2.n_slots + 1))
         got = merge_at(w1, j, w2, j2).evaluate(g)
-        want = merge_at_coordinate(w1, j, w2, j2, g, k_closed)
+        want = generator_merge(w1, j, w2, j2, g)
         assert abs(got - want) <= 1e-11 * (1.0 + abs(want))
         if w1.n_slots >= 2:
             spots = rng.choice(np.arange(1, w1.n_slots + 1), size=2, replace=False)
             ja, jb = int(spots[0]), int(spots[1])
             got = twist_at(w1, ja, jb).evaluate(g)
-            want = twist_at_coordinate(w1, ja, jb, g, k_closed)
+            want = generator_twist(w1, ja, jb, g)
             assert abs(got - want) <= 1e-11 * (1.0 + abs(want))
+
+
+@pytest.mark.parametrize("spec, count", [
+    (GroupSpec("u", 3), 1), (GroupSpec("u1power", 2), 1), (GroupSpec("su", 3), 2),
+    (GroupSpec("so", 4), 2), (GroupSpec("sp", 2), 2), (GroupSpec("g2"), 9),
+])
+def test_merge_term_count(spec, count):
+    """One term per completeness term, not one per generator."""
+    rep = build_representation(spec)
+    w = linear_loop(rep, np.eye(rep.dim))
+    assert len(merge_at(w, 1, w, 1).terms) == count
 
 
 def dirderiv(w, g, xi, h=1e-5):
@@ -362,6 +387,23 @@ class TestSlotBookkeeping:
             twist_at(loop(rep, [np.eye(2)] * 2, [1, 1]), 1, 1)
         with pytest.raises(ValueError, match="different representations"):
             merge_at(w, 1, linear_loop(REP["u3"], np.eye(3)), 1)
+
+
+def slot_matrices(rep, g, pattern):
+    """Per-slot matrices whose full contraction with the coefficient tensor
+    reproduces the loop product at ``g``."""
+    gp = rep.rho(g, 1)
+    gm_t = rep.rho(g, -1).T  # [i', j'] entry equals rho(g^{-1})_{j' i'}
+    return [gp if s == 1 else gm_t for s in pattern]
+
+
+def contract_with_slots(a, mats):
+    args = []
+    for s, m in enumerate(mats):
+        args.extend([m, [2 * s, 2 * s + 1]])
+    args.extend([a, list(range(2 * len(mats)))])
+    args.append([])
+    return complex(np.einsum(*args))
 
 
 class TestLoopsToTensor:

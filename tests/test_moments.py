@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lgm.catalog import GroupSpec, RepData, build_representation
-from lgm.loops import LoopSum, linear_loop, loop, total_merge
+from lgm.loops import LoopPair, LoopSum, linear_loop, loop, total_merge
 from lgm.moments import (BudgetError, MeasureSpec, SpectralGapError, brownian_moment,
                          expect_product, haar_moment, spanning_set,
                          tensor_casimir, weingarten)
@@ -375,7 +375,8 @@ class TestExpectProduct:
         w1, w2 = linear_loop(SU2, a), linear_loop(SU2, b, -1)
         ms = total_merge(w1, w2)
         got = expect_product([ms], MeasureSpec.haar())
-        want = sum(expect_product([t.left, t.right], MeasureSpec.haar()) for t in ms.terms)
+        want = sum(expect_product([t.left, t.right] if isinstance(t, LoopPair) else [t],
+                                  MeasureSpec.haar()) for t in ms.terms)
         assert abs(got - want) <= 1e-12
 
     def test_mixed_matrix_reps_rejected(self):

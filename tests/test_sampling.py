@@ -207,6 +207,15 @@ class TestMcExpect:
         with pytest.raises(RuntimeError, match="effective sample size"):
             mc_expect(loops, MeasureSpec.wilson(-1e3, plaq), 1000, RngSpec(10))
 
+    def test_collapsed_weights_refused_by_ess(self):
+        # 40 SU(3) plaquettes at beta = 6: exp(beta * Re S) overflows unshifted,
+        # and after the shift one draw carries almost all the weight
+        su3 = build_representation(GroupSpec("su", 3))
+        plaq = [linear_loop(su3, np.eye(3))] * 40
+        with pytest.raises(RuntimeError, match=r"effective sample size 1(\.\d+)? of 5000 draws"):
+            mc_expect([linear_loop(su3, np.eye(3))], MeasureSpec.wilson(6.0, plaq), 5000,
+                      RngSpec(11))
+
 
 def rand_loops(rep, rng, count=2, max_slots=2):
     out = []
