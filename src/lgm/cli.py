@@ -22,7 +22,8 @@ from .catalog import (GroupSpec, algebra_dimension, build_representation,
                       closed_form_completeness, split_casimir)
 from .loops import Loop, loop_from_json
 from .moments import (BudgetError, DEFAULT_BUDGET, MeasureSpec, SpectralGapError,
-                      expect_product, moment_operator, spanning_set, weingarten)
+                      _product_route, expect_product, moment_operator, spanning_set,
+                      weingarten)
 from .sampling import (MCEstimate, RngSpec, brownian_path_batch, haar_sample_batch,
                        verify_theorem_a)
 from .tensor import tensor_to_json
@@ -185,8 +186,9 @@ def _cmd_expect(args) -> int:
         }
         lines = [f"value: {result.value!r} +- {result.stderr!r} ({result.samples} samples)"]
     else:
-        payload = {"value": [result.real, result.imag]}
-        lines = [f"value: {result!r}"]
+        route = _product_route(loops, measure, args.budget)[0]
+        payload = {"value": [result.real, result.imag], "route": route}
+        lines = [f"value: {result!r}", f"route: {route}"]
     _emit(args, payload, lines)
     return 0
 
@@ -254,7 +256,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0, help="rng seed")
     common.add_argument("--stream", type=int, default=0, help="rng substream")
     common.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="max tensor-power dimension")
+                        help="max tensor-power dimension (Casimir route) or squared "
+                             "label count (Weingarten routes)")
     common.add_argument("--out", choices=("json", "jsonl", "text"), default="text")
     common.add_argument("--quiet", action="store_true")
 

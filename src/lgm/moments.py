@@ -8,10 +8,37 @@ The moment operator of a probability density ``nu`` is
     T[(i;i'), (j;j')] = E[ g_{i_1 j_1} ... g_{i_n j_n}
                            g^{-1}_{j'_1 i'_1} ... g^{-1}_{j'_{n'} i'_{n'}} ].
 
-Everything reduces to the spectral theory of the tensor Casimir: the Haar
-moment is the orthogonal projector onto its null space, the Brownian moment
-at time t is ``exp(t/2 C)``, and the Weingarten map is the pseudoinverse of
-the Gram matrix of a spanning set of invariant tensors.
+The Haar moment is ``T(Haar) = tau o Wg o tau*``: the orthogonal projector
+onto the invariants, with ``tau`` a spanning set of invariant tensors and
+``Wg`` the pseudoinverse of its Gram matrix.  The same projector is the null
+space of the tensor Casimir, and the Brownian moment at time t is
+``exp(t/2 C)``.
+
+An exact expectation of a product of loops takes one route, chosen by
+invariant theory (``_route``):
+
+* ``weingarten:permutations`` for U(N), and SU(N) with n = n';
+* ``weingarten:pairings`` (Brauer pairings; J on like slots for Sp) for
+  Sp(N) with n + n' even, and SO(N) with n + n' even and either
+  n + n' < N or n + n' - N odd;
+* ``zero`` where the invariants vanish: U(N) with n != n', SU(N) with
+  N not dividing n - n', Sp(N) with n + n' odd, and SO(N) with n + n' odd
+  and no epsilon-type invariant;
+* ``characters`` for U(1) characters, by the character algebra;
+* ``casimir``, the tensor-Casimir null space (or ``exp(t/2 C)``), for the
+  Brownian measure, G2, SU(N) with epsilon invariants, SO(N) with
+  epsilon-type invariants, and any Weingarten shape over the budget.
+
+The Weingarten routes evaluate ``sum_{a,b} Wg[a,b] M[a,b]``, where
+``M[a,b]`` is the loop product contracted with row label ``a`` and column
+label ``b``: a product of traces of words in the coefficient matrices,
+read off the cycles of the wiring.  No tensor of the tensor power is formed.
+
+The budget caps a different size on each route: the squared number of
+labels ``L**2`` on the Weingarten routes (Gram and Wg are ``L x L``), and
+the tensor-power dimension ``D = d**(n+n')`` on the Casimir route, which
+forms ``D x D`` matrices.  A Weingarten shape over the budget falls back to
+the Casimir route when ``D`` fits.
 
 The Wilson action admits no exact closed form here; for that measure the
 expectation is delegated to the Monte-Carlo estimator in ``sampling``.
@@ -20,7 +47,9 @@ expectation is delegated to the Monte-Carlo estimator in ``sampling``.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence, Union
 
 import numpy as np
@@ -159,6 +188,26 @@ def _check_budget(rep: RepData, n: int, nprime: int, budget: int) -> int:
     return required
 
 
+def _pair_terms(rep: RepData, n: int, nprime: int):
+    """The tensor Casimir less its diagonal, as ``(coef, kernel, p, q)`` pair terms.
+
+    A term adds ``coef * kernel[i_p, j_p, i_q, j_q]`` on slots ``p < q`` with
+    every other slot's row and column index equal.  Returns the terms and
+    the dtype they assemble in: float64 whenever the split Casimir is real,
+    as every catalog completeness relation is.
+    """
+    k = split_casimir(rep).k
+    if np.max(np.abs(k.imag)) <= 1e-14 * max(1.0, np.max(np.abs(k.real))):
+        k = np.ascontiguousarray(k.real)
+    kernel_vv = k                          # K[i_r, j_r, i_s, j_s]
+    kernel_dd = k.transpose(1, 0, 3, 2)    # K[j'_r, i'_r, j'_s, i'_s]
+    kernel_vd = k.transpose(0, 1, 3, 2)    # K[i_r, j_r, j'_s, i'_s]
+    terms = [(2.0, kernel_vv, r, s) for r, s in itertools.combinations(range(n), 2)]
+    terms += [(2.0, kernel_dd, n + r, n + s) for r, s in itertools.combinations(range(nprime), 2)]
+    terms += [(-2.0, kernel_vd, r, n + s) for r in range(n) for s in range(nprime)]
+    return terms, k.dtype
+
+
 def tensor_casimir(rep: RepData, n: int, nprime: int,
                    budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """Casimir of ``rho^{(x)n,(x)n'}`` as a ``(D, D)`` Hermitian matrix.
@@ -167,63 +216,55 @@ def tensor_casimir(rep: RepData, n: int, nprime: int,
     ``(n+n') lambda`` on the diagonal, ``+2 K`` across pairs of like slots,
     ``-2 K`` (index-twisted) across mixed slot pairs.  Its eigenspaces are
     the isotypic components of the tensor representation and all eigenvalues
-    are non-positive.
+    are non-positive.  Each pair term is added in place through a strided
+    view of the entries it touches, ``d**(n+n'+2)`` of them; the matrix is
+    real symmetric (float64) whenever K is real.
     """
     dim_v = _check_budget(rep, n, nprime, budget)
     d, m = rep.dim, n + nprime
-    k = split_casimir(rep).k
-    # every catalog completeness relation is a real tensor; assembling in
-    # float64 halves memory traffic and enables the real-symmetric eigensolver
-    if np.max(np.abs(k.imag)) <= 1e-14 * max(1.0, np.max(np.abs(k.real))):
-        k = np.ascontiguousarray(k.real)
-        dtype = np.float64
-    else:
-        dtype = np.complex128
-    kernel_vv = k                          # K[i_r, j_r, i_s, j_s]
-    kernel_dd = k.transpose(1, 0, 3, 2)    # K[j'_r, i'_r, j'_s, i'_s]
-    kernel_vd = k.transpose(0, 1, 3, 2)    # K[i_r, j_r, j'_s, i'_s]
-
-    eye = np.eye(d, dtype=dtype)
-    total = (m * rep.lam) * np.eye(dim_v, dtype=dtype).reshape((d,) * (2 * m))
-
-    def pair_term(kernel: np.ndarray, p: int, q: int) -> np.ndarray:
-        args: list = [kernel, [p, m + p, q, m + q]]
-        for s in range(m):
-            if s not in (p, q):
-                args.extend([eye, [s, m + s]])
-        args.append(list(range(2 * m)))
-        return np.einsum(*args)
-
-    for r, s in itertools.combinations(range(n), 2):
-        total = total + 2.0 * pair_term(kernel_vv, r, s)
-    for r, s in itertools.combinations(range(nprime), 2):
-        total = total + 2.0 * pair_term(kernel_dd, n + r, n + s)
-    for r in range(n):
-        for s in range(nprime):
-            total = total - 2.0 * pair_term(kernel_vd, r, n + s)
-
-    c = total.reshape(dim_v, dim_v).astype(np.complex128)
-    herm_defect = np.linalg.norm(c - c.conj().T)
+    terms, dtype = _pair_terms(rep, n, nprime)
+    c = np.zeros((dim_v, dim_v), dtype=dtype)
+    c.flat[::dim_v + 1] = m * rep.lam
+    full = c.reshape((d,) * (2 * m))
+    st = full.strides
+    for coef, kernel, p, q in terms:
+        rest = [s for s in range(m) if s not in (p, q)]
+        # axes i_p, j_p, i_q, j_q, then one shared row/column index per other slot
+        view = np.lib.stride_tricks.as_strided(
+            full, shape=(d,) * (m + 2),
+            strides=(st[p], st[m + p], st[q], st[m + q]) + tuple(st[s] + st[m + s] for s in rest),
+            writeable=True)
+        view += coef * kernel.reshape(kernel.shape + (1,) * len(rest))
+    herm_defect = np.linalg.norm(c - (c.T if dtype == np.float64 else c.conj().T))
     if herm_defect > 1e-11 * max(1.0, np.linalg.norm(c)):
         raise RuntimeError(f"tensor Casimir not Hermitian (defect {herm_defect:.2e})")
     return c
+
+
+def _apply_casimir(rep: RepData, n: int, nprime: int, vecs: np.ndarray) -> np.ndarray:
+    """``C v`` for each row of ``vecs`` (``(r, D)``), with no ``D x D`` matrix."""
+    d, m = rep.dim, n + nprime
+    t = vecs.reshape((-1,) + (d,) * m)
+    out = (m * rep.lam) * t
+    rows = list(range(1, m + 1))
+    for coef, kernel, p, q in _pair_terms(rep, n, nprime)[0]:
+        inner = list(rows)
+        inner[p], inner[q] = m + 1, m + 2
+        out = out + coef * np.einsum(kernel, [p + 1, m + 1, q + 1, m + 2], t, [0] + inner, [0] + rows)
+    return out.reshape(vecs.shape)
 
 
 _SPECTRAL_CACHE: dict = {}
 
 
 def _spectral(rep: RepData, n: int, nprime: int, budget: int):
+    _check_budget(rep, n, nprime, budget)
     key = (rep, n, nprime)
     if key in _SPECTRAL_CACHE:
         return _SPECTRAL_CACHE[key]
-    _check_budget(rep, n, nprime, budget)
     c = tensor_casimir(rep, n, nprime, budget)
-    c = 0.5 * (c + c.conj().T)
-    if np.max(np.abs(c.imag)) <= 1e-13 * max(1.0, np.max(np.abs(c.real))):
-        w, u = np.linalg.eigh(c.real)  # real symmetric path, much faster
-        u = u.astype(np.complex128)
-    else:
-        w, u = eig_hermitian(c)
+    # eigenvectors stay real (float64) wherever the Casimir is
+    w, u = np.linalg.eigh(c) if c.dtype == np.float64 else eig_hermitian(c)
     if w.size and w[-1] > 1e-8:
         raise RuntimeError(f"tensor Casimir has a positive eigenvalue {w[-1]:.3e}")
     _SPECTRAL_CACHE[key] = (w, u)
@@ -265,7 +306,8 @@ def moment_operator(rep: RepData, n: int, nprime: int, measure: MeasureSpec,
     """Cached exact moment operator for Haar or Brownian measures."""
     if measure.kind == "wilson":
         raise ValueError("no exact moment operator for the Wilson action")
-    key = (rep, n, nprime, measure.kind, measure.t, budget)
+    _check_budget(rep, n, nprime, budget)
+    key = (rep, n, nprime, measure.kind, measure.t)
     if key not in _MOMENT_CACHE:
         if measure.kind == "haar":
             _MOMENT_CACHE[key] = haar_moment(rep, n, nprime, budget)
@@ -307,34 +349,32 @@ def _perfect_matchings(items: tuple[int, ...]):
             yield ((first, partner),) + tail
 
 
-def _permutation_vectors(d: int, n: int) -> tuple[tuple, np.ndarray]:
-    labels = tuple(itertools.permutations(range(n)))
-    eye = np.eye(d, dtype=np.complex128)
-    vecs = []
-    for sigma in labels:
-        args: list = []
-        for k in range(n):
-            args.extend([eye, [sigma[k], n + k]])
-        args.append(list(range(2 * n)))
-        vecs.append(np.einsum(*args).reshape(-1))
-    return labels, np.array(vecs)
+def _labels(source: str, n: int, nprime: int) -> tuple:
+    """Permutations of the n + slots, or perfect matchings of all slots."""
+    if source == "permutations":
+        return tuple(itertools.permutations(range(n)))
+    return tuple(_perfect_matchings(tuple(range(n + nprime))))
 
 
-def _pairing_vectors(rep: RepData, n: int, nprime: int) -> tuple[tuple, np.ndarray]:
+def _label_pairs(source: str, n: int, label) -> tuple[tuple[int, int], ...]:
+    """The slot pairs a label joins; sigma joins + slot sigma[k] to - slot k."""
+    if source == "permutations":
+        return tuple((p, n + k) for k, p in enumerate(label))
+    return label
+
+
+def _label_vectors(rep: RepData, n: int, nprime: int, source: str) -> tuple[tuple, np.ndarray]:
+    """tau(label) for every label: delta across mixed slot pairs, the form on like ones."""
     m = n + nprime
-    if m % 2:
+    if source == "pairings" and m % 2:
         raise ValueError("pairings need an even total number of slots")
-    d = rep.dim
-    if rep.spec.family == "sp":
-        form = rep.constants["J"]
-    else:
-        form = np.eye(d, dtype=np.complex128)
-    eye = np.eye(d, dtype=np.complex128)
-    labels = tuple(_perfect_matchings(tuple(range(m))))
+    eye = np.eye(rep.dim, dtype=np.complex128)
+    form = rep.constants["J"] if rep.spec.family == "sp" else eye
+    labels = _labels(source, n, nprime)
     vecs = []
-    for matching in labels:
+    for label in labels:
         args: list = []
-        for p, q in matching:
+        for p, q in _label_pairs(source, n, label):
             like = (p < n) == (q < n)  # V-V or dual-dual pairs use the form
             args.extend([form if like else eye, [p, q]])
         args.append(list(range(m)))
@@ -354,11 +394,11 @@ def spanning_set(rep: RepData, n: int, nprime: int, source: str,
     if source == "permutations":
         if rep.spec.family != "u" or n != nprime or n < 1:
             raise ValueError("permutations source needs the U family and n = n' >= 1")
-        labels, vecs = _permutation_vectors(rep.dim, n)
+        labels, vecs = _label_vectors(rep, n, nprime, source)
     elif source == "pairings":
         if rep.spec.family not in ("so", "sp"):
             raise ValueError("pairings source supports the SO and Sp families")
-        labels, vecs = _pairing_vectors(rep, n, nprime)
+        labels, vecs = _label_vectors(rep, n, nprime, source)
     elif source == "g2u":
         if rep.spec.family != "g2" or (n, nprime) != (2, 0):
             raise ValueError("g2u source is the (2,0) invariant of G2")
@@ -372,10 +412,10 @@ def spanning_set(rep: RepData, n: int, nprime: int, source: str,
     else:
         raise ValueError(f"unknown spanning-set source {source!r}")
 
-    w, u = _spectral(rep, n, nprime, budget)
+    # C v applied pair term by pair term: no D x D matrix, no eigendecomposition
+    residual = np.linalg.norm(_apply_casimir(rep, n, nprime, vecs), axis=1)
     for k, v in enumerate(vecs):
-        # |C v| computed in the eigenbasis of the cached spectral data
-        if np.linalg.norm(w * (u.conj().T @ v)) > 1e-9 * np.linalg.norm(v):
+        if residual[k] > 1e-9 * np.linalg.norm(v):
             raise RuntimeError(f"spanning vector {labels[k]!r} is not invariant")
     return SpanningSet(rep, n, nprime, source, labels, vecs)
 
@@ -429,25 +469,182 @@ def _expand_items(items: Sequence[ProductItem]) -> list[list[Loop]]:
     return combos
 
 
+_PERMUTATIONS, _PAIRINGS = "weingarten:permutations", "weingarten:pairings"
+
+
+def _route(rep: RepData, n: int, nprime: int, measure: MeasureSpec,
+           budget: int = DEFAULT_BUDGET) -> str:
+    """How the exact expectation on the ``(n, n')`` tensor power is evaluated.
+
+    One of ``weingarten:permutations``, ``weingarten:pairings``, ``zero``,
+    ``characters`` or ``casimir`` (see the module docstring).  A Weingarten
+    route is taken where its label set provably spans the invariants and
+    ``L**2`` fits the budget; otherwise the Casimir route needs ``D`` to fit,
+    and `BudgetError` is raised when it does not.
+    """
+    fam, big_n, m = rep.spec.family, rep.spec.n, n + nprime
+    if fam == "u1power":
+        return "characters"
+    route = "casimir"
+    if measure.kind == "haar" and m >= 1:
+        if fam == "u":
+            route = _PERMUTATIONS if n == nprime else "zero"
+        elif fam == "su" and n == nprime:
+            route = _PERMUTATIONS
+        elif fam == "su" and (n - nprime) % big_n:
+            route = "zero"  # the centre acts by a nontrivial root of unity
+        elif fam == "sp" or fam == "so" and (m < big_n or (m - big_n) % 2):
+            route = "zero" if m % 2 else _PAIRINGS  # no epsilon-type invariant here
+    if route in (_PERMUTATIONS, _PAIRINGS):
+        labels = math.factorial(n) if route == _PERMUTATIONS else math.prod(range(m - 1, 0, -2))
+        if labels ** 2 <= budget:
+            return route
+        route = "casimir"
+    if route == "casimir":
+        _check_budget(rep, n, nprime, budget)
+    return route
+
+
+@lru_cache(maxsize=256)
+def _wiring(source: str, shape: tuple[tuple[int, ...], ...], twisted: bool):
+    """The cycles of ``M[a, b]`` for every label pair, as letter ids.
+
+    ``shape`` holds the slot signs of each loop.  Canonical slot ``c`` (the
+    + slots in order, then the - slots) has a row end ``2c`` and a column
+    end ``2c + 1``.  Coefficient ``c_k`` joins the end its slot's left index
+    sits on to the one the previous slot's right index sits on; label ``a``
+    joins row ends, label ``b`` column ends.  Every end then lies on one
+    coefficient edge and one label edge, so the edges close into cycles, and
+    ``M[a, b]`` is the product of the traces of the cycles' words.
+
+    A letter is coefficient ``k`` (read forward) or ``m + k`` (transposed),
+    followed by a form: 0 delta, and when ``twisted`` (F = J on like slot
+    pairs under Sp) 1/2 F or F^T on a row label, 3/4 conj(F) or its
+    transpose on a column label.  Returns ``(steps, order, starts,
+    n_labels)``: with the cycles of all pairs sorted longest first,
+    ``steps[t]`` holds the t-th letter of every cycle longer than t;
+    ``order`` puts the cycles back in pair order and ``starts`` marks where
+    each pair's cycles begin.
+    """
+    signs = [s for loop_signs in shape for s in loop_signs]
+    m, n = len(signs), signs.count(1)
+    free = {1: iter(range(n)), -1: iter(range(n, m))}
+    canon = [next(free[s]) for s in signs]
+    # a + slot's left index is its row, a - slot's its column (g^-1_{ji} = conj(g)_{ij})
+    left = [2 * c + (s == -1) for c, s in zip(canon, signs)]
+    right = [2 * c + (s == 1) for c, s in zip(canon, signs)]
+    coef_edge: dict[int, tuple[int, int]] = {}
+    start = 0
+    for loop_signs in shape:
+        r = len(loop_signs)
+        for j in range(r):
+            k, prev = start + j, start + (j - 1) % r
+            coef_edge[right[prev]] = (k, left[k])
+            coef_edge[left[k]] = (m + k, right[prev])
+        start += r
+    n_forms = 5 if twisted else 1
+    labels = _labels(source, n, m - n)
+    edges = []
+    for label in labels:
+        rows, cols = {}, {}
+        for p, q in _label_pairs(source, n, label):
+            like = twisted and (p < n) == (q < n)
+            rows[2 * p], rows[2 * q] = (2 * q, 1 if like else 0), (2 * p, 2 if like else 0)
+            cols[2 * p + 1], cols[2 * q + 1] = (2 * q + 1, 3 if like else 0), (2 * p + 1, 4 if like else 0)
+        edges.append((rows, cols))
+    words = []
+    for rows, _ in edges:
+        for _, cols in edges:
+            form = {**rows, **cols}
+            seen: set[int] = set()
+            cycles = []
+            for e0 in range(2 * m):
+                if e0 in seen:
+                    continue
+                word, e = [], e0
+                while True:
+                    letter, other = coef_edge[e]
+                    seen.update((e, other))
+                    e, fid = form[other]
+                    word.append(letter * n_forms + fid)
+                    if e == e0:
+                        break
+                cycles.append(word)
+            words.append(cycles)
+    every = [word for cycles in words for word in cycles]
+    by_length = sorted(range(len(every)), key=lambda c: -len(every[c]))
+    steps = tuple(np.array([every[c][t] for c in by_length if len(every[c]) > t], dtype=np.intp)
+                  for t in range(len(every[by_length[0]])))
+    order = np.argsort(by_length)
+    starts = np.cumsum([0] + [len(cycles) for cycles in words[:-1]])
+    for a in steps + (order, starts):
+        a.setflags(write=False)
+    return steps, order, starts, len(labels)
+
+
+@lru_cache(maxsize=64)
+def _forms(rep: RepData, source: str) -> np.ndarray:
+    """The form letters of `_wiring`: delta, then F, F^T, conj(F), conj(F)^T if twisted."""
+    eye = np.eye(rep.dim)
+    if source == "permutations" or rep.spec.family != "sp":
+        forms = eye[None]
+    else:
+        f = rep.constants["J"]
+        forms = np.array([eye, f, f.T, f.conj(), f.conj().T])
+    forms.setflags(write=False)
+    return forms
+
+
+def _contract(wiring, coeffs: Sequence[np.ndarray], forms: np.ndarray) -> np.ndarray:
+    """``M[a, b]``, flattened, from the wiring and the coefficient matrices in slot order."""
+    steps, order, starts, _ = wiring
+    cs = np.array(coeffs)
+    letters = np.concatenate([cs, cs.transpose(0, 2, 1)])
+    if forms.shape[0] > 1:  # every letter times every form, in one product
+        k, d = letters.shape[:2]
+        wide = letters.reshape(k * d, d) @ forms.transpose(1, 0, 2).reshape(d, -1)
+        letters = wide.reshape(k, d, -1, d).transpose(0, 2, 1, 3).reshape(-1, d, d)
+    acc = letters[steps[0]]
+    for idx in steps[1:]:  # the cycles still open are a prefix
+        acc[:len(idx)] = acc[:len(idx)] @ letters[idx]
+    traces = np.einsum("kii->k", acc)
+    return np.multiply.reduceat(traces[order], starts)
+
+
+@lru_cache(maxsize=64)
+def _route_wg(rep: RepData, n: int, nprime: int, source: str) -> np.ndarray:
+    """Wg of the label set, from the Gram matrix of diagram loops.
+
+    ``M[a, b]`` of the characters ``tr(g)^n tr(g^-1)^n'`` is
+    ``sum_x tau_a[x] conj(tau_b[x])``, the transposed Gram matrix, so the
+    Gram matrix costs ``L**2`` cycle traces and no ``d**(n+n')`` vector.
+    """
+    forms = _forms(rep, source)
+    wiring = _wiring(source, ((1,),) * n + ((-1,),) * nprime, len(forms) > 1)
+    n_labels = wiring[-1]
+    m_ab = _contract(wiring, [np.eye(rep.dim)] * (n + nprime), forms)
+    wg = pseudoinverse(m_ab.reshape(n_labels, n_labels).T, 1e-8)
+    wg.setflags(write=False)
+    return wg
+
+
+def _product_route(flat: Sequence[Loop], measure: MeasureSpec, budget: int) -> tuple[str, int, int]:
+    """The route of a plain product of loops, with its ``(n, n')``."""
+    specs = {w.rep.spec for w in flat}
+    if len(specs) > 1 and not all(spec.family == "u1power" for spec in specs):
+        raise ValueError("loops must share one representation (or all be U(1) characters)")
+    signs = [s for w in flat for s in w.signs]
+    n = signs.count(1)
+    return _route(flat[0].rep, n, len(signs) - n, measure, budget), n, len(signs) - n
+
+
 def _expect_flat(flat: list[Loop], measure: MeasureSpec, budget: int) -> complex:
     """Exact expectation of a plain product of loops (Haar or Brownian)."""
-    specs = {w.rep.spec for w in flat}
-    if len(specs) == 1:
-        rep = flat[0].rep
-        a, pattern = loops_to_tensor(flat)
-        n = sum(1 for s in pattern if s == 1)
-        nprime = len(pattern) - n
-        op = moment_operator(rep, n, nprime, measure, budget)
-        t = op.as_tensor()
-        m = n + nprime
-        # A axes per + slot s: (i_s, j_s); per - slot s: (i'_s, j'_s).
-        subs_a: list[int] = []
-        for s in range(n):
-            subs_a.extend([s, m + s])
-        for s in range(nprime):
-            subs_a.extend([n + s, m + n + s])
-        return complex(np.einsum(a, subs_a, t, list(range(2 * m)), []))
-    if all(spec.family == "u1power" for spec in specs):
+    route, n, nprime = _product_route(flat, measure, budget)
+    rep = flat[0].rep
+    if route == "zero":
+        return 0.0 + 0.0j
+    if route == "characters":
         k_tot = 0
         coeff = 1.0 + 0.0j
         for w in flat:
@@ -458,7 +655,21 @@ def _expect_flat(flat: list[Loop], measure: MeasureSpec, budget: int) -> complex
         if measure.kind == "haar":
             return coeff if k_tot == 0 else 0.0 + 0.0j
         return coeff * np.exp(-0.5 * measure.t * k_tot ** 2)
-    raise ValueError("loops must share one representation (or all be U(1) characters)")
+    if route == "casimir":
+        a, _ = loops_to_tensor(flat)
+        t = moment_operator(rep, n, nprime, measure, budget).matrix.reshape(-1)
+        # A has a (row, column) axis pair per slot; T all row axes, then all columns
+        m = n + nprime
+        a = a.transpose(list(range(0, 2 * m, 2)) + list(range(1, 2 * m, 2))).reshape(-1)
+        if np.isrealobj(t):  # two real dot products, no complex copy of T
+            return complex(np.dot(a.real, t), np.dot(a.imag, t))
+        return complex(np.dot(a, t))
+    source = route.partition(":")[2]
+    forms = _forms(rep, source)
+    wiring = _wiring(source, tuple(w.signs for w in flat), len(forms) > 1)
+    m_ab = _contract(wiring, [c for w in flat for c, _ in w.factors], forms)
+    scale = math.prod(w.scale for w in flat)
+    return complex(scale * (_route_wg(rep, n, nprime, source).reshape(-1) @ m_ab))
 
 
 def expect_product(items: Sequence[ProductItem], measure: MeasureSpec,
@@ -466,9 +677,10 @@ def expect_product(items: Sequence[ProductItem], measure: MeasureSpec,
                    rng=None, steps: int | None = None):
     """Expectation of a product of loops (and loop sums) under a measure.
 
-    Haar and Brownian are exact, by contraction against the moment operator
-    (or by character algebra when the loops are U(1) characters in mixed
-    powers).  The Wilson action has no exact route and is estimated by
+    Haar and Brownian are exact; each plain product takes the route `_route`
+    picks: Weingarten contraction against permutations or pairings, an
+    exact zero, the character algebra for U(1) characters, or contraction
+    against the Casimir-route moment operator.  The Wilson action has no exact route and is estimated by
     self-normalized importance sampling; it returns an `MCEstimate` and
     requires ``samples`` and ``rng``.
     """

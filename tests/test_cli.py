@@ -138,6 +138,24 @@ class TestExpect:
         assert doc["seed"] == 5
         assert doc["stderr"] > 0.0
 
+    @pytest.mark.parametrize("family,n,signs,route,value", [
+        ("u", 3, (1, -1), "weingarten:permutations", 1.0),
+        ("so", 4, (1, 1, -1, -1), "casimir", 4.0),  # epsilon-type invariant
+        ("su", 3, (1, 1, -1), "zero", 0.0),
+    ], ids=["u3-11", "so4-22", "su3-21"])
+    def test_route_reported(self, capsys, tmp_path, family, n, signs, route, value):
+        from lgm.catalog import GroupSpec, build_representation
+
+        rep = build_representation(GroupSpec(family, n))
+        target = tmp_path / "loops.json"
+        write_loops(target, [linear_loop(rep, np.eye(rep.dim), s) for s in signs])
+        code, out = run(capsys, "expect", "--loops", str(target), "--out", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["route"] == route
+        assert doc["value"][0] == pytest.approx(value, abs=1e-10)
+        assert doc["value"][1] == pytest.approx(0.0, abs=1e-10)
+
     def test_missing_file_exits_2(self, capsys):
         code, out = run(capsys, "expect", "--loops", "missing.json", "--out", "json")
         assert code == 2

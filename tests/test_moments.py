@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from lgm import moments
 from lgm.catalog import GroupSpec, RepData, build_representation
-from lgm.loops import LoopPair, LoopSum, linear_loop, loop, total_merge
+from lgm.loops import LoopPair, LoopSum, linear_loop, loop, loops_to_tensor, total_merge
 from lgm.moments import (BudgetError, MeasureSpec, SpectralGapError, brownian_moment,
-                         expect_product, haar_moment, spanning_set,
+                         expect_product, haar_moment, moment_operator, spanning_set,
                          tensor_casimir, weingarten)
 from lgm.sampling import RngSpec, brownian_path_batch, haar_sample
 
@@ -409,3 +412,154 @@ class TestMeasureSpec:
             MeasureSpec.brownian(-1.0)
         with pytest.raises(ValueError, match="linear"):
             MeasureSpec.wilson(0.1, [loop(U2, [np.eye(2), np.eye(2)], [1, 1])])
+
+
+class TestBudgetAndCaches:
+    def test_budget_checked_on_cache_hit(self):
+        haar = MeasureSpec.haar()
+        op = moment_operator(U2, 3, 2, haar, budget=64)
+        assert op.matrix.shape == (32, 32)
+        with pytest.raises(BudgetError) as err:
+            moment_operator(U2, 3, 2, haar, budget=16)
+        assert err.value.required == 32
+        with pytest.raises(BudgetError):
+            haar_moment(U2, 3, 2, budget=16)
+
+    def test_one_cache_entry_per_operator(self):
+        haar = MeasureSpec.haar()
+        moment_operator(U2, 3, 2, haar, budget=64)
+        moment_operator(U2, 3, 2, haar, budget=4096)
+        assert sum(1 for key in moments._MOMENT_CACHE if key[:3] == (U2, 3, 2)) == 1
+
+    def test_real_casimir_stays_real(self):
+        assert tensor_casimir(G2, 2, 0).dtype == np.float64
+        w, u = moments._spectral(G2, 2, 0, 4096)
+        assert u.dtype == np.float64
+        assert haar_moment(G2, 2, 0).matrix.dtype == np.float64
+
+    @pytest.mark.parametrize("rep,n,nprime", [
+        (U2, 2, 1), (SU2, 2, 2), (SO3, 3, 0), (SP1, 1, 2), (G2, 2, 0),
+    ], ids=["u2-21", "su2-22", "so3-30", "sp1-12", "g2-20"])
+    def test_matrix_free_casimir_matches_assembled(self, rep, n, nprime):
+        rng = np.random.default_rng(5)
+        dim = rep.dim ** (n + nprime)
+        vecs = rng.standard_normal((3, dim)) + 1j * rng.standard_normal((3, dim))
+        want = vecs @ tensor_casimir(rep, n, nprime).T
+        got = moments._apply_casimir(rep, n, nprime, vecs)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_invariance_check_refuses_a_perturbed_vector(self, monkeypatch):
+        real = moments._label_vectors
+
+        def perturbed(*args):
+            labels, vecs = real(*args)
+            vecs = vecs.copy()
+            vecs[1, 0] += 1e-3
+            return labels, vecs
+
+        monkeypatch.setattr(moments, "_label_vectors", perturbed)
+        with pytest.raises(RuntimeError, match="not invariant"):
+            spanning_set(U3, 2, 2, "permutations")
+
+    def test_permutation_spanning_set_needs_no_spectrum(self):
+        u4 = build_representation(GroupSpec("u", 4))
+        saved = dict(moments._SPECTRAL_CACHE)
+        moments._SPECTRAL_CACHE.clear()
+        try:
+            weingarten(spanning_set(u4, 3, 3, "permutations"))
+            assert not moments._SPECTRAL_CACHE
+        finally:
+            moments._SPECTRAL_CACHE.update(saved)
+
+
+SO4 = build_representation(GroupSpec("so", 4))
+SO5 = build_representation(GroupSpec("so", 5))
+SU3 = build_representation(GroupSpec("su", 3))
+SP2 = build_representation(GroupSpec("sp", 2))
+U1_2 = build_representation(GroupSpec("u1power", 2))
+U6 = build_representation(GroupSpec("u", 6))
+
+# every (rep, n, n') whose Casimir route runs with D <= 729
+ROUTE_SHAPES = [(rep, n, m - n) for rep in (U2, U3, SU2, SU3, SO3, SO4, SO5, SP1, SP2, G2, U1_2)
+                for m in range(1, 10) for n in range(m + 1)
+                if rep.dim ** m <= 729 and m <= (4 if rep is U1_2 else 9)]
+
+
+def casimir_route_value(flat):
+    """Oracle: the loop tensor contracted with the tensor-Casimir null-space projector."""
+    a, pattern = loops_to_tensor(flat)
+    n = pattern.count(1)
+    m = len(pattern)
+    t = haar_moment(flat[0].rep, n, m - n).as_tensor()
+    subs: list[int] = []
+    for s in range(m):
+        subs.extend([s, m + s])
+    return complex(np.einsum(a, subs, t, list(range(2 * m)), []))
+
+
+def random_product(rng, rep, n, nprime):
+    """Random loops carrying n + slots and n' - slots, in random order and grouping."""
+    signs = list(rng.permutation([1] * n + [-1] * nprime))
+    flat = []
+    while signs:
+        k = int(rng.integers(1, len(signs) + 1))
+        coeffs = [rng.standard_normal((rep.dim,) * 2) + 1j * rng.standard_normal((rep.dim,) * 2)
+                  for _ in range(k)]
+        flat.append(loop(rep, coeffs, [int(s) for s in signs[:k]], complex(*rng.standard_normal(2))))
+        signs = signs[k:]
+    bound = np.prod([abs(w.scale) * np.prod([np.linalg.norm(c) for c, _ in w.factors]) for w in flat])
+    return flat, bound
+
+
+class TestExpectationRoutes:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(ROUTE_SHAPES), st.integers(0, 2 ** 32 - 1))
+    @example((SO3, 3, 0), 1)  # the Casimir-route fallbacks
+    @example((SO4, 2, 2), 2)
+    @example((SU3, 3, 0), 3)
+    @example((U3, 2, 1), 4)  # exact zeros
+    @example((SU3, 2, 1), 5)
+    @example((SO4, 2, 1), 6)
+    @example((SP1, 2, 1), 7)
+    def test_routes_agree_with_casimir_route(self, shape, seed):
+        rep, n, nprime = shape
+        flat, bound = random_product(np.random.default_rng(seed), rep, n, nprime)
+        got = expect_product(flat, MeasureSpec.haar())
+        assert abs(got - casimir_route_value(flat)) <= 1e-10 * max(1.0, bound)
+
+    @pytest.mark.parametrize("rep,n,nprime,route", [
+        (U3, 2, 2, "weingarten:permutations"), (U3, 2, 1, "zero"),
+        (SU3, 2, 2, "weingarten:permutations"), (SU3, 2, 1, "zero"), (SU3, 3, 0, "casimir"),
+        (SU2, 2, 0, "casimir"), (SP2, 2, 2, "weingarten:pairings"), (SP1, 2, 1, "zero"),
+        (SO3, 2, 0, "weingarten:pairings"), (SO3, 3, 0, "casimir"), (SO3, 4, 1, "casimir"),
+        (SO4, 2, 2, "casimir"), (SO4, 2, 1, "zero"), (SO5, 4, 0, "weingarten:pairings"),
+        (G2, 2, 0, "casimir"), (U1_2, 2, 1, "characters"),
+        (U2, 5, 5, "casimir"),  # 120 permutations: L**2 over the budget, D = 1024 fits
+    ], ids=lambda x: x.spec.label() if isinstance(x, RepData) else str(x))
+    def test_route_decisions(self, rep, n, nprime, route):
+        assert moments._route(rep, n, nprime, MeasureSpec.haar()) == route
+
+    def test_brownian_takes_the_casimir_route(self):
+        assert moments._route(U3, 1, 1, MeasureSpec.brownian(0.5)) == "casimir"
+
+    def test_neither_route_fits(self):
+        with pytest.raises(BudgetError):
+            moments._route(U3, 5, 5, MeasureSpec.haar())
+
+    @pytest.mark.parametrize("rep,n,nprime,source", [
+        (U3, 2, 2, "permutations"), (U3, 3, 3, "permutations"),
+        (SP2, 2, 2, "pairings"), (SO5, 4, 0, "pairings"),
+    ], ids=["u3-22", "u3-33", "sp2-22", "so5-40"])
+    def test_route_wg_matches_weingarten_map(self, rep, n, nprime, source):
+        want = weingarten(spanning_set(rep, n, nprime, source)).wg
+        assert np.max(np.abs(moments._route_wg(rep, n, nprime, source) - want)) <= 1e-12
+
+    def test_u6_eighth_moment_at_default_budget(self):
+        before = (len(moments._SPECTRAL_CACHE), len(moments._MOMENT_CACHE))
+        chars = [linear_loop(U6, np.eye(6))] * 4 + [linear_loop(U6, np.eye(6), -1)] * 4
+        assert abs(expect_product(chars, MeasureSpec.haar()) - 24.0) <= 1e-9
+        assert (len(moments._SPECTRAL_CACHE), len(moments._MOMENT_CACHE)) == before
+
+    def test_u2_sixth_moment_with_rank_deficient_gram(self):
+        chars = [linear_loop(U2, np.eye(2))] * 3 + [linear_loop(U2, np.eye(2), -1)] * 3
+        assert abs(expect_product(chars, MeasureSpec.haar()) - 5.0) <= 1e-10
