@@ -12,8 +12,9 @@ representation:
   antisymmetric matrices ``E_ij - E_ji`` orthonormal);
 * the Casimir matrix ``rho(C) = sum_a xi^a xi^a = lambda * I`` and its
   eigenvalue ``lambda``;
-* the split Casimir ``K_{ijkl} = sum_a xi^a_{ij} xi^a_{kl}``, together with
-  the closed completeness-relation form it must equal.
+* the split Casimir ``K_{ijkl} = sum_a xi^a_{ij} xi^a_{kl}`` as the family's
+  completeness relation, a table of real terms that the rest of the package
+  reads; the generator sum ``split_casimir`` only checks it.
 
 Families: SO(N), Sp(N) (compact symplectic, 2N x 2N), U(N), SU(N), G2 in its
 7-dimensional representation, and the U(1) characters ``z -> z^n``
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Iterable
 
 import numpy as np
 
@@ -48,6 +50,7 @@ __all__ = [
     "algebra_dimension",
     "octonion_psi",
     "group_residual",
+    "check_one_group",
 ]
 
 FAMILIES = ("so", "sp", "u", "su", "g2", "u1power")
@@ -240,8 +243,8 @@ def _su_generators(n: int) -> np.ndarray:
 
 
 def symplectic_form(n: int) -> np.ndarray:
-    """The 2N x 2N matrix J = [[0, I], [-I, 0]]."""
-    j = np.zeros((2 * n, 2 * n), dtype=np.complex128)
+    """The real 2N x 2N matrix J = [[0, I], [-I, 0]]."""
+    j = np.zeros((2 * n, 2 * n))
     j[:n, n:] = np.eye(n)
     j[n:, :n] = -np.eye(n)
     return j
@@ -392,8 +395,9 @@ def _completeness_terms(spec: GroupSpec) -> tuple[tuple[float, str, np.ndarray |
       of SO, Sp and G2 keeps);
     * ``insert``: ``M_ij M_kl`` with ``M = mat``.
 
-    ``closed_form_completeness`` sums this table into a tensor; merging and
-    twisting in ``lgm.loops`` read it as word surgery.
+    ``closed_form_completeness`` sums this table into a tensor, from which
+    ``lgm.moments`` assembles the tensor Casimir; merging and twisting in
+    ``lgm.loops`` read it as word surgery.
     """
     fam, n = spec.family, spec.n
     swap = (-1.0, "swap", None)
@@ -411,17 +415,20 @@ def _completeness_terms(spec: GroupSpec) -> tuple[tuple[float, str, np.ndarray |
             (-1.0 / 6.0, "insert", psi[r]) for r in range(7))
     else:  # u1power: the one generator i*n; mixed characters pair their own generators
         terms = ((1.0, "insert", np.array([[1j * n]])),)
-    for _, _, mat in terms:  # cached and shared by every caller
-        if mat is not None:
+    out = []
+    for coef, kind, mat in terms:
+        if mat is not None:  # complex like the loop words it joins; cached, so read-only
+            mat = np.array(mat, dtype=np.complex128)
             mat.setflags(write=False)
-    return terms
+        out.append((coef, kind, mat))
+    return tuple(out)
 
 
 def closed_form_completeness(spec: GroupSpec) -> SplitCasimir:
     """The family's completeness relation as an explicit 4-index tensor.
 
-    Built from the term table alone, with no generator sums; this is the
-    independent closed form the generator-sum K is checked against.
+    Built from the term table alone, with no generator sums; the generator-sum
+    K is checked against it.  K is real (the U(1) term is ``(i n)^2``).
     """
     d = {"sp": 2 * spec.n, "g2": 7, "u1power": 1}.get(spec.family, spec.n)
     eye = np.eye(d)
@@ -476,3 +483,15 @@ def group_residual(rep: RepData, g: np.ndarray) -> float:
         rhs = np.einsum("ijl,kl->ijk", psi, gr)
         res = max(res, np.max(np.abs(lhs - rhs)))
     return float(res)
+
+
+def check_one_group(specs: Iterable[GroupSpec]) -> None:
+    """Raise ``ValueError`` unless ``specs`` name representations of one group.
+
+    Equal specs are one group, and so are U(1) characters of any powers:
+    every ``z -> z^n`` represents the one group U(1).
+    """
+    specs = set(specs)
+    if len(specs) > 1 and any(spec.family != "u1power" for spec in specs):
+        labels = ", ".join(sorted(spec.label() for spec in specs))
+        raise ValueError(f"loops live on different groups: {labels}")

@@ -20,7 +20,7 @@ import numpy as np
 
 from .catalog import (GroupSpec, algebra_dimension, build_representation,
                       closed_form_completeness, split_casimir)
-from .loops import Loop, loop_from_json
+from .loops import Loop, _matrix_to_json, loop_from_json
 from .moments import (BudgetError, DEFAULT_BUDGET, MeasureSpec, SpectralGapError,
                       _product_route, expect_product, moment_operator, spanning_set,
                       weingarten)
@@ -33,10 +33,6 @@ __all__ = ["main"]
 
 class UsageError(Exception):
     pass
-
-
-def _matrix_doc(m: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m)]
 
 
 def _load_json(path: str):
@@ -159,8 +155,8 @@ def _cmd_weingarten(args) -> int:
     labels = [str(l) for l in ss.labels]
     payload = {
         "labels": labels,
-        "gram": _matrix_doc(wm.gram),
-        "wg": _matrix_doc(wm.wg),
+        "gram": _matrix_to_json(wm.gram),
+        "wg": _matrix_to_json(wm.wg),
     }
     lines = [f"{spec.label()} Weingarten, source {ss.source}, labels ({len(labels)}):"]
     lines += [f"  [{k}] {lab}" for k, lab in enumerate(labels)]
@@ -212,13 +208,13 @@ def _cmd_brownian_path(args) -> int:
 def _emit_matrices(args, gs: np.ndarray) -> int:
     if args.out == "jsonl":
         for g in gs:
-            print(json.dumps(_matrix_doc(g)))
+            print(json.dumps(_matrix_to_json(g)))
     elif args.out == "json":
-        print(json.dumps({"config": _config(args), "matrices": [_matrix_doc(g) for g in gs]}))
+        print(json.dumps({"config": _config(args), "matrices": [_matrix_to_json(g) for g in gs]}))
     else:
         if not args.quiet:
             for g in gs:
-                print(json.dumps(_matrix_doc(g)))
+                print(json.dumps(_matrix_to_json(g)))
     return 0
 
 
@@ -253,13 +249,16 @@ def _cmd_verify_theorem_a(args) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="rng seed")
-    common.add_argument("--stream", type=int, default=0, help="rng substream")
-    common.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="max tensor-power dimension (Casimir route) or squared "
-                             "label count (Weingarten routes)")
     common.add_argument("--out", choices=("json", "jsonl", "text"), default="text")
     common.add_argument("--quiet", action="store_true")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0, help="rng seed")
+    stream = argparse.ArgumentParser(add_help=False)
+    stream.add_argument("--stream", type=int, default=0, help="rng substream")
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                        help="max tensor-power dimension (Casimir route) or squared "
+                             "label count (Weingarten routes)")
 
     parser = argparse.ArgumentParser(prog="lgm",
                                      description="moments and Wilson-loop calculus on compact Lie groups")
@@ -273,14 +272,14 @@ def _build_parser() -> argparse.ArgumentParser:
     info.add_argument("--json", action="store_true", help="shorthand for --out json")
     info.set_defaults(func=_cmd_group_info)
 
-    moment = sub.add_parser("moment", parents=[common], help="exact moment operator")
+    moment = sub.add_parser("moment", parents=[common, budget], help="exact moment operator")
     moment.add_argument("--family", required=True)
     moment.add_argument("--n", type=int, default=0)
     moment.add_argument("--tensor", required=True, help="tensor powers 'n,nprime'")
     moment.add_argument("--measure", default="haar")
     moment.set_defaults(func=_cmd_moment)
 
-    wg = sub.add_parser("weingarten", parents=[common], help="Gram matrix and Weingarten map")
+    wg = sub.add_parser("weingarten", parents=[common, budget], help="Gram matrix and Weingarten map")
     wg.add_argument("--family", required=True)
     wg.add_argument("--n", type=int, default=0)
     wg.add_argument("--order", type=int, required=True, help="tensor power n")
@@ -291,20 +290,20 @@ def _build_parser() -> argparse.ArgumentParser:
     wg.add_argument("--tol", type=float, default=1e-8, help="relative pseudoinverse cutoff")
     wg.set_defaults(func=_cmd_weingarten)
 
-    expect = sub.add_parser("expect", parents=[common], help="expectation of a loop product")
+    expect = sub.add_parser("expect", parents=[common, seed, budget], help="expectation of a loop product")
     expect.add_argument("--loops", required=True, help="JSON file with a list of loop records")
     expect.add_argument("--measure", default="haar")
     expect.add_argument("--plaquettes", default=None, help="JSON loop list for the Wilson action")
     expect.add_argument("--samples", type=int, default=None)
     expect.set_defaults(func=_cmd_expect)
 
-    sample = sub.add_parser("sample", parents=[common], help="Haar samples")
+    sample = sub.add_parser("sample", parents=[common, seed, stream], help="Haar samples")
     sample.add_argument("--family", required=True)
     sample.add_argument("--n", type=int, default=0)
     sample.add_argument("--count", type=int, default=1)
     sample.set_defaults(func=_cmd_sample)
 
-    path = sub.add_parser("brownian-path", parents=[common], help="Brownian path endpoints")
+    path = sub.add_parser("brownian-path", parents=[common, seed, stream], help="Brownian path endpoints")
     path.add_argument("--family", required=True)
     path.add_argument("--n", type=int, default=0)
     path.add_argument("--t", type=float, required=True)
@@ -314,7 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="identity checks")
     verify_sub = verify.add_subparsers(dest="verify_command", required=True)
-    thma = verify_sub.add_parser("theorem-a", parents=[common],
+    thma = verify_sub.add_parser("theorem-a", parents=[common, seed, budget],
                                  help="integration-by-parts identity for a loop family")
     thma.add_argument("--loops", required=True)
     thma.add_argument("--measure", default="haar")

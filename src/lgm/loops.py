@@ -31,7 +31,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .catalog import GroupSpec, RepData, _completeness_terms, build_representation
+from .catalog import GroupSpec, RepData, _completeness_terms, build_representation, check_one_group
 
 __all__ = [
     "Loop",
@@ -157,16 +157,6 @@ def linear_loop(rep: RepData, coeff: np.ndarray, sign: int = 1, scale: complex =
     return Loop(rep, ((coeff, sign),), scale)
 
 
-def _compatible(w1: Loop, w2: Loop) -> None:
-    if w1.rep is w2.rep or w1.rep.spec == w2.rep.spec:
-        return
-    if w1.rep.spec.family == "u1power" and w2.rep.spec.family == "u1power":
-        return  # characters of the one group U(1) share the algebra basis
-    raise ValueError(
-        f"loops live in different representations: {w1.rep.spec.label()} vs {w2.rep.spec.label()}"
-    )
-
-
 def _check_slot(w: Loop, j: int) -> None:
     if not 1 <= j <= w.n_slots:
         raise ValueError(f"slot position {j} out of range 1..{w.n_slots}")
@@ -234,7 +224,7 @@ def merge_at(w1: Loop, j: int, w2: Loop, j2: int) -> LoopSum:
     ``sign`` the product of the two slot signs, and returns one term per
     completeness term: a loop (swap, transpose) or a pair (trace, insert).
     """
-    _compatible(w1, w2)
+    check_one_group((w1.rep.spec, w2.rep.spec))
     x1, x2 = _word(w1, j), _word(w2, j2)
     sgn = w1.signs[j - 1] * w2.signs[j2 - 1]
     joined = sgn * w1.scale * w2.scale
@@ -344,10 +334,7 @@ def loops_to_tensor(loops: Iterable[Loop]) -> tuple[np.ndarray, tuple[int, ...]]
     loops = list(loops)
     if not loops:
         raise ValueError("need at least one loop")
-    rep = loops[0].rep
-    for w in loops[1:]:
-        if w.rep.spec != rep.spec:
-            raise ValueError("loops_to_tensor needs a common representation")
+    check_one_group(w.rep.spec for w in loops)
 
     acc = np.array(1.0 + 0.0j)
     all_signs: list[int] = []

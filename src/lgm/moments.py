@@ -54,9 +54,9 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .catalog import RepData, split_casimir
+from .catalog import RepData, check_one_group, closed_form_completeness
 from .loops import Loop, LoopPair, LoopSum, loops_to_tensor
-from .tensor import eig_hermitian, pseudoinverse
+from .tensor import pseudoinverse
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -107,12 +107,12 @@ class MeasureSpec:
     def __post_init__(self):
         if self.kind not in ("haar", "brownian", "wilson"):
             raise ValueError(f"unknown measure kind {self.kind!r}")
+        if not (math.isfinite(self.t) and math.isfinite(self.beta)):
+            raise ValueError(f"measure parameters must be finite, got t={self.t}, beta={self.beta}")
         if self.kind == "brownian" and not self.t > 0:
             raise ValueError("brownian measure needs t > 0")
         if self.kind == "wilson":
-            reps = {p.rep.spec for p in self.plaquettes}
-            if len(reps) > 1:
-                raise ValueError("wilson plaquettes must share one representation")
+            check_one_group(p.rep.spec for p in self.plaquettes)
             for p in self.plaquettes:
                 if p.n_slots != 1:
                     raise ValueError("wilson plaquettes must be linear loops")
@@ -192,42 +192,40 @@ def _pair_terms(rep: RepData, n: int, nprime: int):
     """The tensor Casimir less its diagonal, as ``(coef, kernel, p, q)`` pair terms.
 
     A term adds ``coef * kernel[i_p, j_p, i_q, j_q]`` on slots ``p < q`` with
-    every other slot's row and column index equal.  Returns the terms and
-    the dtype they assemble in: float64 whenever the split Casimir is real,
-    as every catalog completeness relation is.
+    every other slot's row and column index equal.  K is the family's
+    completeness relation, which is real.
     """
-    k = split_casimir(rep).k
-    if np.max(np.abs(k.imag)) <= 1e-14 * max(1.0, np.max(np.abs(k.real))):
-        k = np.ascontiguousarray(k.real)
+    k = closed_form_completeness(rep.spec).k
+    if np.any(k.imag):
+        raise RuntimeError(f"{rep.spec.label()}: completeness relation is not real")
+    k = np.ascontiguousarray(k.real)
     kernel_vv = k                          # K[i_r, j_r, i_s, j_s]
     kernel_dd = k.transpose(1, 0, 3, 2)    # K[j'_r, i'_r, j'_s, i'_s]
     kernel_vd = k.transpose(0, 1, 3, 2)    # K[i_r, j_r, j'_s, i'_s]
     terms = [(2.0, kernel_vv, r, s) for r, s in itertools.combinations(range(n), 2)]
     terms += [(2.0, kernel_dd, n + r, n + s) for r, s in itertools.combinations(range(nprime), 2)]
     terms += [(-2.0, kernel_vd, r, n + s) for r in range(n) for s in range(nprime)]
-    return terms, k.dtype
+    return terms
 
 
 def tensor_casimir(rep: RepData, n: int, nprime: int,
                    budget: int = DEFAULT_BUDGET) -> np.ndarray:
-    """Casimir of ``rho^{(x)n,(x)n'}`` as a ``(D, D)`` Hermitian matrix.
+    """Casimir of ``rho^{(x)n,(x)n'}`` as a ``(D, D)`` real symmetric matrix.
 
-    Assembled from the split Casimir K of the base representation:
+    Assembled from the family's completeness relation K (`_pair_terms`):
     ``(n+n') lambda`` on the diagonal, ``+2 K`` across pairs of like slots,
     ``-2 K`` (index-twisted) across mixed slot pairs.  Its eigenspaces are
     the isotypic components of the tensor representation and all eigenvalues
     are non-positive.  Each pair term is added in place through a strided
-    view of the entries it touches, ``d**(n+n'+2)`` of them; the matrix is
-    real symmetric (float64) whenever K is real.
+    view of the entries it touches, ``d**(n+n'+2)`` of them.
     """
     dim_v = _check_budget(rep, n, nprime, budget)
     d, m = rep.dim, n + nprime
-    terms, dtype = _pair_terms(rep, n, nprime)
-    c = np.zeros((dim_v, dim_v), dtype=dtype)
+    c = np.zeros((dim_v, dim_v))
     c.flat[::dim_v + 1] = m * rep.lam
     full = c.reshape((d,) * (2 * m))
     st = full.strides
-    for coef, kernel, p, q in terms:
+    for coef, kernel, p, q in _pair_terms(rep, n, nprime):
         rest = [s for s in range(m) if s not in (p, q)]
         # axes i_p, j_p, i_q, j_q, then one shared row/column index per other slot
         view = np.lib.stride_tricks.as_strided(
@@ -235,9 +233,9 @@ def tensor_casimir(rep: RepData, n: int, nprime: int,
             strides=(st[p], st[m + p], st[q], st[m + q]) + tuple(st[s] + st[m + s] for s in rest),
             writeable=True)
         view += coef * kernel.reshape(kernel.shape + (1,) * len(rest))
-    herm_defect = np.linalg.norm(c - (c.T if dtype == np.float64 else c.conj().T))
-    if herm_defect > 1e-11 * max(1.0, np.linalg.norm(c)):
-        raise RuntimeError(f"tensor Casimir not Hermitian (defect {herm_defect:.2e})")
+    sym_defect = np.linalg.norm(c - c.T)
+    if sym_defect > 1e-11 * max(1.0, np.linalg.norm(c)):
+        raise RuntimeError(f"tensor Casimir not symmetric (defect {sym_defect:.2e})")
     return c
 
 
@@ -247,7 +245,7 @@ def _apply_casimir(rep: RepData, n: int, nprime: int, vecs: np.ndarray) -> np.nd
     t = vecs.reshape((-1,) + (d,) * m)
     out = (m * rep.lam) * t
     rows = list(range(1, m + 1))
-    for coef, kernel, p, q in _pair_terms(rep, n, nprime)[0]:
+    for coef, kernel, p, q in _pair_terms(rep, n, nprime):
         inner = list(rows)
         inner[p], inner[q] = m + 1, m + 2
         out = out + coef * np.einsum(kernel, [p + 1, m + 1, q + 1, m + 2], t, [0] + inner, [0] + rows)
@@ -262,9 +260,7 @@ def _spectral(rep: RepData, n: int, nprime: int, budget: int):
     key = (rep, n, nprime)
     if key in _SPECTRAL_CACHE:
         return _SPECTRAL_CACHE[key]
-    c = tensor_casimir(rep, n, nprime, budget)
-    # eigenvectors stay real (float64) wherever the Casimir is
-    w, u = np.linalg.eigh(c) if c.dtype == np.float64 else eig_hermitian(c)
+    w, u = np.linalg.eigh(tensor_casimir(rep, n, nprime, budget))
     if w.size and w[-1] > 1e-8:
         raise RuntimeError(f"tensor Casimir has a positive eigenvalue {w[-1]:.3e}")
     _SPECTRAL_CACHE[key] = (w, u)
@@ -284,7 +280,7 @@ def haar_moment(rep: RepData, n: int, nprime: int,
             f"null cutoff {cutoff:.3e}; tighten the cutoff before trusting the projector"
         )
     basis = u[:, null]
-    matrix = basis @ basis.conj().T
+    matrix = basis @ basis.T
     return MomentOperator(rep, n, nprime, "haar", matrix, w)
 
 
@@ -294,7 +290,7 @@ def brownian_moment(rep: RepData, n: int, nprime: int, t: float,
     if not t > 0:
         raise ValueError("brownian moment needs t > 0")
     w, u = _spectral(rep, n, nprime, budget)
-    matrix = (u * np.exp(0.5 * t * w)) @ u.conj().T
+    matrix = (u * np.exp(0.5 * t * w)) @ u.T
     return MomentOperator(rep, n, nprime, "brownian", matrix, w, t=t)
 
 
@@ -325,8 +321,8 @@ def moment_operator(rep: RepData, n: int, nprime: int, measure: MeasureSpec,
 class SpanningSet:
     """Images of abstract labels under a map tau into the invariant tensors.
 
-    ``vectors[k]`` is the flattened tensor tau(labels[k]); every vector is
-    annihilated by the tensor Casimir.
+    ``vectors[k]`` is the flattened tensor tau(labels[k]), real (float64);
+    every vector is annihilated by the tensor Casimir.
     """
 
     rep: RepData
@@ -368,7 +364,7 @@ def _label_vectors(rep: RepData, n: int, nprime: int, source: str) -> tuple[tupl
     m = n + nprime
     if source == "pairings" and m % 2:
         raise ValueError("pairings need an even total number of slots")
-    eye = np.eye(rep.dim, dtype=np.complex128)
+    eye = np.eye(rep.dim)
     form = rep.constants["J"] if rep.spec.family == "sp" else eye
     labels = _labels(source, n, nprime)
     vecs = []
@@ -386,14 +382,14 @@ def spanning_set(rep: RepData, n: int, nprime: int, source: str,
                  budget: int = DEFAULT_BUDGET) -> SpanningSet:
     """Spanning vectors of (a subspace of) the invariants of the tensor power.
 
-    Sources: ``permutations`` (U(N), n = n'), ``pairings`` (SO/Sp),
+    Sources: ``permutations`` (U(N) and SU(N), n = n'), ``pairings`` (SO/Sp),
     ``g2u`` (G2, (n, n') = (2, 0)), and the generic ``nullspace``.
     """
     source = source.lower()
     _check_budget(rep, n, nprime, budget)
     if source == "permutations":
-        if rep.spec.family != "u" or n != nprime or n < 1:
-            raise ValueError("permutations source needs the U family and n = n' >= 1")
+        if rep.spec.family not in ("u", "su") or n != nprime or n < 1:
+            raise ValueError("permutations source needs the U or SU family and n = n' >= 1")
         labels, vecs = _label_vectors(rep, n, nprime, source)
     elif source == "pairings":
         if rep.spec.family not in ("so", "sp"):
@@ -403,7 +399,7 @@ def spanning_set(rep: RepData, n: int, nprime: int, source: str,
         if rep.spec.family != "g2" or (n, nprime) != (2, 0):
             raise ValueError("g2u source is the (2,0) invariant of G2")
         labels = ("u",)
-        vecs = np.eye(7, dtype=np.complex128).reshape(1, -1)
+        vecs = np.eye(7).reshape(1, -1)
     elif source == "nullspace":
         w, u = _spectral(rep, n, nprime, budget)
         null = np.abs(w) < null_cutoff(rep, n, nprime)
@@ -431,13 +427,13 @@ class WeingartenMap:
     def moment_matrix(self) -> np.ndarray:
         """``tau o Wg o tau*``; equals the Haar moment when the set spans."""
         v = self.spanning.vectors
-        return v.T @ self.wg @ np.conj(v)
+        return v.T @ self.wg @ v
 
 
 def weingarten(ss: SpanningSet, rel_cutoff: float = 1e-8) -> WeingartenMap:
     if ss.vectors.shape[0] == 0:
         raise ValueError("empty spanning set")
-    gram = np.conj(ss.vectors) @ ss.vectors.T
+    gram = ss.vectors @ ss.vectors.T
     wg = pseudoinverse(gram, rel_cutoff)
     return WeingartenMap(ss, gram, wg)
 
@@ -519,9 +515,10 @@ def _wiring(source: str, shape: tuple[tuple[int, ...], ...], twisted: bool):
 
     A letter is coefficient ``k`` (read forward) or ``m + k`` (transposed),
     followed by a form: 0 delta, and when ``twisted`` (F = J on like slot
-    pairs under Sp) 1/2 F or F^T on a row label, 3/4 conj(F) or its
-    transpose on a column label.  Returns ``(steps, order, starts,
-    n_labels)``: with the cycles of all pairs sorted longest first,
+    pairs under Sp) 1 F or 2 F^T.  F is real, so a column label, whose
+    tensor enters conjugated, takes the same letters as a row label.
+    Returns ``(steps, order, starts, n_labels)``: with the cycles of all
+    pairs sorted longest first,
     ``steps[t]`` holds the t-th letter of every cycle longer than t;
     ``order`` puts the cycles back in pair order and ``starts`` marks where
     each pair's cycles begin.
@@ -542,7 +539,7 @@ def _wiring(source: str, shape: tuple[tuple[int, ...], ...], twisted: bool):
             coef_edge[right[prev]] = (k, left[k])
             coef_edge[left[k]] = (m + k, right[prev])
         start += r
-    n_forms = 5 if twisted else 1
+    n_forms = 3 if twisted else 1
     labels = _labels(source, n, m - n)
     edges = []
     for label in labels:
@@ -550,7 +547,7 @@ def _wiring(source: str, shape: tuple[tuple[int, ...], ...], twisted: bool):
         for p, q in _label_pairs(source, n, label):
             like = twisted and (p < n) == (q < n)
             rows[2 * p], rows[2 * q] = (2 * q, 1 if like else 0), (2 * p, 2 if like else 0)
-            cols[2 * p + 1], cols[2 * q + 1] = (2 * q + 1, 3 if like else 0), (2 * p + 1, 4 if like else 0)
+            cols[2 * p + 1], cols[2 * q + 1] = (2 * q + 1, 1 if like else 0), (2 * p + 1, 2 if like else 0)
         edges.append((rows, cols))
     words = []
     for rows, _ in edges:
@@ -584,13 +581,13 @@ def _wiring(source: str, shape: tuple[tuple[int, ...], ...], twisted: bool):
 
 @lru_cache(maxsize=64)
 def _forms(rep: RepData, source: str) -> np.ndarray:
-    """The form letters of `_wiring`: delta, then F, F^T, conj(F), conj(F)^T if twisted."""
+    """The form letters of `_wiring`: delta, then F and F^T if twisted."""
     eye = np.eye(rep.dim)
     if source == "permutations" or rep.spec.family != "sp":
         forms = eye[None]
     else:
         f = rep.constants["J"]
-        forms = np.array([eye, f, f.T, f.conj(), f.conj().T])
+        forms = np.array([eye, f, f.T])
     forms.setflags(write=False)
     return forms
 
@@ -616,23 +613,21 @@ def _route_wg(rep: RepData, n: int, nprime: int, source: str) -> np.ndarray:
     """Wg of the label set, from the Gram matrix of diagram loops.
 
     ``M[a, b]`` of the characters ``tr(g)^n tr(g^-1)^n'`` is
-    ``sum_x tau_a[x] conj(tau_b[x])``, the transposed Gram matrix, so the
+    ``sum_x tau_a[x] tau_b[x]`` (tau is real), the Gram matrix, so the
     Gram matrix costs ``L**2`` cycle traces and no ``d**(n+n')`` vector.
     """
     forms = _forms(rep, source)
     wiring = _wiring(source, ((1,),) * n + ((-1,),) * nprime, len(forms) > 1)
     n_labels = wiring[-1]
     m_ab = _contract(wiring, [np.eye(rep.dim)] * (n + nprime), forms)
-    wg = pseudoinverse(m_ab.reshape(n_labels, n_labels).T, 1e-8)
+    wg = pseudoinverse(m_ab.reshape(n_labels, n_labels), 1e-8)
     wg.setflags(write=False)
     return wg
 
 
 def _product_route(flat: Sequence[Loop], measure: MeasureSpec, budget: int) -> tuple[str, int, int]:
     """The route of a plain product of loops, with its ``(n, n')``."""
-    specs = {w.rep.spec for w in flat}
-    if len(specs) > 1 and not all(spec.family == "u1power" for spec in specs):
-        raise ValueError("loops must share one representation (or all be U(1) characters)")
+    check_one_group(w.rep.spec for w in flat)
     signs = [s for w in flat for s in w.signs]
     n = signs.count(1)
     return _route(flat[0].rep, n, len(signs) - n, measure, budget), n, len(signs) - n
@@ -661,9 +656,7 @@ def _expect_flat(flat: list[Loop], measure: MeasureSpec, budget: int) -> complex
         # A has a (row, column) axis pair per slot; T all row axes, then all columns
         m = n + nprime
         a = a.transpose(list(range(0, 2 * m, 2)) + list(range(1, 2 * m, 2))).reshape(-1)
-        if np.isrealobj(t):  # two real dot products, no complex copy of T
-            return complex(np.dot(a.real, t), np.dot(a.imag, t))
-        return complex(np.dot(a, t))
+        return complex(np.dot(a.real, t), np.dot(a.imag, t))  # T is real
     source = route.partition(":")[2]
     forms = _forms(rep, source)
     wiring = _wiring(source, tuple(w.signs for w in flat), len(forms) > 1)
@@ -674,7 +667,7 @@ def _expect_flat(flat: list[Loop], measure: MeasureSpec, budget: int) -> complex
 
 def expect_product(items: Sequence[ProductItem], measure: MeasureSpec,
                    budget: int = DEFAULT_BUDGET, samples: int | None = None,
-                   rng=None, steps: int | None = None):
+                   rng=None):
     """Expectation of a product of loops (and loop sums) under a measure.
 
     Haar and Brownian are exact; each plain product takes the route `_route`

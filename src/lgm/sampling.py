@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .catalog import RepData
+from .catalog import RepData, check_one_group
 from .loops import Loop, LoopSum, conjugate_loop, total_merge, total_twist
 from .moments import DEFAULT_BUDGET, MeasureSpec, expect_product
 
@@ -196,14 +196,8 @@ def _common_rep(items: Sequence) -> RepData:
             raise TypeError(f"expected Loop or LoopSum, got {type(item).__name__}")
     if not reps:
         raise ValueError("need at least one loop")
-    first = reps[0]
-    for rep in reps[1:]:
-        same_group = rep.spec == first.spec or (
-            rep.spec.family == "u1power" and first.spec.family == "u1power"
-        )
-        if not same_group:
-            raise ValueError("loops must live on one group for sampling")
-    return first
+    check_one_group(rep.spec for rep in reps)
+    return reps[0]
 
 
 def _mean_and_stderr(vals: np.ndarray) -> tuple[complex, float]:
@@ -250,7 +244,7 @@ def mc_expect(items: Sequence, measure: MeasureSpec, samples: int, rng: RngSpec,
     """
     if samples < 100:
         raise ValueError("need at least 100 samples")
-    rep = _common_rep(items)
+    rep = _common_rep(list(items) + list(measure.plaquettes))
     if measure.kind == "haar":
         gs = haar_sample_batch(rep, rng, samples)
         value, stderr = _mean_and_stderr(_product_values(items, gs))
@@ -326,13 +320,13 @@ def _exact_report(kind: str, lhs: complex, rhs: complex, tol: float) -> TheoremA
 
 def verify_theorem_a(loops: Sequence[Loop], measure: MeasureSpec,
                      samples: int | None = None, rng: RngSpec | None = None,
-                     budget: int = DEFAULT_BUDGET, fd_step: float = 1e-4) -> TheoremAReport:
+                     budget: int = DEFAULT_BUDGET) -> TheoremAReport:
     """Check the integration-by-parts identity for a family of loops.
 
     Haar: both sides evaluated exactly; residual must be tiny.
     Brownian: the identity becomes an ODE in t; the exact expectation is
-    differentiated by central differences and compared with the
-    merging/twisting right-hand side.
+    differentiated by central differences, step ``min(1e-4, t/2)``, and
+    compared with the merging/twisting right-hand side.
     Wilson: both sides estimated on one common Haar sample stream
     (self-normalized importance sampling); reports a z-score.  At beta = 0
     the measure is Haar and the residual is computed exactly instead.
@@ -344,6 +338,7 @@ def verify_theorem_a(loops: Sequence[Loop], measure: MeasureSpec,
 
     if measure.kind == "brownian":
         t = measure.t
+        fd_step = min(1e-4, t / 2)  # keeps t - fd_step > 0
         merges, twists = _merge_pieces(loops)
 
         def f(time: float) -> complex:

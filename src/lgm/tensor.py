@@ -1,9 +1,11 @@
 """Numerical linear-algebra kernels and the sparse JSON form of tensors.
 
 All heavy lifting is delegated to LAPACK/BLAS through numpy.  Tensors are
-C-contiguous ``complex128`` ndarrays in row-major multi-index order, and
-spectral routines symmetrize their input, ``(M + M*) / 2``, before calling
-LAPACK, which absorbs Hermiticity roundoff.
+C-contiguous ndarrays in row-major multi-index order, float64 for invariant
+theory (Casimirs, projectors, Gram and Weingarten matrices) and complex128
+for group elements and loop coefficients.  Spectral routines symmetrize
+their input, ``(M + M*) / 2``, which absorbs Hermiticity roundoff, and keep
+a real input real.
 """
 
 from __future__ import annotations
@@ -27,9 +29,10 @@ def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
 
     The input is symmetrized first; the caller asserts Hermiticity up to
     roundoff.  Eigenvalues ``w`` come back ascending and real, eigenvectors
-    as the columns of the unitary matrix ``u``.
+    as the columns of the unitary matrix ``u``, which is real (float64) for
+    a real input.
     """
-    mat = np.asarray(m, dtype=np.complex128)
+    mat = np.asarray(m, dtype=np.complex128 if np.iscomplexobj(m) else np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"eig_hermitian requires a square matrix, got shape {mat.shape}")
     w, u = np.linalg.eigh(0.5 * (mat + mat.conj().T))
@@ -37,7 +40,7 @@ def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pseudoinverse(m, rel_cutoff: float = 1e-8) -> np.ndarray:
-    """Moore-Penrose pseudoinverse of a square Hermitian matrix.
+    """Moore-Penrose pseudoinverse of a square Hermitian matrix (real if ``m`` is).
 
     Eigenvalues with ``|w| < rel_cutoff * max|w|`` are treated as exactly
     zero, so rank decisions are explicit rather than left to ``np.linalg``.
@@ -71,9 +74,10 @@ def tensor_to_json(arr) -> dict:
     """Sparse JSON form: shape plus the entries above the pruning tolerance.
 
     Entries are listed in row-major order of their multi-index; re/im are
-    emitted as Python floats and round-trip exactly.
+    emitted as Python floats and round-trip exactly (im is 0 for a real
+    array, which is read without a complex copy).
     """
-    a = np.asarray(arr, dtype=np.complex128)
+    a = np.asarray(arr)
     entries = []
     flat = a.reshape(-1)
     keep = np.flatnonzero(np.abs(flat) >= JSON_PRUNE_TOL)

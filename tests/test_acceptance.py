@@ -186,8 +186,7 @@ def test_criterion_10_theorem_a_brownian_ode():
         rep = build_representation(GroupSpec(fam, n_dim))
         rng = np.random.default_rng(seed)
         for _ in range(2):
-            r = verify_theorem_a(rand_loops(rep, rng, 2), MeasureSpec.brownian(1.0),
-                                 fd_step=1e-4)
+            r = verify_theorem_a(rand_loops(rep, rng, 2), MeasureSpec.brownian(1.0))
             worst_rel = max(worst_rel, r.residual / (1.0 + abs(r.rhs)))
             assert r.passed
     report(10, worst_rel <= 1e-6,

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from lgm.cli import main
+from lgm.cli import _build_parser, main
 from lgm.loops import linear_loop, loop_to_json
 
 
@@ -107,6 +107,36 @@ class TestWeingarten:
         assert "--tol" in capsys.readouterr().err
 
 
+# the subcommands that read each flag; every other subcommand refuses it
+FLAG_READERS = {
+    "--seed": {"expect", "verify", "sample", "brownian-path"},
+    "--stream": {"sample", "brownian-path"},
+    "--budget": {"moment", "weingarten", "expect", "verify"},
+}
+SUBCOMMAND_ARGV = {
+    "group": ["group", "info", "--family", "u", "--n", "2"],
+    "moment": ["moment", "--family", "u", "--n", "2", "--tensor", "1,1"],
+    "weingarten": ["weingarten", "--family", "u", "--n", "2", "--order", "1"],
+    "expect": ["expect", "--loops", "loops.json"],
+    "verify": ["verify", "theorem-a", "--loops", "loops.json"],
+    "sample": ["sample", "--family", "u", "--n", "2"],
+    "brownian-path": ["brownian-path", "--family", "u", "--n", "2", "--t", "1"],
+}
+
+
+@pytest.mark.parametrize("flag", sorted(FLAG_READERS))
+def test_flags_only_where_read(capsys, flag):
+    parser = _build_parser()
+    for command, argv in SUBCOMMAND_ARGV.items():
+        if command in FLAG_READERS[flag]:
+            assert getattr(parser.parse_args(argv + [flag, "3"]), flag[2:]) == 3
+        else:
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv + [flag, "3"])
+            assert exc.value.code == 2
+            assert flag in capsys.readouterr().err
+
+
 class TestExpect:
     def test_haar_product(self, capsys, u3_pair_file):
         code, out = run(capsys, "expect", "--loops", u3_pair_file, "--out", "json")
@@ -155,6 +185,14 @@ class TestExpect:
         assert doc["route"] == route
         assert doc["value"][0] == pytest.approx(value, abs=1e-10)
         assert doc["value"][1] == pytest.approx(0.0, abs=1e-10)
+
+    @pytest.mark.parametrize("measure", ["brownian:t=inf", "wilson:beta=nan"])
+    def test_non_finite_measure_exits_2(self, capsys, u3_pair_file, measure):
+        code, out = run(capsys, "expect", "--loops", u3_pair_file, "--measure", measure,
+                        "--out", "json")
+        assert code == 2
+        doc = json.loads(out)["error"]
+        assert doc["kind"] == "usage" and "finite" in doc["detail"]
 
     def test_missing_file_exits_2(self, capsys):
         code, out = run(capsys, "expect", "--loops", "missing.json", "--out", "json")

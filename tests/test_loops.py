@@ -385,7 +385,7 @@ class TestSlotBookkeeping:
             merge_at(w, 2, w, 1)
         with pytest.raises(ValueError, match="distinct"):
             twist_at(loop(rep, [np.eye(2)] * 2, [1, 1]), 1, 1)
-        with pytest.raises(ValueError, match="different representations"):
+        with pytest.raises(ValueError, match="different groups"):
             merge_at(w, 1, linear_loop(REP["u3"], np.eye(3)), 1)
 
 
@@ -436,7 +436,7 @@ class TestLoopsToTensor:
             assert abs(got - want) <= 1e-11 * (1.0 + abs(want))
 
     def test_mixed_reps_rejected(self):
-        with pytest.raises(ValueError, match="common representation"):
+        with pytest.raises(ValueError, match="different groups"):
             loops_to_tensor([linear_loop(REP["u2"], np.eye(2)),
                              linear_loop(REP["u3"], np.eye(3))])
 

@@ -19,6 +19,7 @@ SU2 = build_representation(GroupSpec("su", 2))
 SO3 = build_representation(GroupSpec("so", 3))
 SP1 = build_representation(GroupSpec("sp", 1))
 G2 = build_representation(GroupSpec("g2"))
+U1_2 = build_representation(GroupSpec("u1power", 2))
 
 
 def brute_tensor_casimir(rep, n, nprime):
@@ -250,7 +251,7 @@ class TestSpanningSetsAndWeingarten:
 
     def test_source_compatibility(self):
         with pytest.raises(ValueError):
-            spanning_set(SU2, 2, 2, "permutations")  # U family only
+            spanning_set(SO3, 1, 1, "permutations")  # U and SU families only
         with pytest.raises(ValueError):
             spanning_set(U3, 2, 1, "permutations")  # needs n = n'
         with pytest.raises(ValueError):
@@ -383,7 +384,7 @@ class TestExpectProduct:
         assert abs(got - want) <= 1e-12
 
     def test_mixed_matrix_reps_rejected(self):
-        with pytest.raises(ValueError, match="share one representation"):
+        with pytest.raises(ValueError, match="different groups"):
             expect_product([linear_loop(U2, np.eye(2)), linear_loop(U3, np.eye(3))],
                            MeasureSpec.haar())
 
@@ -410,6 +411,13 @@ class TestMeasureSpec:
     def test_validation(self):
         with pytest.raises(ValueError, match="t > 0"):
             MeasureSpec.brownian(-1.0)
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="finite"):
+                MeasureSpec.brownian(bad)
+            with pytest.raises(ValueError, match="finite"):
+                MeasureSpec.wilson(bad, [linear_loop(U2, np.eye(2))])
+        with pytest.raises(ValueError, match="finite"):
+            MeasureSpec.parse("wilson:beta=nan")
         with pytest.raises(ValueError, match="linear"):
             MeasureSpec.wilson(0.1, [loop(U2, [np.eye(2), np.eye(2)], [1, 1])])
 
@@ -431,11 +439,22 @@ class TestBudgetAndCaches:
         moment_operator(U2, 3, 2, haar, budget=4096)
         assert sum(1 for key in moments._MOMENT_CACHE if key[:3] == (U2, 3, 2)) == 1
 
-    def test_real_casimir_stays_real(self):
-        assert tensor_casimir(G2, 2, 0).dtype == np.float64
-        w, u = moments._spectral(G2, 2, 0, 4096)
-        assert u.dtype == np.float64
-        assert haar_moment(G2, 2, 0).matrix.dtype == np.float64
+    @pytest.mark.parametrize("rep,n,nprime,source", [
+        (U2, 2, 2, "permutations"), (SU2, 1, 1, "permutations"), (SO3, 2, 2, "pairings"),
+        (SP1, 1, 1, "pairings"), (G2, 2, 0, "g2u"), (U1_2, 1, 1, "nullspace"),
+    ], ids=["u2-22", "su2-11", "so3-22", "sp1-11", "g2-20", "u1^2-11"])
+    def test_invariant_layer_is_float64(self, rep, n, nprime, source):
+        # one shape per family: every completeness relation is real, so is every array
+        assert tensor_casimir(rep, n, nprime).dtype == np.float64
+        assert moments._spectral(rep, n, nprime, 4096)[1].dtype == np.float64
+        assert haar_moment(rep, n, nprime).matrix.dtype == np.float64
+        assert brownian_moment(rep, n, nprime, 0.5).matrix.dtype == np.float64
+        for src in {source, "nullspace"}:
+            wm = weingarten(spanning_set(rep, n, nprime, src))
+            for a in (wm.spanning.vectors, wm.gram, wm.wg, wm.moment_matrix()):
+                assert a.dtype == np.float64
+        if source in ("permutations", "pairings"):
+            assert moments._route_wg(rep, n, nprime, source).dtype == np.float64
 
     @pytest.mark.parametrize("rep,n,nprime", [
         (U2, 2, 1), (SU2, 2, 2), (SO3, 3, 0), (SP1, 1, 2), (G2, 2, 0),
@@ -476,7 +495,6 @@ SO4 = build_representation(GroupSpec("so", 4))
 SO5 = build_representation(GroupSpec("so", 5))
 SU3 = build_representation(GroupSpec("su", 3))
 SP2 = build_representation(GroupSpec("sp", 2))
-U1_2 = build_representation(GroupSpec("u1power", 2))
 U6 = build_representation(GroupSpec("u", 6))
 
 # every (rep, n, n') whose Casimir route runs with D <= 729
@@ -547,9 +565,9 @@ class TestExpectationRoutes:
             moments._route(U3, 5, 5, MeasureSpec.haar())
 
     @pytest.mark.parametrize("rep,n,nprime,source", [
-        (U3, 2, 2, "permutations"), (U3, 3, 3, "permutations"),
+        (U3, 2, 2, "permutations"), (U3, 3, 3, "permutations"), (SU3, 2, 2, "permutations"),
         (SP2, 2, 2, "pairings"), (SO5, 4, 0, "pairings"),
-    ], ids=["u3-22", "u3-33", "sp2-22", "so5-40"])
+    ], ids=["u3-22", "u3-33", "su3-22", "sp2-22", "so5-40"])
     def test_route_wg_matches_weingarten_map(self, rep, n, nprime, source):
         want = weingarten(spanning_set(rep, n, nprime, source)).wg
         assert np.max(np.abs(moments._route_wg(rep, n, nprime, source) - want)) <= 1e-12

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from lgm.catalog import GroupSpec, build_representation, group_residual
-from lgm.loops import linear_loop, loop
+from lgm.loops import conjugate_loop, linear_loop, loop, merge_at
 from lgm.moments import MeasureSpec, expect_product
 from lgm.sampling import (BrownianPathSpec, RngSpec, brownian_path,
                           brownian_path_batch, haar_sample, haar_sample_batch,
@@ -24,6 +24,28 @@ SO4 = build_representation(GroupSpec("so", 4))
 SP1 = build_representation(GroupSpec("sp", 1))
 SP2 = build_representation(GroupSpec("sp", 2))
 U1 = build_representation(GroupSpec("u1power", 1))
+SU3 = build_representation(GroupSpec("su", 3))
+U1_2 = build_representation(GroupSpec("u1power", 2))
+
+
+@pytest.mark.parametrize("rep_a,rep_b,same", [(SU2, SU3, False), (U1, U1_2, True)],
+                         ids=["su2-su3", "u1^1-u1^2"])
+def test_one_group_rule(rep_a, rep_b, same):
+    # U(1) characters of any powers represent one group; SU(2) and SU(3) do not
+    wa, wb = linear_loop(rep_a, np.eye(rep_a.dim)), linear_loop(rep_b, np.eye(rep_b.dim), -1)
+    calls = [
+        lambda: merge_at(wa, 1, wb, 1),
+        lambda: expect_product([wa, wb], MeasureSpec.haar()),
+        lambda: mc_expect([wa, wb], MeasureSpec.haar(), 100, RngSpec(0)),
+        lambda: mc_expect([wa], MeasureSpec.wilson(0.1, [wb]), 100, RngSpec(0)),
+        lambda: MeasureSpec.wilson(0.1, [wa, wb]),
+    ]
+    for call in calls:
+        if same:
+            call()
+        else:
+            with pytest.raises(ValueError, match="loops live on different groups: SU\\(2\\), SU\\(3\\)"):
+                call()
 
 
 class TestHaarSamplers:
@@ -245,6 +267,12 @@ class TestTheoremA:
         rng = np.random.default_rng(31)
         report = verify_theorem_a(rand_loops(SU2, rng), MeasureSpec.brownian(1.0))
         assert report.kind == "brownian"
+        assert report.passed, f"residual {report.residual} > {report.tolerance}"
+
+    def test_brownian_ode_below_the_default_step(self):
+        # t = 5e-5 < 1e-4: the central-difference step shrinks to t/2
+        w = linear_loop(SU2, haar_sample(SU2, RngSpec(32)))
+        report = verify_theorem_a([w, conjugate_loop(w)], MeasureSpec.brownian(5e-5))
         assert report.passed, f"residual {report.residual} > {report.tolerance}"
 
     def test_wilson_z_score(self):
