@@ -134,7 +134,7 @@ class RepData:
         """Apply the representation to a group element (or stack of them).
 
         ``sign=-1`` returns ``rho(g^{-1})``; group elements are unitary, so
-        the inverse is the conjugate transpose.
+        the inverse is the conjugate transpose, written out C-contiguous.
         """
         g = np.asarray(g, dtype=np.complex128)
         if self.spec.family == "u1power":
@@ -143,7 +143,7 @@ class RepData:
         else:
             out = g
         if sign == -1:
-            out = np.conj(np.swapaxes(out, -1, -2))
+            out = np.conjugate(np.swapaxes(out, -1, -2), out=np.empty(out.shape, out.dtype))
         return out
 
     @property

@@ -131,8 +131,9 @@ def _cmd_moment(args) -> int:
     if measure.kind == "wilson":
         raise UsageError("no exact moment operator for the Wilson action; use 'lgm expect'")
     op = moment_operator(rep, n, nprime, measure, args.budget)
+    tensor = tensor_to_json(op.matrix)
     payload = {
-        "tensor": tensor_to_json(op.matrix),
+        "tensor": tensor,
         "rank": op.rank,
         "spectrum": [float(x) for x in op.spectrum],
     }
@@ -140,7 +141,7 @@ def _cmd_moment(args) -> int:
         f"{spec.label()} moment on tensor power ({n},{nprime}), measure {measure.kind}",
         f"rank: {op.rank}",
         f"spectrum: {[float(x) for x in op.spectrum]}",
-        json.dumps(tensor_to_json(op.matrix)),
+        json.dumps(tensor),
     ]
     _emit(args, payload, lines)
     return 0
@@ -199,8 +200,6 @@ def _cmd_sample(args) -> int:
 def _cmd_brownian_path(args) -> int:
     spec = _group_spec(args)
     rep = build_representation(spec)
-    if not args.t > 0 or args.steps < 1:
-        raise UsageError("brownian-path needs t > 0 and steps >= 1")
     gs = brownian_path_batch(rep, args.t, args.steps, RngSpec(args.seed, args.stream), args.count)
     return _emit_matrices(args, gs)
 

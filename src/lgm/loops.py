@@ -98,15 +98,25 @@ class Loop:
         return complex(self.evaluate_batch(np.asarray(g, dtype=np.complex128)[None])[0])
 
     def evaluate_batch(self, gs: np.ndarray) -> np.ndarray:
-        """Evaluate on a stack ``(B, m, m)`` of group elements; returns ``(B,)``."""
+        """Evaluate on a stack ``(B, m, m)`` of group elements; returns ``(B,)``.
+
+        The word is rotated to ``tr(P_1 ... P_r)`` with ``P_k = rho(g^{s_k}) c_{k+1}``,
+        so each ``P_k`` is one matrix product on the ``(B d, d)`` reshape of
+        the stack, and a one-slot loop is one matrix-vector product.
+        """
         gs = np.asarray(gs, dtype=np.complex128)
-        plus = self.rep.rho(gs, 1)
-        minus = self.rep.rho(gs, -1)
-        acc = None
-        for coeff, sign in self.factors:
-            step = coeff @ (plus if sign == 1 else minus)
-            acc = step if acc is None else acc @ step
-        return self.scale * np.trace(acc, axis1=-2, axis2=-1)
+        b, d = gs.shape[0], self.rep.dim
+        rho = {s: self.rep.rho(gs, s) for s in set(self.signs)}
+        if self.n_slots == 1:  # tr(c g) = vec(g) . vec(c^T)
+            (coeff, sign), = self.factors
+            return self.scale * (rho[sign].reshape(b, d * d) @ coeff.T.reshape(d * d))
+        nxt = self.factors[1:] + self.factors[:1]
+        ps = [(rho[sign].reshape(b * d, d) @ coeff).reshape(b, d, d)
+              for (_, sign), (coeff, _) in zip(self.factors, nxt)]
+        acc = ps[0]
+        for p in ps[1:-1]:
+            acc = acc @ p
+        return self.scale * np.einsum("bij,bji->b", acc, ps[-1])
 
 
 @dataclass(frozen=True)

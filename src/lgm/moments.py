@@ -287,8 +287,8 @@ def haar_moment(rep: RepData, n: int, nprime: int,
 def brownian_moment(rep: RepData, n: int, nprime: int, t: float,
                     budget: int = DEFAULT_BUDGET) -> MomentOperator:
     """Heat-semigroup moment ``exp(t/2 C)`` on the tensor representation."""
-    if not t > 0:
-        raise ValueError("brownian moment needs t > 0")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"brownian moment needs a finite t > 0, got t={t}")
     w, u = _spectral(rep, n, nprime, budget)
     matrix = (u * np.exp(0.5 * t * w)) @ u.T
     return MomentOperator(rep, n, nprime, "brownian", matrix, w, t=t)

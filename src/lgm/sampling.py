@@ -2,12 +2,14 @@
 
 Haar sampling:
 
-* U(N): QR of a complex Ginibre matrix with the R-diagonal phases pushed
-  into Q, which makes the decomposition unique and the law exactly Haar.
+* U(N): the Q factor of a complex Ginibre matrix with positive R diagonal,
+  which makes the decomposition unique and the law exactly Haar (Mezzadri,
+  Notices AMS 54, 2007).  It is computed for the whole batch at once by
+  column Gram-Schmidt, re-orthogonalized once, which builds exactly that Q.
 * SU(N): a U(N) draw deflated by ``det^{1/N}``.
-* SO(N): QR of a real Ginibre with positive R-diagonal signs, then draws
-  landing in the wrong component are right-translated into SO(N) by negating
-  the last column (right translation by a fixed reflection preserves Haar).
+* SO(N): the same Q factor of a real Ginibre, then draws landing in the
+  wrong component are right-translated into SO(N) by negating the last
+  column (right translation by a fixed reflection preserves Haar).
 * Sp(N): quaternionic Gram-Schmidt in the complex 2N x 2N model.  Columns
   are built in pairs (q_k, -J conj(q_k)); the whole procedure commutes with
   left multiplication by symplectic-unitary matrices, so the output law is
@@ -22,19 +24,22 @@ roundoff; its weak error in moments is O(h).
 
 Estimators are deterministic functions of an RngSpec.  The Wilson action is
 handled by self-normalized importance sampling over Haar draws, refused when
-the weights leave fewer than ``WILSON_MIN_ESS`` effective draws.
+the weights leave fewer than ``WILSON_MIN_ESS`` effective draws.  Plaquettes
+are linear loops, so the action is summed into one coefficient per (rep,
+slot sign) and costs one trace per draw.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .catalog import RepData, check_one_group
-from .loops import Loop, LoopSum, conjugate_loop, total_merge, total_twist
+from .loops import Loop, LoopSum, conjugate_loop, linear_loop, total_merge, total_twist
 from .moments import DEFAULT_BUDGET, MeasureSpec, expect_product
 
 __all__ = [
@@ -91,10 +96,15 @@ class BrownianPathSpec:
     rng: RngSpec
 
     def __post_init__(self):
-        if not self.t > 0:
-            raise ValueError("path time must be positive")
-        if self.steps < 1:
-            raise ValueError("need at least one step")
+        _check_path(self.t, self.steps)
+
+
+def _check_path(t: float, steps: int) -> None:
+    """The finiteness rule of ``MeasureSpec``, plus a positive time and step count."""
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"path time must be finite and positive, got t={t}")
+    if steps < 1:
+        raise ValueError("need at least one step")
 
 
 def _complex_ginibre(gen: np.random.Generator, count: int, n: int) -> np.ndarray:
@@ -108,17 +118,13 @@ def haar_sample_batch(rep: RepData, rng: RngSpec, count: int) -> np.ndarray:
     fam = rep.spec.family
     n = rep.spec.n
     if fam == "u" or fam == "su":
-        q, r = np.linalg.qr(_complex_ginibre(gen, count, n))
-        d = np.diagonal(r, axis1=-2, axis2=-1)
-        q = q * (d / np.abs(d))[..., None, :]
+        q = _gram_schmidt(_complex_ginibre(gen, count, n))
         if fam == "su":
             det = np.linalg.det(q)
             q = q * np.exp(-np.log(det) / n)[..., None, None]
         return q
     if fam == "so":
-        q, r = np.linalg.qr(gen.standard_normal((count, n, n)))
-        d = np.diagonal(r, axis1=-2, axis2=-1)
-        q = q * np.sign(d)[..., None, :]
+        q = _gram_schmidt(gen.standard_normal((count, n, n)))
         flip = np.linalg.det(q) < 0
         q[flip, :, -1] *= -1.0
         return q.astype(np.complex128)
@@ -132,19 +138,35 @@ def haar_sample_batch(rep: RepData, rng: RngSpec, count: int) -> np.ndarray:
     raise ValueError(fam)  # pragma: no cover
 
 
+def _orthonormal_column(v: np.ndarray, cols: list) -> np.ndarray:
+    """Column ``v`` (one per draw, shape ``(d, B)``) made orthogonal to the
+    orthonormal columns ``cols`` by modified Gram-Schmidt, re-orthogonalized
+    once for roundoff, and normalized."""
+    for _ in range(2):
+        for c in cols:
+            v = v - np.sum(np.conj(c) * v, axis=0) * c
+    return v / np.sqrt(np.sum((np.conj(v) * v).real, axis=0))
+
+
+def _gram_schmidt(z: np.ndarray) -> np.ndarray:
+    """The Q factor of each ``z = QR`` in a stack ``(B, n, n)``, with R's
+    diagonal positive: the unique QR factor that makes Ginibre draws Haar."""
+    cols: list = []
+    for v in np.ascontiguousarray(z.transpose(2, 1, 0)):  # column k of every draw, as (n, B)
+        cols.append(_orthonormal_column(v, cols))
+    return np.ascontiguousarray(np.stack(cols).transpose(2, 1, 0))
+
+
 def _haar_sp(gen: np.random.Generator, count: int, n: int, j: np.ndarray) -> np.ndarray:
     d = 2 * n
-    q = np.zeros((count, d, d), dtype=np.complex128)
-    for k in range(n):
+    firsts: list = []
+    seconds: list = []
+    for _ in range(n):
         v = (gen.standard_normal((count, d)) + 1j * gen.standard_normal((count, d))) / np.sqrt(2.0)
-        for _ in range(2):  # re-orthogonalize once for roundoff
-            for c in itertools.chain(range(k), range(n, n + k)):
-                overlap = np.sum(np.conj(q[:, :, c]) * v, axis=1)
-                v = v - overlap[:, None] * q[:, :, c]
-        v = v / np.linalg.norm(v, axis=1)[:, None]
-        q[:, :, k] = v
-        q[:, :, n + k] = -np.einsum("ij,bj->bi", j, np.conj(v))
-    return q
+        v = _orthonormal_column(v.T, firsts + seconds)
+        firsts.append(v)
+        seconds.append(-(j @ np.conj(v)))
+    return np.ascontiguousarray(np.stack(firsts + seconds).transpose(2, 1, 0))
 
 
 def haar_sample(rep: RepData, rng: RngSpec) -> np.ndarray:
@@ -156,6 +178,7 @@ def brownian_path_batch(rep: RepData, t: float, steps: int, rng: RngSpec,
     """Endpoints of ``count`` independent Brownian paths started at identity."""
     from .tensor import expm_skew_batch
 
+    _check_path(t, steps)
     gen = rng.generator()
     xis = rep.sampling_generators
     h = t / steps
@@ -208,30 +231,38 @@ def _mean_and_stderr(vals: np.ndarray) -> tuple[complex, float]:
     return complex(mean), float(np.sqrt(var / vals.size))
 
 
-def _wilson_estimate(measure: MeasureSpec, gs: np.ndarray,
-                     vals: np.ndarray) -> tuple[complex, float, np.ndarray]:
-    """Self-normalized importance-sampling mean of ``vals`` over Haar draws ``gs``.
+def _action_loops(plaquettes: Sequence[Loop]) -> list[Loop]:
+    """The Wilson action ``sum_p W_p`` as one linear loop per (rep, slot sign).
 
-    The weights ``exp(beta * Re sum_p W_p)`` are shifted by their maximum
-    before ``exp``; the estimate is refused when their Kish effective sample
-    size ``(sum w)^2 / sum w^2`` falls below ``WILSON_MIN_ESS``.  Returns the
-    value, its standard error and the action at each draw.
+    Plaquettes are linear loops ``scale * tr(c rho(g^s))``, so their sum is
+    the loop with the summed coefficient ``sum scale * c`` for each key.
     """
-    action = np.zeros(gs.shape[0], dtype=np.complex128)
-    for p in measure.plaquettes:
-        action = action + p.evaluate_batch(gs)
-    log_w = measure.beta * action.real
+    summed: dict = {}
+    for p in plaquettes:
+        (coeff, sign), = p.factors
+        summed[p.rep, sign] = summed.get((p.rep, sign), 0.0) + p.scale * coeff
+    return [linear_loop(rep, coeff, sign) for (rep, sign), coeff in summed.items()]
+
+
+def _wilson_estimate(log_w: np.ndarray, vals: np.ndarray) -> tuple[complex, float]:
+    """Self-normalized importance-sampling mean of ``vals`` over Haar draws.
+
+    The weights ``exp(log_w)``, ``log_w = beta * Re sum_p W_p``, are shifted
+    by their maximum before ``exp``; the estimate is refused when their Kish
+    effective sample size ``(sum w)^2 / sum w^2`` falls below
+    ``WILSON_MIN_ESS``.  Returns the value and its standard error.
+    """
     weights = np.exp(log_w - np.max(log_w))
     wsum = np.sum(weights)
     ess = float(wsum ** 2 / np.sum(weights ** 2))
     if not ess >= WILSON_MIN_ESS:
         raise RuntimeError(
-            f"effective sample size {ess:.3g} of {gs.shape[0]} draws is below {WILSON_MIN_ESS:g}: "
+            f"effective sample size {ess:.3g} of {log_w.size} draws is below {WILSON_MIN_ESS:g}: "
             "the Wilson weights collapsed onto a few draws"
         )
     value = complex(np.sum(weights * vals) / wsum)
     stderr = float(np.sqrt(np.sum(weights ** 2 * np.abs(vals - value) ** 2)) / wsum)
-    return value, stderr, action
+    return value, stderr
 
 
 def mc_expect(items: Sequence, measure: MeasureSpec, samples: int, rng: RngSpec,
@@ -257,7 +288,8 @@ def mc_expect(items: Sequence, measure: MeasureSpec, samples: int, rng: RngSpec,
     if not measure.plaquettes:
         raise ValueError("the Wilson measure needs an explicit plaquette list")
     gs = haar_sample_batch(rep, rng, samples)
-    value, stderr, action = _wilson_estimate(measure, gs, _product_values(items, gs))
+    action = sum(w.evaluate_batch(gs) for w in _action_loops(measure.plaquettes))
+    value, stderr = _wilson_estimate(measure.beta * action.real, _product_values(items, gs))
     imag_discarded = float(np.max(np.abs(measure.beta * action.imag)))
     return MCEstimate(value, stderr, samples, imag_discarded)
 
@@ -283,16 +315,13 @@ class TheoremAReport:
 
 
 def _merge_pieces(loops: Sequence[Loop]):
-    """The merge terms (r < s pairs) and twist terms (per loop) with their spectators."""
-    merges = []
-    for r, s in itertools.combinations(range(len(loops)), 2):
-        rest = [loops[k] for k in range(len(loops)) if k not in (r, s)]
-        merges.append((total_merge(loops[r], loops[s]), rest))
-    twists = []
-    for r, w in enumerate(loops):
-        if w.n_slots >= 2:
-            rest = [loops[k] for k in range(len(loops)) if k != r]
-            twists.append((total_twist(w), rest))
+    """The merge terms (r < s pairs) and twist terms (per loop), each with the
+    positions of its spectator loops."""
+    slots = range(len(loops))
+    merges = [(total_merge(loops[r], loops[s]), [k for k in slots if k not in (r, s)])
+              for r, s in itertools.combinations(slots, 2)]
+    twists = [(total_twist(w), [k for k in slots if k != r])
+              for r, w in enumerate(loops) if w.n_slots >= 2]
     return merges, twists
 
 
@@ -306,9 +335,9 @@ def _exact_haar_residual(loops: Sequence[Loop], budget: int):
     lhs = _lhs_weight(loops) * expect_product(list(loops), haar, budget)
     rhs = 0.0 + 0.0j
     for ms, rest in merges:
-        rhs -= 2.0 * expect_product([ms] + rest, haar, budget)
+        rhs -= 2.0 * expect_product([ms] + [loops[k] for k in rest], haar, budget)
     for ts, rest in twists:
-        rhs -= expect_product([ts] + rest, haar, budget)
+        rhs -= expect_product([ts] + [loops[k] for k in rest], haar, budget)
     return lhs, rhs
 
 
@@ -348,9 +377,9 @@ def verify_theorem_a(loops: Sequence[Loop], measure: MeasureSpec,
         at_t = MeasureSpec.brownian(t)
         rhs = _lhs_weight(loops) * f(t)
         for ms, rest in merges:
-            rhs += 2.0 * expect_product([ms] + rest, at_t, budget)
+            rhs += 2.0 * expect_product([ms] + [loops[k] for k in rest], at_t, budget)
         for ts, rest in twists:
-            rhs += expect_product([ts] + rest, at_t, budget)
+            rhs += expect_product([ts] + [loops[k] for k in rest], at_t, budget)
         return _exact_report("brownian", deriv2, rhs, 1e-6 * (1.0 + abs(rhs)))
 
     # Wilson action
@@ -364,27 +393,43 @@ def verify_theorem_a(loops: Sequence[Loop], measure: MeasureSpec,
     rep = _common_rep(list(loops) + list(measure.plaquettes))
     gs = haar_sample_batch(rep, rng, samples)
 
+    vals = [w.evaluate_batch(gs) for w in loops]
+
+    def product(positions) -> np.ndarray:
+        out = np.ones(samples, dtype=np.complex128)
+        for k in positions:
+            out = out * vals[k]
+        return out
+
     merges, twists = _merge_pieces(loops)
-    prod = _product_values(loops, gs)
+    prod = product(range(len(loops)))
     y = _lhs_weight(loops) * prod
     for ms, rest in merges:
-        y = y + 2.0 * ms.evaluate_batch(gs) * _product_values(rest, gs)
+        y = y + 2.0 * ms.evaluate_batch(gs) * product(rest)
     for ts, rest in twists:
-        y = y + ts.evaluate_batch(gs) * _product_values(rest, gs)
+        y = y + ts.evaluate_batch(gs) * product(rest)
     beta = measure.beta
     # The sampler weights by exp(beta * Re(sum_p W_p)), i.e. the Hermitized
     # action; the beta and beta^2 terms must use the same effective
-    # plaquette set (1/2)(W_p + conj(W_p)).  When the caller's action is
-    # already real this changes nothing.
+    # plaquette set (1/2)(W_p + conj(W_p)).  Summed per rep, with A and B the
+    # summed coefficients of the + and - slots, that set is the loop
+    # e = tr((A + B^dagger)/2 rho(g)) and its conjugate, and e + conj(e) = 2 Re e.
+    halves: dict = {}
+    for w in _action_loops(measure.plaquettes):
+        (coeff, sign), = w.factors
+        halves[w.rep] = halves.get(w.rep, 0.0) + 0.5 * (coeff if sign == 1 else coeff.conj().T)
+    log_w = np.zeros(samples)
     effective = []
-    for p in measure.plaquettes:
-        effective.extend([p.scaled(0.5), conjugate_loop(p).scaled(0.5)])
-    for p in effective:
-        y = y - beta * p.rep.lam * p.evaluate_batch(gs) * prod
+    for p_rep, half in halves.items():
+        e = linear_loop(p_rep, half)
+        e_re = e.evaluate_batch(gs).real
+        log_w = log_w + 2.0 * beta * e_re
+        y = y - 2.0 * beta * p_rep.lam * e_re * prod
+        effective.extend([e, conjugate_loop(e)])
     for p, p2 in itertools.product(effective, repeat=2):
         y = y - beta ** 2 * total_merge(p, p2).evaluate_batch(gs) * prod
 
-    value, stderr, _ = _wilson_estimate(measure, gs, y)
+    value, stderr = _wilson_estimate(log_w, y)
     z = abs(value) / stderr if stderr > 0 else float("inf")
     return TheoremAReport("wilson", value, 0.0, abs(value), 3.0 * stderr,
                           z <= 3.0, z_score=z, stderr=stderr, samples=samples)

@@ -77,6 +77,14 @@ class TestMoment:
         assert doc["error"]["kind"] == "BudgetError"
         assert "16384" in doc["error"]["detail"]
 
+    def test_json_and_text_carry_the_same_tensor(self, capsys):
+        argv = ("moment", "--family", "su", "--n", "2", "--tensor", "1,1", "--measure", "brownian:t=0.5")
+        code, out = run(capsys, *argv, "--out", "json")
+        assert code == 0
+        code, text = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(text.splitlines()[-1]) == json.loads(out)["tensor"]
+
 
 class TestWeingarten:
     def test_u3_permutations(self, capsys):
@@ -226,6 +234,14 @@ class TestSample:
         assert code == 0
         lines = [l for l in out.splitlines() if l.strip()]
         assert len(lines) == 2
+
+    @pytest.mark.parametrize("t", ["inf", "nan"])
+    def test_brownian_path_non_finite_time_exits_2(self, capsys, t):
+        code, out = run(capsys, "brownian-path", "--family", "su", "--n", "2",
+                        "--t", t, "--steps", "2", "--out", "json")
+        assert code == 2
+        doc = json.loads(out)["error"]  # valid JSON: no bare NaN tokens
+        assert doc["kind"] == "usage" and "finite" in doc["detail"]
 
 
 class TestVerify:

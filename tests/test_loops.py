@@ -6,6 +6,7 @@ them against the production merge/twist, and those against the sum over
 generator insertions, is the table-consistency check.
 """
 
+import itertools
 import json
 
 import numpy as np
@@ -18,7 +19,7 @@ from lgm.catalog import GroupSpec, build_representation, octonion_psi
 from lgm.loops import (LoopPair, LoopSum, conjugate_loop, insert_generator, laplacian,
                        linear_loop, loop, loop_from_json, loop_to_json, loops_to_tensor,
                        loopsum_from_json, loopsum_to_json, merge_at, total_merge, twist_at)
-from lgm.sampling import RngSpec, brownian_path_batch, haar_sample
+from lgm.sampling import RngSpec, brownian_path_batch, haar_sample, haar_sample_batch
 
 REP = {
     "u2": build_representation(GroupSpec("u", 2)),
@@ -104,6 +105,48 @@ class TestEvaluate:
         batch = w.evaluate_batch(gs)
         for k, g in enumerate(gs):
             assert abs(batch[k] - w.evaluate(g)) <= 1e-13 * (1 + abs(batch[k]))
+
+
+BATCH_REPS = {
+    "u3": REP["u3"], "su2": REP["su2"], "so4": REP["so4"], "sp2": REP["sp2"], "g2": REP["g2"],
+    **{f"u1^{k}": build_representation(GroupSpec("u1power", k)) for k in (-2, 1, 3)},
+}
+
+
+def _draws(rep, count):
+    if rep.spec.family == "g2":  # group elements only; their law does not matter here
+        return brownian_path_batch(rep, 2.0, 10, RngSpec(5), count)
+    return haar_sample_batch(rep, RngSpec(5), count)
+
+
+def _explicit_values(w, gs):
+    """``scale * tr(c_1 rho(g^{s_1}) ... c_r rho(g^{s_r}))`` per draw, by definition:
+    the representation matrix written out, ``g^{-1}`` by inversion."""
+    if w.rep.spec.family == "u1power":
+        mats = gs[:, :1, :1] ** w.rep.spec.n
+    else:
+        mats = gs
+    acc = np.broadcast_to(np.eye(w.rep.dim), mats.shape)
+    for c, s in w.factors:
+        acc = acc @ c @ (mats if s == 1 else np.linalg.inv(mats))
+    return w.scale * np.trace(acc, axis1=1, axis2=2)
+
+
+@pytest.mark.parametrize("key", list(BATCH_REPS))
+@pytest.mark.parametrize("count", [1, 4000])
+def test_evaluate_batch_matches_explicit_trace(key, count):
+    # every sign pattern of 1-4 slots, against the trace written out per draw
+    rep = BATCH_REPS[key]
+    rng = np.random.default_rng(count)
+    gs = _draws(rep, count)
+    for r in range(1, 5):
+        for signs in itertools.product((1, -1), repeat=r):
+            coeffs = [rand_coeff(rng, rep.dim) for _ in range(r)]
+            w = loop(rep, coeffs, signs, complex(*rng.standard_normal(2)))
+            got = w.evaluate_batch(gs)
+            bound = abs(w.scale) * rep.dim * np.prod([np.linalg.norm(c, 2) for c in coeffs])
+            assert got.shape == (count,)
+            assert np.max(np.abs(got - _explicit_values(w, gs))) <= 1e-12 * bound, (key, signs)
 
 
 class TestMergeTables:

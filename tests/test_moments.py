@@ -421,6 +421,11 @@ class TestMeasureSpec:
         with pytest.raises(ValueError, match="linear"):
             MeasureSpec.wilson(0.1, [loop(U2, [np.eye(2), np.eye(2)], [1, 1])])
 
+    @pytest.mark.parametrize("t", [float("inf"), float("nan"), 0.0])
+    def test_brownian_moment_needs_finite_positive_t(self, t):
+        with pytest.raises(ValueError, match="finite t > 0"):
+            brownian_moment(SU2, 1, 1, t)
+
 
 class TestBudgetAndCaches:
     def test_budget_checked_on_cache_hit(self):

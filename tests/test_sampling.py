@@ -5,13 +5,15 @@ MC assertions run at fixed seeds, so they are deterministic; targets marked
 routes (exact contraction vs sampling) independent.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
 from lgm.catalog import GroupSpec, build_representation, group_residual
-from lgm.loops import conjugate_loop, linear_loop, loop, merge_at
+from lgm.loops import conjugate_loop, linear_loop, loop, merge_at, total_merge, total_twist
 from lgm.moments import MeasureSpec, expect_product
-from lgm.sampling import (BrownianPathSpec, RngSpec, brownian_path,
+from lgm.sampling import (BrownianPathSpec, RngSpec, _action_loops, brownian_path,
                           brownian_path_batch, haar_sample, haar_sample_batch,
                           mc_expect, verify_theorem_a)
 from lgm.tensor import expm_skew_batch
@@ -26,6 +28,7 @@ SP2 = build_representation(GroupSpec("sp", 2))
 U1 = build_representation(GroupSpec("u1power", 1))
 SU3 = build_representation(GroupSpec("su", 3))
 U1_2 = build_representation(GroupSpec("u1power", 2))
+U1_INV = build_representation(GroupSpec("u1power", -1))
 
 
 @pytest.mark.parametrize("rep_a,rep_b,same", [(SU2, SU3, False), (U1, U1_2, True)],
@@ -61,6 +64,26 @@ class TestHaarSamplers:
         c = haar_sample_batch(U2, RngSpec(7, 2), 16)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("family,n", [("u", n) for n in range(1, 7)]
+                             + [(f, n) for f in ("su", "so") for n in range(2, 7)])
+    def test_matches_lapack_qr(self, family, n):
+        # the same Ginibre draws through LAPACK QR, R's diagonal made positive
+        rng = RngSpec(15, n)
+        gen = rng.generator()
+        if family == "so":
+            z = gen.standard_normal((500, n, n))
+        else:
+            z = (gen.standard_normal((500, n, n)) + 1j * gen.standard_normal((500, n, n))) / np.sqrt(2.0)
+        q, r = np.linalg.qr(z)
+        d = np.diagonal(r, axis1=1, axis2=2)
+        q = q * (d / np.abs(d))[:, None, :]
+        if family == "su":
+            q = q * np.exp(-np.log(np.linalg.det(q)) / n)[:, None, None]
+        if family == "so":
+            q[np.linalg.det(q) < 0, :, -1] *= -1.0
+        got = haar_sample_batch(build_representation(GroupSpec(family, n)), rng, 500)
+        assert np.max(np.abs(got - q)) <= 1e-12
 
     def test_single_sample_is_first_of_batch(self):
         assert np.array_equal(haar_sample(SO3, RngSpec(9)),
@@ -125,6 +148,13 @@ class TestBrownianPath:
             BrownianPathSpec(t=0.0, steps=10, rng=RngSpec(0))
         with pytest.raises(ValueError):
             BrownianPathSpec(t=1.0, steps=0, rng=RngSpec(0))
+
+    @pytest.mark.parametrize("t", [float("inf"), float("nan")])
+    def test_non_finite_time_refused(self, t):
+        with pytest.raises(ValueError, match="finite"):
+            BrownianPathSpec(t=t, steps=10, rng=RngSpec(0))
+        with pytest.raises(ValueError, match="finite"):
+            brownian_path_batch(SU2, t, 2, RngSpec(0), 1)
 
     def test_u1_exact_law(self):
         # abelian case: the integrator telescopes, so any step count is exact
@@ -297,3 +327,79 @@ class TestTheoremA:
         report = verify_theorem_a([wa, wb], MeasureSpec.haar())
         assert report.passed
         assert abs(report.lhs) > 1e-3  # nonvanishing product expectation
+
+
+def _mixed_plaquettes(reps, rng, count):
+    """Linear plaquettes cycling through ``reps``, with alternating slot signs
+    and complex scales."""
+    return [linear_loop(reps[k % len(reps)],
+                        0.3 * (rng.standard_normal((reps[0].dim,) * 2)
+                               + 1j * rng.standard_normal((reps[0].dim,) * 2)),
+                        (-1) ** k, complex(*rng.standard_normal(2)))
+            for k in range(count)]
+
+
+def _per_plaquette_estimate(beta, plaquettes, gs, vals):
+    """Self-normalized importance sampling with the action summed plaquette by plaquette."""
+    action = sum(p.evaluate_batch(gs) for p in plaquettes)
+    log_w = beta * action.real
+    w = np.exp(log_w - np.max(log_w))
+    value = np.sum(w * vals) / np.sum(w)
+    stderr = np.sqrt(np.sum(w ** 2 * np.abs(vals - value) ** 2)) / np.sum(w)
+    return value, stderr, float(np.max(np.abs(beta * action.imag)))
+
+
+WILSON_REPS = {"u3": [U3], "u1-mixed": [U1, U1_2, U1_INV]}
+
+
+@pytest.mark.parametrize("key", list(WILSON_REPS))
+def test_summed_action_matches_per_plaquette_weights(key):
+    reps = WILSON_REPS[key]
+    rng = np.random.default_rng(52)
+    plaq = _mixed_plaquettes(reps, rng, 7)
+    assert len(_action_loops(plaq)) == 2 * len(reps)  # one loop per (rep, sign)
+    items = [linear_loop(reps[0], np.eye(reps[0].dim)), linear_loop(reps[0], np.eye(reps[0].dim), -1)]
+    est = mc_expect(items, MeasureSpec.wilson(0.4, plaq), 2000, RngSpec(53))
+    gs = haar_sample_batch(reps[0], RngSpec(53), 2000)
+    vals = items[0].evaluate_batch(gs) * items[1].evaluate_batch(gs)
+    value, stderr, imag = _per_plaquette_estimate(0.4, plaq, gs, vals)
+    assert abs(est.value - value) <= 1e-10 * stderr
+    assert est.stderr == pytest.approx(stderr, rel=1e-10)
+    assert imag > 0.0
+    assert est.imag_discarded == pytest.approx(imag, rel=1e-10)
+
+
+def _theorem_a_per_plaquette(loops, measure, samples, rng):
+    """The Wilson Theorem-A estimate with every effective plaquette
+    (1/2)(W_p + conj W_p) kept apart: (2P)^2 merges for the beta^2 term."""
+    gs = haar_sample_batch(loops[0].rep, rng, samples)
+    vals = [w.evaluate_batch(gs) for w in loops]
+    prod = np.prod(vals, axis=0)
+    y = sum(w.rep.lam * w.n_slots for w in loops) * prod
+    for r, s in itertools.combinations(range(len(loops)), 2):
+        rest = np.prod([vals[k] for k in range(len(loops)) if k not in (r, s)], axis=0)
+        y = y + 2.0 * total_merge(loops[r], loops[s]).evaluate_batch(gs) * rest
+    for r, w in enumerate(loops):
+        if w.n_slots >= 2:
+            rest = np.prod([vals[k] for k in range(len(loops)) if k != r], axis=0)
+            y = y + total_twist(w).evaluate_batch(gs) * rest
+    effective = [q for p in measure.plaquettes for q in (p.scaled(0.5), conjugate_loop(p).scaled(0.5))]
+    for p in effective:
+        y = y - measure.beta * p.rep.lam * p.evaluate_batch(gs) * prod
+    for p, p2 in itertools.product(effective, repeat=2):
+        y = y - measure.beta ** 2 * total_merge(p, p2).evaluate_batch(gs) * prod
+    value, stderr, _ = _per_plaquette_estimate(measure.beta, measure.plaquettes, gs, y)
+    return value, stderr
+
+
+@pytest.mark.parametrize("key", list(WILSON_REPS))
+def test_wilson_theorem_a_matches_per_plaquette_merges(key):
+    reps = WILSON_REPS[key]
+    rng = np.random.default_rng(54)
+    plaq = _mixed_plaquettes(reps, rng, 5)
+    loops = rand_loops(reps[0], rng)
+    measure = MeasureSpec.wilson(0.3, plaq)
+    report = verify_theorem_a(loops, measure, samples=2000, rng=RngSpec(55))
+    value, stderr = _theorem_a_per_plaquette(loops, measure, 2000, RngSpec(55))
+    assert abs(report.lhs - value) <= 1e-10 * stderr
+    assert report.stderr == pytest.approx(stderr, rel=1e-10)
