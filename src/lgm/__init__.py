@@ -9,7 +9,7 @@ from .catalog import (GroupSpec, RepData, SplitCasimir, build_representation,
                       casimir_eigenvalue, closed_form_completeness, group_residual,
                       split_casimir)
 from .loops import (Loop, LoopPair, LoopSum, conjugate_loop, laplacian, linear_loop,
-                    loop, loops_to_tensor, merge_at, total_merge, total_twist, twist_at)
+                    loop, merge_at, total_merge, total_twist, twist_at)
 from .moments import (BudgetError, MeasureSpec, MomentOperator, SpanningSet,
                       SpectralGapError, WeingartenMap, brownian_moment, expect_product,
                       haar_moment, spanning_set, tensor_casimir, weingarten)

@@ -1,4 +1,4 @@
-"""Generalized Wilson loops, their merging and twisting, and loop flattening.
+"""Generalized Wilson loops, their merging and twisting, and their JSON form.
 
 A loop is the function ``g -> scale * tr(c_1 rho(g^{s_1}) ... c_r rho(g^{s_r}))``
 given by an alternating word of coefficient matrices ``c_i`` and signed group
@@ -27,7 +27,7 @@ the U(1) characters); the inverse is taken as the conjugate transpose.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -46,7 +46,6 @@ __all__ = [
     "total_twist",
     "laplacian",
     "conjugate_loop",
-    "loops_to_tensor",
     "loop_to_json",
     "loop_from_json",
     "loopsum_to_json",
@@ -323,62 +322,6 @@ def conjugate_loop(w: Loop) -> Loop:
     coeffs = [w.factors[(r - 1 - k) % r][0].conj().T for k in range(r)]
     signs = [-w.factors[(r - 2 - k) % r][1] for k in range(r)]
     return loop(w.rep, coeffs, signs, np.conj(w.scale))
-
-
-# ---------------------------------------------------------------------------
-# flattening products of loops into a coefficient tensor
-# ---------------------------------------------------------------------------
-
-
-def loops_to_tensor(loops: Iterable[Loop]) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Flatten a product of loops into a coefficient tensor.
-
-    Returns ``(a, pattern)`` where ``pattern`` lists the slot signs in the
-    canonical order "all + slots first (in order of appearance), then all -
-    slots", and ``a`` carries one ``(d, d)`` axis pair per slot in that
-    order.  For a + slot the pair is ``(i, j)`` contracting against
-    ``rho(g)_{ij}``; for a - slot it is ``(i', j')`` contracting against
-    ``rho(g^{-1})_{j' i'}``.  Contracting ``a`` with those slot matrices
-    reproduces the product of loop values.
-    """
-    loops = list(loops)
-    if not loops:
-        raise ValueError("need at least one loop")
-    check_one_group(w.rep.spec for w in loops)
-
-    acc = np.array(1.0 + 0.0j)
-    all_signs: list[int] = []
-    for w in loops:
-        r = w.n_slots
-        operands = []
-        subscripts = []
-        for k2 in range(r):
-            operands.append(w.factors[k2][0])
-            subscripts.append([2 * k2, 2 * k2 + 1])  # (a_k, b_k)
-        out: list[int] = []
-        for k2 in range(r):
-            b_k = 2 * k2 + 1
-            a_next = 2 * ((k2 + 1) % r)
-            if w.factors[k2][1] == 1:
-                out.extend([b_k, a_next])
-            else:
-                out.extend([a_next, b_k])
-        args: list = []
-        for op, sub in zip(operands, subscripts):
-            args.extend([op, sub])
-        args.append(out)
-        t = np.einsum(*args) * w.scale
-        acc = np.multiply.outer(acc, t)
-        all_signs.extend(w.signs)
-
-    plus = [s for s, sg in enumerate(all_signs) if sg == 1]
-    minus = [s for s, sg in enumerate(all_signs) if sg == -1]
-    perm: list[int] = []
-    for s in plus + minus:
-        perm.extend([2 * s, 2 * s + 1])
-    a = np.transpose(acc, perm) if perm else acc
-    pattern = tuple([1] * len(plus) + [-1] * len(minus))
-    return np.ascontiguousarray(a), pattern
 
 
 # ---------------------------------------------------------------------------

@@ -25,20 +25,26 @@ invariant theory (``_route``):
   N not dividing n - n', Sp(N) with n + n' odd, and SO(N) with n + n' odd
   and no epsilon-type invariant;
 * ``characters`` for U(1) characters, by the character algebra;
-* ``casimir``, the tensor-Casimir null space (or ``exp(t/2 C)``), for the
-  Brownian measure, G2, SU(N) with epsilon invariants, SO(N) with
-  epsilon-type invariants, and any Weingarten shape over the budget.
+* ``casimir``, over the tensor-Casimir eigenvectors, for the Brownian
+  measure, G2, SU(N) with epsilon invariants, SO(N) with epsilon-type
+  invariants, and any Weingarten shape over the budget.
 
-The Weingarten routes evaluate ``sum_{a,b} Wg[a,b] M[a,b]``, where
-``M[a,b]`` is the loop product contracted with row label ``a`` and column
-label ``b``: a product of traces of words in the coefficient matrices,
-read off the cycles of the wiring.  No tensor of the tensor power is formed.
+Every route but ``zero`` and ``characters`` is a Weingarten sum
+``sum_{a,b} Wg[a,b] M[a,b]``, where ``M[a,b]`` is the loop product
+contracted with row label ``a`` and column label ``b``.  On the Weingarten
+routes the labels are permutations or pairings, and ``M[a,b]`` is a product
+of traces of words in the coefficient matrices, read off the cycles of the
+wiring; no tensor of the tensor power is formed.  On the Casimir route the
+labels are the orthonormal Casimir eigenvectors ``u_k``, so ``Wg`` is
+diagonal: ``1`` on the null vectors for Haar, ``exp(t lambda_k / 2)`` on
+every eigenvector for Brownian(t).  Each ``M[k,k]`` is one ``einsum`` of the
+coefficient matrices with ``u_k`` on the row ends and on the column ends.
 
 The budget caps a different size on each route: the squared number of
 labels ``L**2`` on the Weingarten routes (Gram and Wg are ``L x L``), and
-the tensor-power dimension ``D = d**(n+n')`` on the Casimir route, which
-forms ``D x D`` matrices.  A Weingarten shape over the budget falls back to
-the Casimir route when ``D`` fits.
+the tensor-power dimension ``D = d**(n+n')`` on the Casimir route, whose
+tensor Casimir is ``D x D``.  A Weingarten shape over the budget falls back
+to the Casimir route when ``D`` fits.
 
 The Wilson action admits no exact closed form here; for that measure the
 expectation is delegated to the Monte-Carlo estimator in ``sampling``.
@@ -55,7 +61,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .catalog import RepData, check_one_group, closed_form_completeness
-from .loops import Loop, LoopPair, LoopSum, loops_to_tensor
+from .loops import Loop, LoopPair, LoopSum
 from .tensor import pseudoinverse
 
 __all__ = [
@@ -169,10 +175,6 @@ class MomentOperator:
         cutoff = null_cutoff(self.rep, self.n, self.nprime)
         return int(np.sum(np.abs(self.spectrum) < cutoff))
 
-    def as_tensor(self) -> np.ndarray:
-        d, m = self.rep.dim, self.n + self.nprime
-        return self.matrix.reshape((d,) * (2 * m))
-
 
 def null_cutoff(rep: RepData, n: int, nprime: int) -> float:
     """Threshold below which a tensor-Casimir eigenvalue counts as zero."""
@@ -267,9 +269,12 @@ def _spectral(rep: RepData, n: int, nprime: int, budget: int):
     return w, u
 
 
-def haar_moment(rep: RepData, n: int, nprime: int,
-                budget: int = DEFAULT_BUDGET) -> MomentOperator:
-    """Projector onto the invariants, via the tensor-Casimir null space."""
+def _null_basis(rep: RepData, n: int, nprime: int, budget: int) -> np.ndarray:
+    """The tensor-Casimir null vectors, as the columns of a ``(D, K)`` array.
+
+    Refuses with `SpectralGapError` when a nonzero eigenvalue lies within
+    10x of the null cutoff, where the split would not be trustworthy.
+    """
     w, u = _spectral(rep, n, nprime, budget)
     cutoff = null_cutoff(rep, n, nprime)
     null = np.abs(w) < cutoff
@@ -279,9 +284,15 @@ def haar_moment(rep: RepData, n: int, nprime: int,
             f"smallest nonzero |eigenvalue| {nonzero.min():.3e} is within 10x of the "
             f"null cutoff {cutoff:.3e}; tighten the cutoff before trusting the projector"
         )
-    basis = u[:, null]
-    matrix = basis @ basis.T
-    return MomentOperator(rep, n, nprime, "haar", matrix, w)
+    return u[:, null]
+
+
+def haar_moment(rep: RepData, n: int, nprime: int,
+                budget: int = DEFAULT_BUDGET) -> MomentOperator:
+    """Projector onto the invariants, via the tensor-Casimir null space."""
+    basis = _null_basis(rep, n, nprime, budget)
+    w, _ = _spectral(rep, n, nprime, budget)
+    return MomentOperator(rep, n, nprime, "haar", basis @ basis.T, w)
 
 
 def brownian_moment(rep: RepData, n: int, nprime: int, t: float,
@@ -294,22 +305,14 @@ def brownian_moment(rep: RepData, n: int, nprime: int, t: float,
     return MomentOperator(rep, n, nprime, "brownian", matrix, w, t=t)
 
 
-_MOMENT_CACHE: dict = {}
-
-
 def moment_operator(rep: RepData, n: int, nprime: int, measure: MeasureSpec,
                     budget: int = DEFAULT_BUDGET) -> MomentOperator:
-    """Cached exact moment operator for Haar or Brownian measures."""
+    """Exact moment operator for Haar or Brownian measures (not cached)."""
     if measure.kind == "wilson":
         raise ValueError("no exact moment operator for the Wilson action")
-    _check_budget(rep, n, nprime, budget)
-    key = (rep, n, nprime, measure.kind, measure.t)
-    if key not in _MOMENT_CACHE:
-        if measure.kind == "haar":
-            _MOMENT_CACHE[key] = haar_moment(rep, n, nprime, budget)
-        else:
-            _MOMENT_CACHE[key] = brownian_moment(rep, n, nprime, measure.t, budget)
-    return _MOMENT_CACHE[key]
+    if measure.kind == "haar":
+        return haar_moment(rep, n, nprime, budget)
+    return brownian_moment(rep, n, nprime, measure.t, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +404,7 @@ def spanning_set(rep: RepData, n: int, nprime: int, source: str,
         labels = ("u",)
         vecs = np.eye(7).reshape(1, -1)
     elif source == "nullspace":
-        w, u = _spectral(rep, n, nprime, budget)
-        null = np.abs(w) < null_cutoff(rep, n, nprime)
-        vecs = u[:, null].T.copy()
+        vecs = np.ascontiguousarray(_null_basis(rep, n, nprime, budget).T)
         labels = tuple(f"null{k}" for k in range(vecs.shape[0]))
     else:
         raise ValueError(f"unknown spanning-set source {source!r}")
@@ -501,17 +502,40 @@ def _route(rep: RepData, n: int, nprime: int, measure: MeasureSpec,
     return route
 
 
+def _coefficient_ends(shape: tuple[tuple[int, ...], ...]) -> tuple[int, list[tuple[int, int]]]:
+    """Where each coefficient matrix sits on the tensor power: ``(n, ends)``.
+
+    ``shape`` holds the slot signs of each loop, and ``n`` counts the +
+    slots.  Canonical slot ``c`` (the + slots in order, then the - slots)
+    has a row end ``2c`` and a column end ``2c + 1``.  ``ends[k]`` is the
+    pair of ends coefficient ``c_k`` joins, in its index order: the end the
+    previous slot's right index sits on, then the end its slot's left index
+    sits on.
+    """
+    signs = [s for loop_signs in shape for s in loop_signs]
+    m, n = len(signs), signs.count(1)
+    free = {1: iter(range(n)), -1: iter(range(n, m))}
+    canon = [next(free[s]) for s in signs]
+    # a + slot's left index is its row, a - slot's its column (g^-1_{ji} = conj(g)_{ij})
+    left = [2 * c + (s == -1) for c, s in zip(canon, signs)]
+    right = [2 * c + (s == 1) for c, s in zip(canon, signs)]
+    ends = []
+    start = 0
+    for loop_signs in shape:
+        r = len(loop_signs)
+        ends += [(right[start + (j - 1) % r], left[start + j]) for j in range(r)]
+        start += r
+    return n, ends
+
+
 @lru_cache(maxsize=256)
 def _wiring(source: str, shape: tuple[tuple[int, ...], ...], twisted: bool):
     """The cycles of ``M[a, b]`` for every label pair, as letter ids.
 
-    ``shape`` holds the slot signs of each loop.  Canonical slot ``c`` (the
-    + slots in order, then the - slots) has a row end ``2c`` and a column
-    end ``2c + 1``.  Coefficient ``c_k`` joins the end its slot's left index
-    sits on to the one the previous slot's right index sits on; label ``a``
-    joins row ends, label ``b`` column ends.  Every end then lies on one
-    coefficient edge and one label edge, so the edges close into cycles, and
-    ``M[a, b]`` is the product of the traces of the cycles' words.
+    Coefficient ``c_k`` joins the two ends `_coefficient_ends` gives it;
+    label ``a`` joins row ends, label ``b`` column ends.  Every end then
+    lies on one coefficient edge and one label edge, so the edges close into
+    cycles, and ``M[a, b]`` is the product of the traces of the cycles' words.
 
     A letter is coefficient ``k`` (read forward) or ``m + k`` (transposed),
     followed by a form: 0 delta, and when ``twisted`` (F = J on like slot
@@ -523,22 +547,12 @@ def _wiring(source: str, shape: tuple[tuple[int, ...], ...], twisted: bool):
     ``order`` puts the cycles back in pair order and ``starts`` marks where
     each pair's cycles begin.
     """
-    signs = [s for loop_signs in shape for s in loop_signs]
-    m, n = len(signs), signs.count(1)
-    free = {1: iter(range(n)), -1: iter(range(n, m))}
-    canon = [next(free[s]) for s in signs]
-    # a + slot's left index is its row, a - slot's its column (g^-1_{ji} = conj(g)_{ij})
-    left = [2 * c + (s == -1) for c, s in zip(canon, signs)]
-    right = [2 * c + (s == 1) for c, s in zip(canon, signs)]
+    n, ends = _coefficient_ends(shape)
+    m = len(ends)
     coef_edge: dict[int, tuple[int, int]] = {}
-    start = 0
-    for loop_signs in shape:
-        r = len(loop_signs)
-        for j in range(r):
-            k, prev = start + j, start + (j - 1) % r
-            coef_edge[right[prev]] = (k, left[k])
-            coef_edge[left[k]] = (m + k, right[prev])
-        start += r
+    for k, (a, b) in enumerate(ends):
+        coef_edge[a] = (k, b)
+        coef_edge[b] = (m + k, a)
     n_forms = 3 if twisted else 1
     labels = _labels(source, n, m - n)
     edges = []
@@ -625,6 +639,29 @@ def _route_wg(rep: RepData, n: int, nprime: int, source: str) -> np.ndarray:
     return wg
 
 
+@lru_cache(maxsize=256)
+def _eigen_contraction(shape: tuple[tuple[int, ...], ...], n_labels: int, d: int):
+    """``einsum`` subscripts and greedy path for ``M[k, k]`` over ``n_labels`` eigenvectors.
+
+    The operands are the coefficient matrices in slot order, each on the two
+    ends `_coefficient_ends` gives it, then the label tensor
+    ``(d,)*m + (n_labels,)`` twice: on the row ends and on the column ends.
+    Label ``k`` is shared by both and kept, so no ``D x D`` array is formed.
+    """
+    _, ends = _coefficient_ends(shape)
+    m = len(ends)
+    letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"  # all einsum accepts
+    if 2 * m + 1 > len(letters):
+        raise ValueError(f"the Casimir route contracts at most 25 slots, got {m}")
+    label = letters[2 * m]
+    inputs = [letters[a] + letters[b] for a, b in ends]
+    inputs += ["".join(letters[0:2 * m:2]) + label, "".join(letters[1:2 * m:2]) + label]
+    subscripts = ",".join(inputs) + "->" + label
+    shapes = [(d, d)] * m + [(d,) * m + (n_labels,)] * 2
+    path, _ = np.einsum_path(subscripts, *(np.broadcast_to(0.0, s) for s in shapes), optimize="greedy")
+    return subscripts, path
+
+
 def _product_route(flat: Sequence[Loop], measure: MeasureSpec, budget: int) -> tuple[str, int, int]:
     """The route of a plain product of loops, with its ``(n, n')``."""
     check_one_group(w.rep.spec for w in flat)
@@ -650,18 +687,22 @@ def _expect_flat(flat: list[Loop], measure: MeasureSpec, budget: int) -> complex
         if measure.kind == "haar":
             return coeff if k_tot == 0 else 0.0 + 0.0j
         return coeff * np.exp(-0.5 * measure.t * k_tot ** 2)
-    if route == "casimir":
-        a, _ = loops_to_tensor(flat)
-        t = moment_operator(rep, n, nprime, measure, budget).matrix.reshape(-1)
-        # A has a (row, column) axis pair per slot; T all row axes, then all columns
-        m = n + nprime
-        a = a.transpose(list(range(0, 2 * m, 2)) + list(range(1, 2 * m, 2))).reshape(-1)
-        return complex(np.dot(a.real, t), np.dot(a.imag, t))  # T is real
+    shape = tuple(w.signs for w in flat)
+    coeffs = [c for w in flat for c, _ in w.factors]
+    scale = math.prod(w.scale for w in flat)
+    if route == "casimir":  # Wg is diagonal on the orthonormal eigenvectors
+        if measure.kind == "haar":
+            u = _null_basis(rep, n, nprime, budget)
+            wg = np.ones(u.shape[1])
+        else:
+            w, u = _spectral(rep, n, nprime, budget)
+            wg = np.exp(0.5 * measure.t * w)
+        labels = u.reshape((rep.dim,) * (n + nprime) + (-1,))
+        subscripts, path = _eigen_contraction(shape, labels.shape[-1], rep.dim)
+        return complex(scale * (wg @ np.einsum(subscripts, *coeffs, labels, labels, optimize=path)))
     source = route.partition(":")[2]
     forms = _forms(rep, source)
-    wiring = _wiring(source, tuple(w.signs for w in flat), len(forms) > 1)
-    m_ab = _contract(wiring, [c for w in flat for c, _ in w.factors], forms)
-    scale = math.prod(w.scale for w in flat)
+    m_ab = _contract(_wiring(source, shape, len(forms) > 1), coeffs, forms)
     return complex(scale * (_route_wg(rep, n, nprime, source).reshape(-1) @ m_ab))
 
 
@@ -673,9 +714,10 @@ def expect_product(items: Sequence[ProductItem], measure: MeasureSpec,
     Haar and Brownian are exact; each plain product takes the route `_route`
     picks: Weingarten contraction against permutations or pairings, an
     exact zero, the character algebra for U(1) characters, or contraction
-    against the Casimir-route moment operator.  The Wilson action has no exact route and is estimated by
-    self-normalized importance sampling; it returns an `MCEstimate` and
-    requires ``samples`` and ``rng``.
+    against the tensor-Casimir eigenvectors, weighted 1 on the null vectors
+    (Haar) or ``exp(t lambda_k / 2)`` (Brownian).  The Wilson action has no
+    exact route and is estimated by self-normalized importance sampling; it
+    returns an `MCEstimate` and requires ``samples`` and ``rng``.
     """
     if measure.kind == "wilson":
         from .sampling import RngSpec, mc_expect

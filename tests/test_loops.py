@@ -1,4 +1,4 @@
-"""Loop calculus tests: evaluation, merging, twisting, flattening, JSON.
+"""Loop calculus tests: evaluation, merging, twisting, flattening oracle, JSON.
 
 The per-family merge/twist tables here (tr-combinations of C, D, g and the
 psi matrices for G2) are the closed completeness-relation forms; checking
@@ -15,9 +15,9 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lgm.catalog import GroupSpec, build_representation, octonion_psi
+from lgm.catalog import GroupSpec, build_representation, check_one_group, octonion_psi
 from lgm.loops import (LoopPair, LoopSum, conjugate_loop, insert_generator, laplacian,
-                       linear_loop, loop, loop_from_json, loop_to_json, loops_to_tensor,
+                       linear_loop, loop, loop_from_json, loop_to_json,
                        loopsum_from_json, loopsum_to_json, merge_at, total_merge, twist_at)
 from lgm.sampling import RngSpec, brownian_path_batch, haar_sample, haar_sample_batch
 
@@ -438,6 +438,38 @@ def slot_matrices(rep, g, pattern):
     gp = rep.rho(g, 1)
     gm_t = rep.rho(g, -1).T  # [i', j'] entry equals rho(g^{-1})_{j' i'}
     return [gp if s == 1 else gm_t for s in pattern]
+
+
+def loops_to_tensor(loops):
+    """Oracle: flatten a product of loops into a coefficient tensor.
+
+    Returns ``(a, pattern)`` where ``pattern`` lists the slot signs in the
+    canonical order "all + slots first (in order of appearance), then all -
+    slots", and ``a`` carries one ``(d, d)`` axis pair per slot in that
+    order.  For a + slot the pair is ``(i, j)`` contracting against
+    ``rho(g)_{ij}``; for a - slot it is ``(i', j')`` contracting against
+    ``rho(g^{-1})_{j' i'}``.  Contracting ``a`` with those slot matrices
+    reproduces the product of loop values.
+    """
+    loops = list(loops)
+    check_one_group(w.rep.spec for w in loops)
+    acc = np.array(1.0 + 0.0j)
+    all_signs: list[int] = []
+    for w in loops:
+        r = w.n_slots
+        args: list = []
+        for k in range(r):
+            args.extend([w.factors[k][0], [2 * k, 2 * k + 1]])  # (a_k, b_k)
+        out: list[int] = []
+        for k, (_, sign) in enumerate(w.factors):
+            b_k, a_next = 2 * k + 1, 2 * ((k + 1) % r)
+            out.extend([b_k, a_next] if sign == 1 else [a_next, b_k])
+        acc = np.multiply.outer(acc, np.einsum(*args, out) * w.scale)
+        all_signs.extend(w.signs)
+    plus = [s for s, sg in enumerate(all_signs) if sg == 1]
+    minus = [s for s, sg in enumerate(all_signs) if sg == -1]
+    perm = [axis for s in plus + minus for axis in (2 * s, 2 * s + 1)]
+    return acc.transpose(perm), tuple([1] * len(plus) + [-1] * len(minus))
 
 
 def contract_with_slots(a, mats):

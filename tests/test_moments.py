@@ -1,17 +1,21 @@
 """Moment-operator tests: tensor Casimir, projectors, Weingarten, expectations."""
 
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lgm import moments
+from lgm import cli, moments
 from lgm.catalog import GroupSpec, RepData, build_representation
-from lgm.loops import LoopPair, LoopSum, linear_loop, loop, loops_to_tensor, total_merge
+from lgm.loops import LoopPair, LoopSum, linear_loop, loop, total_merge
 from lgm.moments import (BudgetError, MeasureSpec, SpectralGapError, brownian_moment,
                          expect_product, haar_moment, moment_operator, spanning_set,
                          tensor_casimir, weingarten)
 from lgm.sampling import RngSpec, brownian_path_batch, haar_sample
+from test_loops import loops_to_tensor
 
 U2 = build_representation(GroupSpec("u", 2))
 U3 = build_representation(GroupSpec("u", 3))
@@ -139,7 +143,7 @@ class TestHaarMoment:
         assert haar_moment(G2, 2, 0).rank == 1
         assert haar_moment(U2, 1, 0).rank == 0
 
-    def test_spectral_gap_guard(self):
+    def test_spectral_gap_guard(self, monkeypatch, capsys):
         # a synthetic 1-dim rep whose Casimir sits inside the guard band
         a = np.sqrt(5e-8)
         fake = RepData(spec=GroupSpec("u1power", 1), dim=1,
@@ -147,6 +151,13 @@ class TestHaarMoment:
                        casimir=np.array([[-(a ** 2)]]), lam=-(a ** 2))
         with pytest.raises(SpectralGapError):
             haar_moment(fake, 1, 0)
+        with pytest.raises(SpectralGapError):
+            spanning_set(fake, 1, 0, "nullspace")
+        monkeypatch.setattr(cli, "build_representation", lambda spec: fake)
+        code = cli.main(["weingarten", "--family", "u1power", "--n", "1", "--order", "1",
+                         "--dual-order", "0", "--source", "nullspace", "--out", "json"])
+        assert code == 1
+        assert json.loads(capsys.readouterr().out)["error"]["kind"] == "SpectralGapError"
 
 
 class TestBrownianMoment:
@@ -438,11 +449,20 @@ class TestBudgetAndCaches:
         with pytest.raises(BudgetError):
             haar_moment(U2, 3, 2, budget=16)
 
-    def test_one_cache_entry_per_operator(self):
-        haar = MeasureSpec.haar()
-        moment_operator(U2, 3, 2, haar, budget=64)
-        moment_operator(U2, 3, 2, haar, budget=4096)
-        assert sum(1 for key in moments._MOMENT_CACHE if key[:3] == (U2, 3, 2)) == 1
+    def test_brownian_expectations_keep_nothing_per_t(self):
+        rng = np.random.default_rng(11)
+        coeffs = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(4)]
+        word = [loop(U3, coeffs, [1, -1, 1, -1])]
+        expect_product(word, MeasureSpec.brownian(0.05))  # the spectrum and the path are cached once
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for k in range(20):
+                expect_product(word, MeasureSpec.brownian(0.1 + 0.05 * k))
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 81 * 81 * 8  # less than one D x D float64 matrix
 
     @pytest.mark.parametrize("rep,n,nprime,source", [
         (U2, 2, 2, "permutations"), (SU2, 1, 1, "permutations"), (SO3, 2, 2, "pairings"),
@@ -508,12 +528,13 @@ ROUTE_SHAPES = [(rep, n, m - n) for rep in (U2, U3, SU2, SU3, SO3, SO4, SO5, SP1
                 if rep.dim ** m <= 729 and m <= (4 if rep is U1_2 else 9)]
 
 
-def casimir_route_value(flat):
-    """Oracle: the loop tensor contracted with the tensor-Casimir null-space projector."""
+def casimir_route_value(flat, measure):
+    """Oracle: the loop tensor contracted with the D x D moment matrix of the measure."""
     a, pattern = loops_to_tensor(flat)
     n = pattern.count(1)
     m = len(pattern)
-    t = haar_moment(flat[0].rep, n, m - n).as_tensor()
+    rep = flat[0].rep
+    t = moment_operator(rep, n, m - n, measure).matrix.reshape((rep.dim,) * (2 * m))
     subs: list[int] = []
     for s in range(m):
         subs.extend([s, m + s])
@@ -534,21 +555,30 @@ def random_product(rng, rep, n, nprime):
     return flat, bound
 
 
+HAAR = MeasureSpec.haar()
+MEASURES = st.just(HAAR) | st.floats(0.1, 2.0).map(MeasureSpec.brownian)
+
+
 class TestExpectationRoutes:
     @settings(max_examples=150, deadline=None)
-    @given(st.sampled_from(ROUTE_SHAPES), st.integers(0, 2 ** 32 - 1))
-    @example((SO3, 3, 0), 1)  # the Casimir-route fallbacks
-    @example((SO4, 2, 2), 2)
-    @example((SU3, 3, 0), 3)
-    @example((U3, 2, 1), 4)  # exact zeros
-    @example((SU3, 2, 1), 5)
-    @example((SO4, 2, 1), 6)
-    @example((SP1, 2, 1), 7)
-    def test_routes_agree_with_casimir_route(self, shape, seed):
+    @given(st.sampled_from(ROUTE_SHAPES), st.integers(0, 2 ** 32 - 1), MEASURES)
+    @example((SO3, 3, 0), 1, HAAR)  # the Casimir-route fallbacks
+    @example((SO4, 2, 2), 2, HAAR)
+    @example((SU3, 3, 0), 3, HAAR)
+    @example((U3, 2, 1), 4, HAAR)  # exact zeros
+    @example((SU3, 2, 1), 5, HAAR)
+    @example((SO4, 2, 1), 6, HAAR)
+    @example((SP1, 2, 1), 7, HAAR)
+    @example((G2, 1, 0), 8, HAAR)  # empty null basis
+    @example((G2, 1, 0), 9, MeasureSpec.brownian(0.3))
+    @example((SO4, 2, 2), 10, MeasureSpec.brownian(1.7))
+    @example((SU3, 3, 0), 11, MeasureSpec.brownian(0.9))
+    @example((SU2, 2, 2), 12, MeasureSpec.brownian(0.1))
+    def test_routes_agree_with_casimir_route(self, shape, seed, measure):
         rep, n, nprime = shape
         flat, bound = random_product(np.random.default_rng(seed), rep, n, nprime)
-        got = expect_product(flat, MeasureSpec.haar())
-        assert abs(got - casimir_route_value(flat)) <= 1e-10 * max(1.0, bound)
+        got = expect_product(flat, measure)
+        assert abs(got - casimir_route_value(flat, measure)) <= 1e-10 * max(1.0, bound)
 
     @pytest.mark.parametrize("rep,n,nprime,route", [
         (U3, 2, 2, "weingarten:permutations"), (U3, 2, 1, "zero"),
@@ -565,6 +595,14 @@ class TestExpectationRoutes:
     def test_brownian_takes_the_casimir_route(self):
         assert moments._route(U3, 1, 1, MeasureSpec.brownian(0.5)) == "casimir"
 
+    def test_casimir_route_slot_limit(self):
+        # einsum has 52 index letters: two ends per slot and the eigenvector label
+        u1 = build_representation(GroupSpec("u", 1))
+        chars = [linear_loop(u1, np.eye(1))] * 13 + [linear_loop(u1, np.eye(1), -1)] * 13
+        with pytest.raises(ValueError, match="at most 25 slots"):
+            expect_product(chars, MeasureSpec.brownian(0.5))
+        assert abs(expect_product(chars[1:-1], MeasureSpec.brownian(0.5)) - 1.0) <= 1e-12
+
     def test_neither_route_fits(self):
         with pytest.raises(BudgetError):
             moments._route(U3, 5, 5, MeasureSpec.haar())
@@ -578,10 +616,10 @@ class TestExpectationRoutes:
         assert np.max(np.abs(moments._route_wg(rep, n, nprime, source) - want)) <= 1e-12
 
     def test_u6_eighth_moment_at_default_budget(self):
-        before = (len(moments._SPECTRAL_CACHE), len(moments._MOMENT_CACHE))
+        before = len(moments._SPECTRAL_CACHE)
         chars = [linear_loop(U6, np.eye(6))] * 4 + [linear_loop(U6, np.eye(6), -1)] * 4
         assert abs(expect_product(chars, MeasureSpec.haar()) - 24.0) <= 1e-9
-        assert (len(moments._SPECTRAL_CACHE), len(moments._MOMENT_CACHE)) == before
+        assert len(moments._SPECTRAL_CACHE) == before
 
     def test_u2_sixth_moment_with_rank_deficient_gram(self):
         chars = [linear_loop(U2, np.eye(2))] * 3 + [linear_loop(U2, np.eye(2), -1)] * 3
