@@ -8,11 +8,12 @@ The moment operator of a probability density ``nu`` is
     T[(i;i'), (j;j')] = E[ g_{i_1 j_1} ... g_{i_n j_n}
                            g^{-1}_{j'_1 i'_1} ... g^{-1}_{j'_{n'} i'_{n'}} ].
 
-The Haar moment is ``T(Haar) = tau o Wg o tau*``: the orthogonal projector
-onto the invariants, with ``tau`` a spanning set of invariant tensors and
-``Wg`` the pseudoinverse of its Gram matrix.  The same projector is the null
-space of the tensor Casimir, and the Brownian moment at time t is
-``exp(t/2 C)``.
+Each exact measure is a weight on the orthonormal eigenvectors ``u_k`` of
+the tensor Casimir ``C`` (`_casimir_weights`), ``T = sum_k w_k u_k u_k^T``:
+Haar keeps the null vectors with weight 1, the projector onto the
+invariants, which is also ``tau o Wg o tau*`` (``tau`` a spanning set of
+invariant tensors, ``Wg`` the pseudoinverse of its Gram matrix); Brownian(t)
+keeps all of them with weight ``exp(t lambda_k / 2)``, so ``T = exp(t/2 C)``.
 
 An exact expectation of a product of loops takes one route, chosen by
 invariant theory (``_route``):
@@ -35,9 +36,8 @@ contracted with row label ``a`` and column label ``b``.  On the Weingarten
 routes the labels are permutations or pairings, and ``M[a,b]`` is a product
 of traces of words in the coefficient matrices, read off the cycles of the
 wiring; no tensor of the tensor power is formed.  On the Casimir route the
-labels are the orthonormal Casimir eigenvectors ``u_k``, so ``Wg`` is
-diagonal: ``1`` on the null vectors for Haar, ``exp(t lambda_k / 2)`` on
-every eigenvector for Brownian(t).  Each ``M[k,k]`` is one ``einsum`` of the
+labels are the Casimir eigenvectors the measure keeps, and ``Wg`` is
+diagonal, their weights.  Each ``M[k,k]`` is one ``einsum`` of the
 coefficient matrices with ``u_k`` on the row ends and on the column ends.
 
 The budget caps a different size on each route: the squared number of
@@ -79,7 +79,6 @@ __all__ = [
     "spanning_set",
     "weingarten",
     "expect_product",
-    "null_cutoff",
 ]
 
 DEFAULT_BUDGET = 4096
@@ -172,13 +171,9 @@ class MomentOperator:
 
     @property
     def rank(self) -> int:
-        cutoff = null_cutoff(self.rep, self.n, self.nprime)
-        return int(np.sum(np.abs(self.spectrum) < cutoff))
-
-
-def null_cutoff(rep: RepData, n: int, nprime: int) -> float:
-    """Threshold below which a tensor-Casimir eigenvalue counts as zero."""
-    return 1e-8 * max(1.0, abs(rep.lam) * (n + nprime))
+        """The number of invariants: the rank of the Haar projector, for any measure."""
+        dim = self.matrix.shape[0]
+        return _casimir_weights(self.rep, self.n, self.nprime, MeasureSpec.haar(), dim)[2].size
 
 
 def _check_budget(rep: RepData, n: int, nprime: int, budget: int) -> int:
@@ -254,29 +249,31 @@ def _apply_casimir(rep: RepData, n: int, nprime: int, vecs: np.ndarray) -> np.nd
     return out.reshape(vecs.shape)
 
 
-_SPECTRAL_CACHE: dict = {}
-
-
-def _spectral(rep: RepData, n: int, nprime: int, budget: int):
-    _check_budget(rep, n, nprime, budget)
-    key = (rep, n, nprime)
-    if key in _SPECTRAL_CACHE:
-        return _SPECTRAL_CACHE[key]
-    w, u = np.linalg.eigh(tensor_casimir(rep, n, nprime, budget))
+@lru_cache(maxsize=None)
+def _spectrum(rep: RepData, n: int, nprime: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and orthonormal eigenvectors of the tensor Casimir."""
+    w, u = np.linalg.eigh(tensor_casimir(rep, n, nprime, rep.dim ** (n + nprime)))
     if w.size and w[-1] > 1e-8:
         raise RuntimeError(f"tensor Casimir has a positive eigenvalue {w[-1]:.3e}")
-    _SPECTRAL_CACHE[key] = (w, u)
+    for a in (w, u):
+        a.setflags(write=False)
     return w, u
 
 
-def _null_basis(rep: RepData, n: int, nprime: int, budget: int) -> np.ndarray:
-    """The tensor-Casimir null vectors, as the columns of a ``(D, K)`` array.
+def _casimir_weights(rep: RepData, n: int, nprime: int, measure: MeasureSpec,
+                     budget: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Casimir spectrum, the eigenvectors ``measure`` keeps (columns), and their weights.
 
-    Refuses with `SpectralGapError` when a nonzero eigenvalue lies within
-    10x of the null cutoff, where the split would not be trustworthy.
+    Haar keeps the null vectors, weight 1, and refuses with `SpectralGapError`
+    when a nonzero eigenvalue lies within 10x of the null cutoff, where the
+    split would not be trustworthy.  Brownian(t) keeps every eigenvector,
+    weight ``exp(t lambda / 2)``.  The budget is checked before the lookup.
     """
-    w, u = _spectral(rep, n, nprime, budget)
-    cutoff = null_cutoff(rep, n, nprime)
+    _check_budget(rep, n, nprime, budget)
+    w, u = _spectrum(rep, n, nprime)
+    if measure.kind == "brownian":
+        return w, u, np.exp(0.5 * measure.t * w)
+    cutoff = 1e-8 * max(1.0, abs(rep.lam) * (n + nprime))
     null = np.abs(w) < cutoff
     nonzero = np.abs(w[~null])
     if nonzero.size and nonzero.min() < 10.0 * cutoff:
@@ -284,25 +281,7 @@ def _null_basis(rep: RepData, n: int, nprime: int, budget: int) -> np.ndarray:
             f"smallest nonzero |eigenvalue| {nonzero.min():.3e} is within 10x of the "
             f"null cutoff {cutoff:.3e}; tighten the cutoff before trusting the projector"
         )
-    return u[:, null]
-
-
-def haar_moment(rep: RepData, n: int, nprime: int,
-                budget: int = DEFAULT_BUDGET) -> MomentOperator:
-    """Projector onto the invariants, via the tensor-Casimir null space."""
-    basis = _null_basis(rep, n, nprime, budget)
-    w, _ = _spectral(rep, n, nprime, budget)
-    return MomentOperator(rep, n, nprime, "haar", basis @ basis.T, w)
-
-
-def brownian_moment(rep: RepData, n: int, nprime: int, t: float,
-                    budget: int = DEFAULT_BUDGET) -> MomentOperator:
-    """Heat-semigroup moment ``exp(t/2 C)`` on the tensor representation."""
-    if not (math.isfinite(t) and t > 0):
-        raise ValueError(f"brownian moment needs a finite t > 0, got t={t}")
-    w, u = _spectral(rep, n, nprime, budget)
-    matrix = (u * np.exp(0.5 * t * w)) @ u.T
-    return MomentOperator(rep, n, nprime, "brownian", matrix, w, t=t)
+    return w, u[:, null], np.ones(np.count_nonzero(null))
 
 
 def moment_operator(rep: RepData, n: int, nprime: int, measure: MeasureSpec,
@@ -310,9 +289,22 @@ def moment_operator(rep: RepData, n: int, nprime: int, measure: MeasureSpec,
     """Exact moment operator for Haar or Brownian measures (not cached)."""
     if measure.kind == "wilson":
         raise ValueError("no exact moment operator for the Wilson action")
-    if measure.kind == "haar":
-        return haar_moment(rep, n, nprime, budget)
-    return brownian_moment(rep, n, nprime, measure.t, budget)
+    w, u, weights = _casimir_weights(rep, n, nprime, measure, budget)
+    return MomentOperator(rep, n, nprime, measure.kind, (u * weights) @ u.T, w, t=measure.t)
+
+
+def haar_moment(rep: RepData, n: int, nprime: int,
+                budget: int = DEFAULT_BUDGET) -> MomentOperator:
+    """Projector onto the invariants, via the tensor-Casimir null space."""
+    return moment_operator(rep, n, nprime, MeasureSpec.haar(), budget)
+
+
+def brownian_moment(rep: RepData, n: int, nprime: int, t: float,
+                    budget: int = DEFAULT_BUDGET) -> MomentOperator:
+    """Heat-semigroup moment ``exp(t/2 C)`` on the tensor representation."""
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"brownian moment needs a finite t > 0, got t={t}")
+    return moment_operator(rep, n, nprime, MeasureSpec.brownian(t), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +396,7 @@ def spanning_set(rep: RepData, n: int, nprime: int, source: str,
         labels = ("u",)
         vecs = np.eye(7).reshape(1, -1)
     elif source == "nullspace":
-        vecs = np.ascontiguousarray(_null_basis(rep, n, nprime, budget).T)
+        vecs = np.ascontiguousarray(_casimir_weights(rep, n, nprime, MeasureSpec.haar(), budget)[1].T)
         labels = tuple(f"null{k}" for k in range(vecs.shape[0]))
     else:
         raise ValueError(f"unknown spanning-set source {source!r}")
@@ -691,12 +683,7 @@ def _expect_flat(flat: list[Loop], measure: MeasureSpec, budget: int) -> complex
     coeffs = [c for w in flat for c, _ in w.factors]
     scale = math.prod(w.scale for w in flat)
     if route == "casimir":  # Wg is diagonal on the orthonormal eigenvectors
-        if measure.kind == "haar":
-            u = _null_basis(rep, n, nprime, budget)
-            wg = np.ones(u.shape[1])
-        else:
-            w, u = _spectral(rep, n, nprime, budget)
-            wg = np.exp(0.5 * measure.t * w)
+        _, u, wg = _casimir_weights(rep, n, nprime, measure, budget)
         labels = u.reshape((rep.dim,) * (n + nprime) + (-1,))
         subscripts, path = _eigen_contraction(shape, labels.shape[-1], rep.dim)
         return complex(scale * (wg @ np.einsum(subscripts, *coeffs, labels, labels, optimize=path)))

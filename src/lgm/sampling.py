@@ -22,11 +22,15 @@ The Brownian motion ``dg = xi^a(g) o dW^a`` is integrated by the geodesic
 Euler scheme ``g <- g expm(sqrt(h) z_a xi^a)``, which stays on the group to
 roundoff; its weak error in moments is O(h).
 
-Estimators are deterministic functions of an RngSpec.  The Wilson action is
-handled by self-normalized importance sampling over Haar draws, refused when
-the weights leave fewer than ``WILSON_MIN_ESS`` effective draws.  Plaquettes
-are linear loops, so the action is summed into one coefficient per (rep,
-slot sign) and costs one trace per draw.
+Estimators are deterministic functions of an RngSpec.  Each measure is a
+weight on the draws (Brownian path endpoints, Haar for the rest): the
+log-weight ``beta * Re sum_p W_p`` is zero for Haar and Brownian, which have
+no plaquettes, and one self-normalized estimator reads it.  That estimator
+refuses when fewer than ``WILSON_MIN_ESS`` effective draws remain, which
+only Wilson weights can cause: equal weights keep all of at least 100.
+Plaquettes are linear loops, so the action is summed into one coefficient
+per (rep, slot sign) and costs one trace per draw.  The Theorem-A check
+builds ``Delta(W_1...W_n)`` once and reads it per measure.
 """
 
 from __future__ import annotations
@@ -200,10 +204,13 @@ def brownian_path(rep: RepData, spec: BrownianPathSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _product_values(items: Sequence, gs: np.ndarray) -> np.ndarray:
+def _product_values(items: Sequence, gs: np.ndarray, known: dict | None = None) -> np.ndarray:
+    """The product of ``items`` on each draw; ``known`` maps ``id(item)`` to
+    values already evaluated on ``gs``."""
+    known = known or {}
     vals = np.ones(gs.shape[0], dtype=np.complex128)
     for item in items:
-        vals = vals * item.evaluate_batch(gs)
+        vals = vals * (known[id(item)] if id(item) in known else item.evaluate_batch(gs))
     return vals
 
 
@@ -223,14 +230,6 @@ def _common_rep(items: Sequence) -> RepData:
     return reps[0]
 
 
-def _mean_and_stderr(vals: np.ndarray) -> tuple[complex, float]:
-    mean = np.mean(vals)
-    if vals.size < 2:
-        return complex(mean), float("inf")
-    var = np.sum(np.abs(vals - mean) ** 2) / (vals.size - 1)
-    return complex(mean), float(np.sqrt(var / vals.size))
-
-
 def _action_loops(plaquettes: Sequence[Loop]) -> list[Loop]:
     """The Wilson action ``sum_p W_p`` as one linear loop per (rep, slot sign).
 
@@ -244,13 +243,14 @@ def _action_loops(plaquettes: Sequence[Loop]) -> list[Loop]:
     return [linear_loop(rep, coeff, sign) for (rep, sign), coeff in summed.items()]
 
 
-def _wilson_estimate(log_w: np.ndarray, vals: np.ndarray) -> tuple[complex, float]:
-    """Self-normalized importance-sampling mean of ``vals`` over Haar draws.
+def _weighted_estimate(log_w: np.ndarray, vals: np.ndarray) -> tuple[complex, float]:
+    """Self-normalized importance-sampling mean of ``vals`` with weights ``exp(log_w)``.
 
-    The weights ``exp(log_w)``, ``log_w = beta * Re sum_p W_p``, are shifted
-    by their maximum before ``exp``; the estimate is refused when their Kish
-    effective sample size ``(sum w)^2 / sum w^2`` falls below
-    ``WILSON_MIN_ESS``.  Returns the value and its standard error.
+    The weights are shifted by their maximum before ``exp``; the estimate is
+    refused when their Kish effective sample size ``(sum w)^2 / sum w^2``
+    falls below ``WILSON_MIN_ESS``.  Returns the value and its plug-in
+    standard error ``sqrt(sum w^2 |v - value|^2) / sum w``; with equal
+    weights these are the sample mean and ``sqrt(sum |v - mean|^2) / B``.
     """
     weights = np.exp(log_w - np.max(log_w))
     wsum = np.sum(weights)
@@ -269,29 +269,22 @@ def mc_expect(items: Sequence, measure: MeasureSpec, samples: int, rng: RngSpec,
               steps: int = 200) -> MCEstimate:
     """Monte-Carlo expectation of a product of loops under a measure.
 
-    Haar and Brownian draw directly from the measure; the Wilson action is
-    estimated by self-normalized importance sampling over Haar draws with
-    weights ``exp(beta * Re sum_p W_p)``.
+    Brownian draws are path endpoints; every other measure draws Haar.  Each
+    draw carries the log-weight ``beta * Re sum_p W_p``, zero for Haar and
+    Brownian (no plaquettes), and one self-normalized estimator reads them.
     """
     if samples < 100:
         raise ValueError("need at least 100 samples")
     rep = _common_rep(list(items) + list(measure.plaquettes))
-    if measure.kind == "haar":
-        gs = haar_sample_batch(rep, rng, samples)
-        value, stderr = _mean_and_stderr(_product_values(items, gs))
-        return MCEstimate(value, stderr, samples)
+    if measure.kind == "wilson" and not measure.plaquettes:
+        raise ValueError("the Wilson measure needs an explicit plaquette list")
     if measure.kind == "brownian":
         gs = brownian_path_batch(rep, measure.t, steps, rng, samples)
-        value, stderr = _mean_and_stderr(_product_values(items, gs))
-        return MCEstimate(value, stderr, samples)
-    # Wilson action
-    if not measure.plaquettes:
-        raise ValueError("the Wilson measure needs an explicit plaquette list")
-    gs = haar_sample_batch(rep, rng, samples)
-    action = sum(w.evaluate_batch(gs) for w in _action_loops(measure.plaquettes))
-    value, stderr = _wilson_estimate(measure.beta * action.real, _product_values(items, gs))
-    imag_discarded = float(np.max(np.abs(measure.beta * action.imag)))
-    return MCEstimate(value, stderr, samples, imag_discarded)
+    else:
+        gs = haar_sample_batch(rep, rng, samples)
+    action = sum((w.evaluate_batch(gs) for w in _action_loops(measure.plaquettes)), np.zeros(samples))
+    value, stderr = _weighted_estimate(measure.beta * action.real, _product_values(items, gs))
+    return MCEstimate(value, stderr, samples, float(np.max(np.abs(measure.beta * action.imag))))
 
 
 # ---------------------------------------------------------------------------
@@ -314,31 +307,20 @@ class TheoremAReport:
     samples: int | None = None
 
 
-def _merge_pieces(loops: Sequence[Loop]):
-    """The merge terms (r < s pairs) and twist terms (per loop), each with the
-    positions of its spectator loops."""
+def _laplacian_terms(loops: Sequence[Loop]) -> list[tuple[float, list]]:
+    """``Delta(W_1...W_n)`` as ``(coef, items)`` terms, each a product of loops.
+
+    The first term is the product itself with ``coef = sum_k lambda n_k``,
+    then ``2 x`` each merge of a pair ``r < s`` and each twist of a loop of
+    two or more slots, each with its spectator loops.
+    """
     slots = range(len(loops))
-    merges = [(total_merge(loops[r], loops[s]), [k for k in slots if k not in (r, s)])
+    terms = [(float(sum(w.rep.lam * w.n_slots for w in loops)), list(loops))]
+    terms += [(2.0, [total_merge(loops[r], loops[s])] + [loops[k] for k in slots if k not in (r, s)])
               for r, s in itertools.combinations(slots, 2)]
-    twists = [(total_twist(w), [k for k in slots if k != r])
+    terms += [(1.0, [total_twist(w)] + [loops[k] for k in slots if k != r])
               for r, w in enumerate(loops) if w.n_slots >= 2]
-    return merges, twists
-
-
-def _lhs_weight(loops: Sequence[Loop]) -> float:
-    return float(sum(w.rep.lam * w.n_slots for w in loops))
-
-
-def _exact_haar_residual(loops: Sequence[Loop], budget: int):
-    haar = MeasureSpec.haar()
-    merges, twists = _merge_pieces(loops)
-    lhs = _lhs_weight(loops) * expect_product(list(loops), haar, budget)
-    rhs = 0.0 + 0.0j
-    for ms, rest in merges:
-        rhs -= 2.0 * expect_product([ms] + [loops[k] for k in rest], haar, budget)
-    for ts, rest in twists:
-        rhs -= expect_product([ts] + [loops[k] for k in rest], haar, budget)
-    return lhs, rhs
+    return terms
 
 
 def _exact_report(kind: str, lhs: complex, rhs: complex, tol: float) -> TheoremAReport:
@@ -352,62 +334,47 @@ def verify_theorem_a(loops: Sequence[Loop], measure: MeasureSpec,
                      budget: int = DEFAULT_BUDGET) -> TheoremAReport:
     """Check the integration-by-parts identity for a family of loops.
 
-    Haar: both sides evaluated exactly; residual must be tiny.
+    ``Delta(W_1...W_n)`` is built once as terms (`_laplacian_terms`).
+    Haar: both sides exact, the first term against minus the rest; residual
+    must be tiny.
     Brownian: the identity becomes an ODE in t; the exact expectation is
     differentiated by central differences, step ``min(1e-4, t/2)``, and
-    compared with the merging/twisting right-hand side.
-    Wilson: both sides estimated on one common Haar sample stream
-    (self-normalized importance sampling); reports a z-score.  At beta = 0
-    the measure is Haar and the residual is computed exactly instead.
+    compared with the expectation of all the terms at t.
+    Wilson: the terms and the action's beta, beta^2 terms are evaluated per
+    Haar draw and their weighted mean estimated (self-normalized importance
+    sampling); reports a z-score.  At beta = 0 the measure is Haar and the
+    residual is computed exactly instead.
     """
     loops = list(loops)
-    if measure.kind == "haar":
-        lhs, rhs = _exact_haar_residual(loops, budget)
-        return _exact_report("haar", lhs, rhs, 1e-9 * (1.0 + abs(lhs)))
-
+    terms = _laplacian_terms(loops)
     if measure.kind == "brownian":
         t = measure.t
         fd_step = min(1e-4, t / 2)  # keeps t - fd_step > 0
-        merges, twists = _merge_pieces(loops)
 
-        def f(time: float) -> complex:
-            return expect_product(list(loops), MeasureSpec.brownian(time), budget)
+        def f(time: float, items: list) -> complex:
+            return expect_product(items, MeasureSpec.brownian(time), budget)
 
-        deriv2 = (f(t + fd_step) - f(t - fd_step)) / fd_step  # 2 f'(t)
-        at_t = MeasureSpec.brownian(t)
-        rhs = _lhs_weight(loops) * f(t)
-        for ms, rest in merges:
-            rhs += 2.0 * expect_product([ms] + [loops[k] for k in rest], at_t, budget)
-        for ts, rest in twists:
-            rhs += expect_product([ts] + [loops[k] for k in rest], at_t, budget)
+        deriv2 = (f(t + fd_step, terms[0][1]) - f(t - fd_step, terms[0][1])) / fd_step  # 2 f'(t)
+        rhs = sum(coef * f(t, items) for coef, items in terms)
         return _exact_report("brownian", deriv2, rhs, 1e-6 * (1.0 + abs(rhs)))
 
-    # Wilson action
-    if measure.beta == 0.0:
-        lhs, rhs = _exact_haar_residual(loops, budget)
-        return _exact_report("wilson", lhs, rhs, 1e-9 * (1.0 + abs(lhs)))
+    if measure.kind == "haar" or measure.beta == 0.0:  # Wilson at beta = 0 is Haar
+        haar = MeasureSpec.haar()
+        lhs = terms[0][0] * expect_product(terms[0][1], haar, budget)
+        rhs = -sum(coef * expect_product(items, haar, budget) for coef, items in terms[1:])
+        return _exact_report(measure.kind, lhs, rhs, 1e-9 * (1.0 + abs(lhs)))
+
     if samples is None:
         raise ValueError("the Wilson check needs an explicit sample count")
     if rng is None:
         rng = RngSpec(0)
-    rep = _common_rep(list(loops) + list(measure.plaquettes))
+    rep = _common_rep(loops + list(measure.plaquettes))
     gs = haar_sample_batch(rep, rng, samples)
-
-    vals = [w.evaluate_batch(gs) for w in loops]
-
-    def product(positions) -> np.ndarray:
-        out = np.ones(samples, dtype=np.complex128)
-        for k in positions:
-            out = out * vals[k]
-        return out
-
-    merges, twists = _merge_pieces(loops)
-    prod = product(range(len(loops)))
-    y = _lhs_weight(loops) * prod
-    for ms, rest in merges:
-        y = y + 2.0 * ms.evaluate_batch(gs) * product(rest)
-    for ts, rest in twists:
-        y = y + ts.evaluate_batch(gs) * product(rest)
+    known = {id(w): w.evaluate_batch(gs) for w in loops}  # each loop evaluated once
+    prod = _product_values(terms[0][1], gs, known)
+    y = terms[0][0] * prod
+    for coef, items in terms[1:]:
+        y = y + coef * _product_values(items, gs, known)
     beta = measure.beta
     # The sampler weights by exp(beta * Re(sum_p W_p)), i.e. the Hermitized
     # action; the beta and beta^2 terms must use the same effective
@@ -429,7 +396,7 @@ def verify_theorem_a(loops: Sequence[Loop], measure: MeasureSpec,
     for p, p2 in itertools.product(effective, repeat=2):
         y = y - beta ** 2 * total_merge(p, p2).evaluate_batch(gs) * prod
 
-    value, stderr = _wilson_estimate(log_w, y)
+    value, stderr = _weighted_estimate(log_w, y)
     z = abs(value) / stderr if stderr > 0 else float("inf")
     return TheoremAReport("wilson", value, 0.0, abs(value), 3.0 * stderr,
                           z <= 3.0, z_score=z, stderr=stderr, samples=samples)

@@ -145,6 +145,24 @@ def test_flags_only_where_read(capsys, flag):
             assert flag in capsys.readouterr().err
 
 
+def test_cached_parser_matches_fresh_parsers(capsys, u3_pair_file):
+    argvs = [
+        ["group", "info", "--family", "su", "--n", "2", "--json"],
+        ["group", "info", "--family", "su", "--n", "2"],  # the --json before must not stick
+        ["expect", "--loops", u3_pair_file, "--measure", "brownian:t=0.5", "--out", "json"],
+        ["expect", "--loops", u3_pair_file, "--out", "json"],
+        ["sample", "--family", "u", "--n", "2", "--count", "2", "--seed", "3", "--out", "jsonl"],
+    ]
+    assert _build_parser() is _build_parser()  # built once per process
+    cached = [run(capsys, *argv) for argv in argvs]
+    fresh = []
+    for argv in argvs:
+        args = _build_parser.__wrapped__().parse_args(argv)
+        fresh.append((args.func(args), capsys.readouterr().out))
+    assert cached == fresh
+    assert cached[0][1] != cached[1][1]
+
+
 class TestExpect:
     def test_haar_product(self, capsys, u3_pair_file):
         code, out = run(capsys, "expect", "--loops", u3_pair_file, "--out", "json")

@@ -196,6 +196,13 @@ class TestBrownianMoment:
         with pytest.raises(ValueError):
             brownian_moment(SU2, 1, 0, 0.0)
 
+    @pytest.mark.parametrize("n,nprime,rank", [(1, 1, 1), (2, 1, 0)])
+    def test_rank_is_the_haar_rank(self, n, nprime, rank):
+        # the rank counts invariants whatever the measure
+        assert haar_moment(U2, n, nprime).rank == rank
+        for t in (0.1, 2.0):
+            assert moment_operator(U2, n, nprime, MeasureSpec.brownian(t)).rank == rank
+
 
 def cycle_count(perm):
     seen = [False] * len(perm)
@@ -439,15 +446,23 @@ class TestMeasureSpec:
 
 
 class TestBudgetAndCaches:
-    def test_budget_checked_on_cache_hit(self):
+    def test_budget_checked_before_the_spectrum_cache(self):
         haar = MeasureSpec.haar()
         op = moment_operator(U2, 3, 2, haar, budget=64)
         assert op.matrix.shape == (32, 32)
+        cached = moments._spectrum.cache_info()
+        moment_operator(U2, 3, 2, haar, budget=64)
+        assert moments._spectrum.cache_info().hits == cached.hits + 1  # the spectrum is cached
+        assert moments._spectrum.cache_info().misses == cached.misses
+        cached = moments._spectrum.cache_info()
         with pytest.raises(BudgetError) as err:
             moment_operator(U2, 3, 2, haar, budget=16)
         assert err.value.required == 32
         with pytest.raises(BudgetError):
             haar_moment(U2, 3, 2, budget=16)
+        with pytest.raises(BudgetError):
+            brownian_moment(U2, 3, 2, 0.5, budget=16)
+        assert moments._spectrum.cache_info() == cached  # refused before the lookup
 
     def test_brownian_expectations_keep_nothing_per_t(self):
         rng = np.random.default_rng(11)
@@ -471,7 +486,10 @@ class TestBudgetAndCaches:
     def test_invariant_layer_is_float64(self, rep, n, nprime, source):
         # one shape per family: every completeness relation is real, so is every array
         assert tensor_casimir(rep, n, nprime).dtype == np.float64
-        assert moments._spectral(rep, n, nprime, 4096)[1].dtype == np.float64
+        assert moments._spectrum(rep, n, nprime)[1].dtype == np.float64
+        for measure in (MeasureSpec.haar(), MeasureSpec.brownian(0.5)):
+            for a in moments._casimir_weights(rep, n, nprime, measure, 4096):
+                assert a.dtype == np.float64
         assert haar_moment(rep, n, nprime).matrix.dtype == np.float64
         assert brownian_moment(rep, n, nprime, 0.5).matrix.dtype == np.float64
         for src in {source, "nullspace"}:
@@ -507,13 +525,10 @@ class TestBudgetAndCaches:
 
     def test_permutation_spanning_set_needs_no_spectrum(self):
         u4 = build_representation(GroupSpec("u", 4))
-        saved = dict(moments._SPECTRAL_CACHE)
-        moments._SPECTRAL_CACHE.clear()
-        try:
-            weingarten(spanning_set(u4, 3, 3, "permutations"))
-            assert not moments._SPECTRAL_CACHE
-        finally:
-            moments._SPECTRAL_CACHE.update(saved)
+        moments._spectrum.cache_clear()
+        weingarten(spanning_set(u4, 3, 3, "permutations"))
+        info = moments._spectrum.cache_info()
+        assert info.currsize == 0 and info.hits == info.misses == 0  # not even looked up
 
 
 SO4 = build_representation(GroupSpec("so", 4))
@@ -616,10 +631,10 @@ class TestExpectationRoutes:
         assert np.max(np.abs(moments._route_wg(rep, n, nprime, source) - want)) <= 1e-12
 
     def test_u6_eighth_moment_at_default_budget(self):
-        before = len(moments._SPECTRAL_CACHE)
+        before = moments._spectrum.cache_info()
         chars = [linear_loop(U6, np.eye(6))] * 4 + [linear_loop(U6, np.eye(6), -1)] * 4
         assert abs(expect_product(chars, MeasureSpec.haar()) - 24.0) <= 1e-9
-        assert len(moments._SPECTRAL_CACHE) == before
+        assert moments._spectrum.cache_info() == before
 
     def test_u2_sixth_moment_with_rank_deficient_gram(self):
         chars = [linear_loop(U2, np.eye(2))] * 3 + [linear_loop(U2, np.eye(2), -1)] * 3

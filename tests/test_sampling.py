@@ -244,6 +244,23 @@ class TestMcExpect:
                         1000, RngSpec(9))
         assert est.imag_discarded > 0.0
 
+    @pytest.mark.parametrize("measure", [MeasureSpec.haar(), MeasureSpec.brownian(0.8)],
+                             ids=["haar", "brownian"])
+    def test_unweighted_measures_take_the_plain_mean(self, measure):
+        rng = np.random.default_rng(12)
+        items = rand_loops(SU3, rng)
+        est = mc_expect(items, measure, 400, RngSpec(13), steps=20)
+        if measure.kind == "haar":
+            gs = haar_sample_batch(SU3, RngSpec(13), 400)
+        else:
+            gs = brownian_path_batch(SU3, 0.8, 20, RngSpec(13), 400)
+        vals = items[0].evaluate_batch(gs) * items[1].evaluate_batch(gs)
+        mean = np.mean(vals)
+        assert abs(est.value - mean) <= 1e-14 * max(1.0, abs(mean))
+        # the plug-in standard error: sqrt((B - 1) / B) times the ddof=1 one
+        assert est.stderr == pytest.approx(np.sqrt(np.sum(np.abs(vals - mean) ** 2)) / 400, rel=1e-12)
+        assert est.imag_discarded == 0.0
+
     def test_sample_count_guard(self):
         with pytest.raises(ValueError, match="100"):
             mc_expect([linear_loop(U2, np.eye(2))], MeasureSpec.haar(), 10, RngSpec(0))
@@ -297,6 +314,20 @@ class TestTheoremA:
         rng = np.random.default_rng(31)
         report = verify_theorem_a(rand_loops(SU2, rng), MeasureSpec.brownian(1.0))
         assert report.kind == "brownian"
+        assert report.passed, f"residual {report.residual} > {report.tolerance}"
+
+    @pytest.mark.parametrize("t", [0.3, 1.0])
+    def test_brownian_lhs_is_the_time_derivative(self, t):
+        # 2 d/dt E_t, not the Haar left-hand side
+        w = linear_loop(U2, haar_sample(U2, RngSpec(34)) + np.diag([0.5, -1j]))
+        loops = [w, conjugate_loop(w)]
+        report = verify_theorem_a(loops, MeasureSpec.brownian(t))
+        h = 1e-4
+        fd = (expect_product(loops, MeasureSpec.brownian(t + h))
+              - expect_product(loops, MeasureSpec.brownian(t - h))) / h
+        assert abs(report.lhs - fd) <= 1e-12 * max(1.0, abs(fd))
+        haar_lhs = verify_theorem_a(loops, MeasureSpec.haar()).lhs
+        assert abs(report.lhs - haar_lhs) > 0.1 * max(1.0, abs(haar_lhs))
         assert report.passed, f"residual {report.residual} > {report.tolerance}"
 
     def test_brownian_ode_below_the_default_step(self):
