@@ -16,6 +16,6 @@ from .moments import (BudgetError, MeasureSpec, MomentOperator, SpanningSet,
 from .sampling import (BrownianPathSpec, MCEstimate, RngSpec, TheoremAReport,
                        brownian_path, brownian_path_batch, haar_sample,
                        haar_sample_batch, mc_expect, verify_theorem_a)
-from .tensor import eig_hermitian, pseudoinverse
+from .tensor import pseudoinverse
 
 __version__ = "0.1.0"

@@ -33,9 +33,13 @@ invariant theory (``_route``):
 Every route but ``zero`` and ``characters`` is a Weingarten sum
 ``sum_{a,b} Wg[a,b] M[a,b]``, where ``M[a,b]`` is the loop product
 contracted with row label ``a`` and column label ``b``.  On the Weingarten
-routes the labels are permutations or pairings, and ``M[a,b]`` is a product
-of traces of words in the coefficient matrices, read off the cycles of the
-wiring; no tensor of the tensor power is formed.  On the Casimir route the
+routes a label, a permutation or a pairing, is an involution on the slots
+(`_label_table`).  The pair ``(a, b)`` joins the slots' row ends by ``a``
+and their column ends by ``b``; with the coefficient edges these close into
+cycles, and ``M[a,b]`` is the product of the traces of the cycles' words in
+the coefficient matrices.  The cycles of all ``L**2`` pairs are found
+together by array operations (`_wiring`), and no tensor of the tensor power
+is formed.  On the Casimir route the
 labels are the Casimir eigenvectors the measure keeps, and ``Wg`` is
 diagonal, their weights.  Each ``M[k,k]`` is one ``einsum`` of the
 coefficient matrices with ``u_k`` on the row ends and on the column ends.
@@ -347,11 +351,25 @@ def _labels(source: str, n: int, nprime: int) -> tuple:
     return tuple(_perfect_matchings(tuple(range(n + nprime))))
 
 
-def _label_pairs(source: str, n: int, label) -> tuple[tuple[int, int], ...]:
-    """The slot pairs a label joins; sigma joins + slot sigma[k] to - slot k."""
+@lru_cache(maxsize=64)
+def _label_table(source: str, n: int, nprime: int) -> np.ndarray:
+    """Every label as an involution on the slots, a read-only ``(L, n + n')``
+    array: ``table[a, p]`` is the slot label ``a`` joins slot ``p`` to.
+
+    A permutation sigma joins + slot ``sigma[k]`` to - slot ``n + k``; a
+    pairing joins the two slots of each of its pairs.
+    """
+    labels = np.array(_labels(source, n, nprime), dtype=np.intp)
+    rows = np.arange(len(labels))[:, None]
+    table = np.empty((len(labels), n + nprime), dtype=np.intp)
     if source == "permutations":
-        return tuple((p, n + k) for k, p in enumerate(label))
-    return label
+        table[:, n:] = labels
+        table[rows, labels] = n + np.arange(n)
+    else:
+        table[rows, labels[..., 0]] = labels[..., 1]
+        table[rows, labels[..., 1]] = labels[..., 0]
+    table.setflags(write=False)
+    return table
 
 
 def _label_vectors(rep: RepData, n: int, nprime: int, source: str) -> tuple[tuple, np.ndarray]:
@@ -361,16 +379,15 @@ def _label_vectors(rep: RepData, n: int, nprime: int, source: str) -> tuple[tupl
         raise ValueError("pairings need an even total number of slots")
     eye = np.eye(rep.dim)
     form = rep.constants["J"] if rep.spec.family == "sp" else eye
-    labels = _labels(source, n, nprime)
     vecs = []
-    for label in labels:
+    for partner in _label_table(source, n, nprime).tolist():
         args: list = []
-        for p, q in _label_pairs(source, n, label):
-            like = (p < n) == (q < n)  # V-V or dual-dual pairs use the form
-            args.extend([form if like else eye, [p, q]])
+        for p, q in enumerate(partner):
+            if p < q:  # V-V or dual-dual pairs use the form
+                args.extend([form if (p < n) == (q < n) else eye, [p, q]])
         args.append(list(range(m)))
         vecs.append(np.einsum(*args).reshape(-1))
-    return labels, np.array(vecs)
+    return _labels(source, n, nprime), np.array(vecs)
 
 
 def spanning_set(rep: RepData, n: int, nprime: int, source: str,
@@ -524,72 +541,76 @@ def _coefficient_ends(shape: tuple[tuple[int, ...], ...]) -> tuple[int, list[tup
 def _wiring(source: str, shape: tuple[tuple[int, ...], ...], twisted: bool):
     """The cycles of ``M[a, b]`` for every label pair, as letter ids.
 
-    Coefficient ``c_k`` joins the two ends `_coefficient_ends` gives it;
-    label ``a`` joins row ends, label ``b`` column ends.  Every end then
-    lies on one coefficient edge and one label edge, so the edges close into
-    cycles, and ``M[a, b]`` is the product of the traces of the cycles' words.
+    Coefficient ``c_k`` joins the two ends `_coefficient_ends` gives it, and
+    a label is an involution on the slots (`_label_table`): the pair
+    ``(a, b)`` joins the row ends by ``a`` and the column ends by ``b``.
+    Every end then lies on one coefficient edge and one label edge, so the
+    edges close into cycles, and ``M[a, b]`` is the product of the traces of
+    the cycles' words.  The cycles of all ``P = L**2`` pairs are found
+    together on ``(P, 2m)`` arrays: the successor ``nxt = label o
+    coefficient`` of each end, its orbit minimum by pointer doubling, and a
+    cycle read from the smallest end it touches, the coefficient edge there
+    first (the other orbit of the cycle, its image across the coefficient
+    edges, is the same cycle read backwards).
 
     A letter is coefficient ``k`` (read forward) or ``m + k`` (transposed),
     followed by a form: 0 delta, and when ``twisted`` (F = J on like slot
-    pairs under Sp) 1 F or 2 F^T.  F is real, so a column label, whose
-    tensor enters conjugated, takes the same letters as a row label.
+    pairs under Sp) 1 F or 2 F^T, F read from the smaller slot.  F is real,
+    so a column label, whose tensor enters conjugated, takes the same
+    letters as a row label.
     Returns ``(steps, order, starts, n_labels)``: with the cycles of all
-    pairs sorted longest first,
+    pairs sorted longest first (pair order, then start end, among equals),
     ``steps[t]`` holds the t-th letter of every cycle longer than t;
     ``order`` puts the cycles back in pair order and ``starts`` marks where
     each pair's cycles begin.
     """
     n, ends = _coefficient_ends(shape)
     m = len(ends)
-    coef_edge: dict[int, tuple[int, int]] = {}
-    for k, (a, b) in enumerate(ends):
-        coef_edge[a] = (k, b)
-        coef_edge[b] = (m + k, a)
-    n_forms = 3 if twisted else 1
-    labels = _labels(source, n, m - n)
-    edges = []
-    for label in labels:
-        rows, cols = {}, {}
-        for p, q in _label_pairs(source, n, label):
-            like = twisted and (p < n) == (q < n)
-            rows[2 * p], rows[2 * q] = (2 * q, 1 if like else 0), (2 * p, 2 if like else 0)
-            cols[2 * p + 1], cols[2 * q + 1] = (2 * q + 1, 1 if like else 0), (2 * p + 1, 2 if like else 0)
-        edges.append((rows, cols))
-    words = []
-    for rows, _ in edges:
-        for _, cols in edges:
-            form = {**rows, **cols}
-            seen: set[int] = set()
-            cycles = []
-            for e0 in range(2 * m):
-                if e0 in seen:
-                    continue
-                word, e = [], e0
-                while True:
-                    letter, other = coef_edge[e]
-                    seen.update((e, other))
-                    e, fid = form[other]
-                    word.append(letter * n_forms + fid)
-                    if e == e0:
-                        break
-                cycles.append(word)
-            words.append(cycles)
-    every = [word for cycles in words for word in cycles]
-    by_length = sorted(range(len(every)), key=lambda c: -len(every[c]))
-    steps = tuple(np.array([every[c][t] for c in by_length if len(every[c]) > t], dtype=np.intp)
-                  for t in range(len(every[by_length[0]])))
+    table = _label_table(source, n, m - n)
+    n_pairs, width = len(table) ** 2, 2 * m
+    small = np.min_scalar_type(3 * width)  # holds every end and every letter
+    first, second = np.array(ends, dtype=np.intp).T
+    co, coef = np.empty(width, dtype=np.intp), np.empty(width, dtype=small)
+    co[first], co[second] = second, first
+    coef[first], coef[second] = np.arange(m), m + np.arange(m)
+    slots = np.arange(m)
+    fid = np.where(twisted & ((table < n) == (slots < n)), np.where(slots < table, 1, 2), 0)
+    # per label, across the label edge at co[e]: the end reached and the form read
+    joined = (2 * np.repeat(table, 2, axis=1) + np.arange(width) % 2)[:, co].astype(small)
+    form = np.repeat(fid, 2, axis=1)[:, co].astype(small)
+    on_row = co % 2 == 0  # a row end, joined by label a; a column end by label b
+    nxt = np.where(on_row, joined[:, None], joined[None]).reshape(n_pairs, width)
+    letters = (coef * (3 if twisted else 1) + np.where(on_row, form[:, None], form[None])).reshape(-1)
+    omin = np.minimum(nxt, np.arange(width, dtype=small)).reshape(-1)
+    ptr = (nxt + np.arange(0, n_pairs * width, width)[:, None]).reshape(-1)  # as flat indices
+    nxt = nxt.reshape(-1)
+    for _ in range((m - 1).bit_length() - 1):  # omin over 2**k orbit ends; an orbit holds <= m
+        ptr = ptr[ptr]
+        omin = np.minimum(omin, omin[ptr])
+    omin = omin.reshape(n_pairs, width)
+    is_start = (omin == np.arange(width)) & (omin < omin[:, co])
+    cur = start = np.flatnonzero(is_start)
+    words, length, closed = [], np.zeros(len(cur), dtype=np.intp), np.zeros(len(cur), dtype=bool)
+    for _ in range(m):  # every cycle's letters, in pair order
+        words.append(letters[cur])
+        length += ~closed
+        cur = cur - cur % width + nxt[cur]
+        closed |= cur == start
+    by_length = np.argsort(-length, kind="stable")
+    still_open = len(length) - np.cumsum(np.bincount(length))[:-1]
+    steps = tuple(w[by_length[:k]].astype(np.intp) for w, k in zip(words, still_open))
     order = np.argsort(by_length)
-    starts = np.cumsum([0] + [len(cycles) for cycles in words[:-1]])
+    starts = np.concatenate(([0], np.cumsum(is_start.sum(axis=1))[:-1]))
     for a in steps + (order, starts):
         a.setflags(write=False)
-    return steps, order, starts, len(labels)
+    return steps, order, starts, len(table)
 
 
 @lru_cache(maxsize=64)
-def _forms(rep: RepData, source: str) -> np.ndarray:
-    """The form letters of `_wiring`: delta, then F and F^T if twisted."""
+def _forms(rep: RepData) -> np.ndarray:
+    """The form letters of `_wiring`: delta, then F and F^T if twisted (Sp)."""
     eye = np.eye(rep.dim)
-    if source == "permutations" or rep.spec.family != "sp":
+    if rep.spec.family != "sp":
         forms = eye[None]
     else:
         f = rep.constants["J"]
@@ -622,7 +643,7 @@ def _route_wg(rep: RepData, n: int, nprime: int, source: str) -> np.ndarray:
     ``sum_x tau_a[x] tau_b[x]`` (tau is real), the Gram matrix, so the
     Gram matrix costs ``L**2`` cycle traces and no ``d**(n+n')`` vector.
     """
-    forms = _forms(rep, source)
+    forms = _forms(rep)
     wiring = _wiring(source, ((1,),) * n + ((-1,),) * nprime, len(forms) > 1)
     n_labels = wiring[-1]
     m_ab = _contract(wiring, [np.eye(rep.dim)] * (n + nprime), forms)
@@ -688,7 +709,7 @@ def _expect_flat(flat: list[Loop], measure: MeasureSpec, budget: int) -> complex
         subscripts, path = _eigen_contraction(shape, labels.shape[-1], rep.dim)
         return complex(scale * (wg @ np.einsum(subscripts, *coeffs, labels, labels, optimize=path)))
     source = route.partition(":")[2]
-    forms = _forms(rep, source)
+    forms = _forms(rep)
     m_ab = _contract(_wiring(source, shape, len(forms) > 1), coeffs, forms)
     return complex(scale * (_route_wg(rep, n, nprime, source).reshape(-1) @ m_ab))
 

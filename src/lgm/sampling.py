@@ -6,7 +6,7 @@ Haar sampling:
   which makes the decomposition unique and the law exactly Haar (Mezzadri,
   Notices AMS 54, 2007).  It is computed for the whole batch at once by
   column Gram-Schmidt, re-orthogonalized once, which builds exactly that Q.
-* SU(N): a U(N) draw deflated by ``det^{1/N}``.
+* SU(N): a U(N) draw Q times ``diag(conj det Q, 1, ..., 1)``, Haar on SU(N).
 * SO(N): the same Q factor of a real Ginibre, then draws landing in the
   wrong component are right-translated into SO(N) by negating the last
   column (right translation by a fixed reflection preserves Haar).
@@ -123,9 +123,8 @@ def haar_sample_batch(rep: RepData, rng: RngSpec, count: int) -> np.ndarray:
     n = rep.spec.n
     if fam == "u" or fam == "su":
         q = _gram_schmidt(_complex_ginibre(gen, count, n))
-        if fam == "su":
-            det = np.linalg.det(q)
-            q = q * np.exp(-np.log(det) / n)[..., None, None]
+        if fam == "su":  # Q diag(conj det Q, 1, ..., 1): left-SU(N)-equivariant, so Haar on SU(N)
+            q[:, :, 0] *= np.conj(np.linalg.det(q))[:, None]
         return q
     if fam == "so":
         q = _gram_schmidt(gen.standard_normal((count, n, n)))

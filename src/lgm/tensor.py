@@ -13,41 +13,29 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "eig_hermitian",
     "pseudoinverse",
     "expm_skew_batch",
     "tensor_to_json",
-    "tensor_from_json",
 ]
 
 #: entries below this magnitude are dropped from the sparse JSON form
 JSON_PRUNE_TOL = 1e-14
 
 
-def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition ``(w, u)`` of a (numerically) Hermitian matrix.
-
-    The input is symmetrized first; the caller asserts Hermiticity up to
-    roundoff.  Eigenvalues ``w`` come back ascending and real, eigenvectors
-    as the columns of the unitary matrix ``u``, which is real (float64) for
-    a real input.
-    """
-    mat = np.asarray(m, dtype=np.complex128 if np.iscomplexobj(m) else np.float64)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"eig_hermitian requires a square matrix, got shape {mat.shape}")
-    w, u = np.linalg.eigh(0.5 * (mat + mat.conj().T))
-    return w, u
-
-
 def pseudoinverse(m, rel_cutoff: float = 1e-8) -> np.ndarray:
     """Moore-Penrose pseudoinverse of a square Hermitian matrix (real if ``m`` is).
 
-    Eigenvalues with ``|w| < rel_cutoff * max|w|`` are treated as exactly
-    zero, so rank decisions are explicit rather than left to ``np.linalg``.
+    The input is symmetrized first; the caller asserts Hermiticity up to
+    roundoff.  Eigenvalues with ``|w| < rel_cutoff * max|w|`` are treated as
+    exactly zero, so rank decisions are explicit rather than left to
+    ``np.linalg``.
     """
     if not 0.0 < rel_cutoff < 1.0:
         raise ValueError(f"rel_cutoff must lie in (0, 1), got {rel_cutoff}")
-    w, u = eig_hermitian(m)
+    mat = np.asarray(m, dtype=np.complex128 if np.iscomplexobj(m) else np.float64)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"pseudoinverse requires a square matrix, got shape {mat.shape}")
+    w, u = np.linalg.eigh(0.5 * (mat + mat.conj().T))
     wmax = np.max(np.abs(w)) if w.size else 0.0
     inv = np.zeros_like(w)
     if wmax > 0.0:
@@ -88,12 +76,3 @@ def tensor_to_json(arr) -> dict:
             {"idx": [int(i) for i in idx], "re": float(v.real), "im": float(v.imag)}
         )
     return {"shape": [int(s) for s in a.shape], "entries": entries}
-
-
-def tensor_from_json(doc: dict) -> np.ndarray:
-    shape = tuple(int(s) for s in doc["shape"])
-    a = np.zeros(shape, dtype=np.complex128)
-    for entry in doc["entries"]:
-        idx = tuple(int(i) for i in entry["idx"])
-        a[idx] = complex(entry["re"], entry["im"])
-    return a

@@ -639,3 +639,92 @@ class TestExpectationRoutes:
     def test_u2_sixth_moment_with_rank_deficient_gram(self):
         chars = [linear_loop(U2, np.eye(2))] * 3 + [linear_loop(U2, np.eye(2), -1)] * 3
         assert abs(expect_product(chars, MeasureSpec.haar()) - 5.0) <= 1e-10
+
+
+def walk_wiring(source, shape, twisted):
+    """Oracle for `moments._wiring`: walk the cycles of every label pair, one at a time."""
+    def label_pairs(label):  # sigma joins + slot sigma[k] to - slot k
+        if source == "permutations":
+            return tuple((p, n + k) for k, p in enumerate(label))
+        return label
+
+    n, ends = moments._coefficient_ends(shape)
+    m = len(ends)
+    coef_edge: dict[int, tuple[int, int]] = {}
+    for k, (a, b) in enumerate(ends):
+        coef_edge[a] = (k, b)
+        coef_edge[b] = (m + k, a)
+    n_forms = 3 if twisted else 1
+    labels = moments._labels(source, n, m - n)
+    edges = []
+    for label in labels:
+        rows, cols = {}, {}
+        for p, q in label_pairs(label):
+            like = twisted and (p < n) == (q < n)
+            rows[2 * p], rows[2 * q] = (2 * q, 1 if like else 0), (2 * p, 2 if like else 0)
+            cols[2 * p + 1], cols[2 * q + 1] = (2 * q + 1, 1 if like else 0), (2 * p + 1, 2 if like else 0)
+        edges.append((rows, cols))
+    words = []
+    for rows, _ in edges:
+        for _, cols in edges:
+            form = {**rows, **cols}
+            seen: set[int] = set()
+            cycles = []
+            for e0 in range(2 * m):
+                if e0 in seen:
+                    continue
+                word, e = [], e0
+                while True:
+                    letter, other = coef_edge[e]
+                    seen.update((e, other))
+                    e, fid = form[other]
+                    word.append(letter * n_forms + fid)
+                    if e == e0:
+                        break
+                cycles.append(word)
+            words.append(cycles)
+    every = [word for cycles in words for word in cycles]
+    by_length = sorted(range(len(every)), key=lambda c: -len(every[c]))
+    steps = tuple(np.array([every[c][t] for c in by_length if len(every[c]) > t], dtype=np.intp)
+                  for t in range(len(every[by_length[0]])))
+    order = np.argsort(by_length)
+    starts = np.cumsum([0] + [len(cycles) for cycles in words[:-1]])
+    return steps, order, starts, len(labels)
+
+
+@st.composite
+def wiring_shapes(draw):
+    """A label source and a loop shape it wires: at most 8 slots in shuffled sign
+    order, cut into loops of 1..m slots."""
+    source = draw(st.sampled_from(["permutations", "pairings"]))
+    if source == "permutations":
+        n = draw(st.integers(1, 4))
+        signs = [1] * n + [-1] * n
+    else:
+        k = draw(st.integers(1, 4))
+        signs = draw(st.lists(st.sampled_from([1, -1]), min_size=2 * k, max_size=2 * k))
+    signs = draw(st.permutations(signs))
+    cuts = sorted(draw(st.sets(st.integers(1, len(signs) - 1)))) if len(signs) > 1 else []
+    bounds = [0, *cuts, len(signs)]
+    return source, tuple(tuple(signs[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+
+class TestWiring:
+    @settings(max_examples=120, deadline=None)
+    @given(wiring_shapes(), st.booleans())
+    @example(("pairings", ((1, -1, 1, 1, -1, -1, 1, 1),)), True)  # one loop of 8 slots
+    @example(("pairings", ((1,),) * 4 + ((-1,),) * 4), True)  # 105 labels, loops of 1 slot
+    @example(("permutations", ((1,), (-1,))), False)  # one label
+    @example(("permutations", ((-1, 1, 1), (-1, 1, -1, 1, -1))), True)
+    def test_matches_the_cycle_walk(self, source_shape, twisted):
+        source, shape = source_shape
+        moments._wiring.cache_clear()
+        moments._label_table.cache_clear()
+        steps, order, starts, n_labels = moments._wiring.__wrapped__(source, shape, twisted)
+        want_steps, want_order, want_starts, want_labels = walk_wiring(source, shape, twisted)
+        assert n_labels == want_labels
+        assert len(steps) == len(want_steps)
+        for got, want in zip(steps, want_steps):
+            assert np.array_equal(got, want)
+        assert np.array_equal(order, want_order)
+        assert np.array_equal(starts, want_starts)

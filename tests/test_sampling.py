@@ -79,11 +79,19 @@ class TestHaarSamplers:
         d = np.diagonal(r, axis1=1, axis2=2)
         q = q * (d / np.abs(d))[:, None, :]
         if family == "su":
-            q = q * np.exp(-np.log(np.linalg.det(q)) / n)[:, None, None]
+            q[:, :, 0] *= np.conj(np.linalg.det(q))[:, None]
         if family == "so":
             q[np.linalg.det(q) < 0, :, -1] *= -1.0
         got = haar_sample_batch(build_representation(GroupSpec(family, n)), rng, 500)
         assert np.max(np.abs(got - q)) <= 1e-12
+
+    def test_su3_trace_cubed(self):
+        # the epsilon invariant gives SU(3) E[(tr g)^3] = 1; under U(3) it is 0
+        target = expect_product([linear_loop(SU3, np.eye(3))] * 3, MeasureSpec.haar())
+        assert abs(target - 1.0) <= 1e-10
+        vals = np.trace(haar_sample_batch(SU3, RngSpec(12), 100_000), axis1=1, axis2=2) ** 3
+        stderr = np.std(vals) / np.sqrt(vals.size)
+        assert abs(vals.mean() - target) <= 3.0 * stderr
 
     def test_single_sample_is_first_of_batch(self):
         assert np.array_equal(haar_sample(SO3, RngSpec(9)),

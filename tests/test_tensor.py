@@ -5,8 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from lgm.tensor import (eig_hermitian, expm_skew_batch, pseudoinverse, tensor_from_json,
-                        tensor_to_json)
+from lgm.tensor import expm_skew_batch, pseudoinverse, tensor_to_json
 
 
 def faddeev_leverrier(m):
@@ -20,39 +19,6 @@ def faddeev_leverrier(m):
         coeffs.append(c)
         acc = acc + c * np.eye(n)
     return np.array(coeffs)
-
-
-class TestEigHermitian:
-    def test_diagonal(self):
-        w, _ = eig_hermitian(np.diag([2.0, 1.0]))
-        assert np.allclose(w, [1.0, 2.0])
-
-    def test_zero_matrix(self):
-        w, _ = eig_hermitian(np.zeros((4, 4)))
-        assert np.array_equal(w, np.zeros(4))
-
-    def test_reconstruction_and_unitarity(self):
-        rng = np.random.default_rng(2)
-        x = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        m = 0.5 * (x + x.conj().T)
-        w, u = eig_hermitian(m)
-        rebuilt = (u * w) @ u.conj().T
-        assert np.linalg.norm(rebuilt - m) <= 1e-12 * np.linalg.norm(m)
-        assert np.linalg.norm(u.conj().T @ u - np.eye(8)) <= 1e-10 * np.sqrt(8)
-        assert np.all(np.diff(w) >= 0)
-
-    def test_eigenvalues_match_characteristic_roots(self):
-        rng = np.random.default_rng(3)
-        for _ in range(5):
-            x = rng.standard_normal((5, 5))
-            m = 0.5 * (x + x.T)
-            w, _ = eig_hermitian(m)
-            roots = np.sort(np.roots(faddeev_leverrier(m.astype(complex))).real)
-            assert np.max(np.abs(w - roots)) <= 1e-10
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError, match="square"):
-            eig_hermitian(np.zeros((2, 3)))
 
 
 def mp_identities_residual(m, p):
@@ -101,6 +67,29 @@ class TestPseudoinverse:
         with pytest.raises(ValueError):
             pseudoinverse(np.eye(2), rel_cutoff=2.0)
 
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            pseudoinverse(np.zeros((2, 3)))
+
+    def test_zero_matrix(self):
+        assert np.array_equal(pseudoinverse(np.zeros((4, 4))), np.zeros((4, 4)))
+
+    def test_symmetrizes_its_input(self):
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        h = 0.5 * (x + x.conj().T)
+        assert np.array_equal(pseudoinverse(x), pseudoinverse(h))
+        assert pseudoinverse(h.real).dtype == np.float64
+
+    def test_eigenvalues_are_reciprocal_characteristic_roots(self):
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            x = rng.standard_normal((5, 5))
+            m = 0.5 * (x + x.T)
+            w = np.linalg.eigvalsh(pseudoinverse(m))
+            roots = np.sort(1.0 / np.roots(faddeev_leverrier(m.astype(complex))).real)
+            assert np.max(np.abs(w - roots)) <= 1e-10 * np.max(np.abs(roots))
+
 
 class TestExpm:
     """``expm_skew_batch``, the exponential the Brownian integrator uses."""
@@ -135,6 +124,16 @@ class TestExpm:
         got = expm_skew_batch(a)
         for k in range(3):
             assert np.allclose(got[k], scipy.linalg.expm(a[k]), atol=1e-12)
+
+
+def tensor_from_json(doc: dict) -> np.ndarray:
+    """Oracle for `tensor_to_json`: the dense complex array its sparse form describes."""
+    shape = tuple(int(s) for s in doc["shape"])
+    a = np.zeros(shape, dtype=np.complex128)
+    for entry in doc["entries"]:
+        idx = tuple(int(i) for i in entry["idx"])
+        a[idx] = complex(entry["re"], entry["im"])
+    return a
 
 
 class TestJson:
