@@ -12,7 +12,7 @@ from .loops import (Loop, LoopPair, LoopSum, conjugate_loop, laplacian, linear_l
                     loop, merge_at, total_merge, total_twist, twist_at)
 from .moments import (BudgetError, MeasureSpec, MomentOperator, SpanningSet,
                       SpectralGapError, WeingartenMap, brownian_moment, expect_product,
-                      haar_moment, spanning_set, tensor_casimir, weingarten)
+                      haar_moment, spanning_set, weingarten)
 from .sampling import (BrownianPathSpec, MCEstimate, RngSpec, TheoremAReport,
                        brownian_path, brownian_path_batch, haar_sample,
                        haar_sample_batch, mc_expect, verify_theorem_a)

@@ -405,6 +405,8 @@ def _completeness_terms(spec: GroupSpec) -> tuple[tuple[float, str, np.ndarray |
         terms = (swap,)
     elif fam == "su":
         terms = (swap, (1.0 / n, "trace", None))
+    elif fam == "so" and n == 2:  # one generator: K = E (x) E with E = E12 - E21
+        terms = ((1.0, "insert", np.array([[0.0, 1.0], [-1.0, 0.0]])),)
     elif fam == "so":
         terms = ((1.0, "transpose", np.eye(n)), swap)
     elif fam == "sp":

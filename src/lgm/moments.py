@@ -15,6 +15,16 @@ invariants, which is also ``tau o Wg o tau*`` (``tau`` a spanning set of
 invariant tensors, ``Wg`` the pseudoinverse of its Gram matrix); Brownian(t)
 keeps all of them with weight ``exp(t lambda_k / 2)``, so ``T = exp(t/2 C)``.
 
+No ``D x D`` Casimir is formed or decomposed.  ``C`` commutes with
+``rho(X)`` for a fixed real algebra element ``X`` (`_weight_basis`), so in
+the eigenbasis of ``X`` on every slot it is block-diagonal by weight
+(`_weight_blocks`, ``w`` and ``-w`` in one block).  Each block is gathered
+from the rotated completeness relation, made real symmetric, and
+decomposed by one real ``eigh`` (`_block_eigh`).  Every invariant has
+weight zero, so Haar decomposes the zero-weight block alone
+(`_null_space`); Brownian (`_spectrum`) and ``MomentOperator.spectrum``
+(`_eigenvalues`) read every block.
+
 An exact expectation of a product of loops takes one route, chosen by
 invariant theory (``_route``):
 
@@ -46,9 +56,11 @@ coefficient matrices with ``u_k`` on the row ends and on the column ends.
 
 The budget caps a different size on each route: the squared number of
 labels ``L**2`` on the Weingarten routes (Gram and Wg are ``L x L``), and
-the tensor-power dimension ``D = d**(n+n')`` on the Casimir route, whose
-tensor Casimir is ``D x D``.  A Weingarten shape over the budget falls back
-to the Casimir route when ``D`` fits.
+the tensor-power dimension ``D = d**(n+n')`` on the Casimir route, which
+forms vectors of length ``D`` (the null vectors; all ``D`` eigenvectors for
+Brownian) and decomposes no matrix larger than its largest weight block.
+A Weingarten shape over the budget falls back to the Casimir route when
+``D`` fits.
 
 The Wilson action admits no exact closed form here; for that measure the
 expectation is delegated to the Monte-Carlo estimator in ``sampling``.
@@ -76,7 +88,6 @@ __all__ = [
     "MomentOperator",
     "SpanningSet",
     "WeingartenMap",
-    "tensor_casimir",
     "haar_moment",
     "brownian_moment",
     "moment_operator",
@@ -101,7 +112,10 @@ class BudgetError(RuntimeError):
 
 
 class SpectralGapError(RuntimeError):
-    """The null-space cutoff cannot be separated from nonzero Casimir eigenvalues."""
+    """A nonzero eigenvalue of the zero-weight Casimir block lies within 10x of the null cutoff.
+
+    Only that block holds invariants, so only its eigenvalues are checked.
+    """
 
 
 @dataclass(frozen=True)
@@ -177,7 +191,7 @@ class MomentOperator:
     def rank(self) -> int:
         """The number of invariants: the rank of the Haar projector, for any measure."""
         dim = self.matrix.shape[0]
-        return _casimir_weights(self.rep, self.n, self.nprime, MeasureSpec.haar(), dim)[2].size
+        return _casimir_weights(self.rep, self.n, self.nprime, MeasureSpec.haar(), dim)[1].size
 
 
 def _check_budget(rep: RepData, n: int, nprime: int, budget: int) -> int:
@@ -189,55 +203,36 @@ def _check_budget(rep: RepData, n: int, nprime: int, budget: int) -> int:
     return required
 
 
-def _pair_terms(rep: RepData, n: int, nprime: int):
-    """The tensor Casimir less its diagonal, as ``(coef, kernel, p, q)`` pair terms.
+@lru_cache(maxsize=64)
+def _kernels(rep: RepData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The completeness relation K across like, dual and mixed slot pairs.
 
-    A term adds ``coef * kernel[i_p, j_p, i_q, j_q]`` on slots ``p < q`` with
-    every other slot's row and column index equal.  K is the family's
-    completeness relation, which is real.
+    Each kernel is indexed ``[i_p, j_p, i_q, j_q]``, the row and column
+    index of slot ``p`` and then of slot ``q``: ``K[i_r, j_r, i_s, j_s]``
+    on two V slots, ``K[j'_r, i'_r, j'_s, i'_s]`` on two V* slots and
+    ``K[i_r, j_r, j'_s, i'_s]`` on a mixed pair.  K is real.
     """
     k = closed_form_completeness(rep.spec).k
     if np.any(k.imag):
         raise RuntimeError(f"{rep.spec.label()}: completeness relation is not real")
     k = np.ascontiguousarray(k.real)
-    kernel_vv = k                          # K[i_r, j_r, i_s, j_s]
-    kernel_dd = k.transpose(1, 0, 3, 2)    # K[j'_r, i'_r, j'_s, i'_s]
-    kernel_vd = k.transpose(0, 1, 3, 2)    # K[i_r, j_r, j'_s, i'_s]
-    terms = [(2.0, kernel_vv, r, s) for r, s in itertools.combinations(range(n), 2)]
-    terms += [(2.0, kernel_dd, n + r, n + s) for r, s in itertools.combinations(range(nprime), 2)]
-    terms += [(-2.0, kernel_vd, r, n + s) for r in range(n) for s in range(nprime)]
-    return terms
+    k.setflags(write=False)
+    return k, k.transpose(1, 0, 3, 2), k.transpose(0, 1, 3, 2)
 
 
-def tensor_casimir(rep: RepData, n: int, nprime: int,
-                   budget: int = DEFAULT_BUDGET) -> np.ndarray:
-    """Casimir of ``rho^{(x)n,(x)n'}`` as a ``(D, D)`` real symmetric matrix.
+def _pair_terms(kernels: Sequence[np.ndarray], n: int, nprime: int):
+    """The tensor Casimir less its diagonal, as ``(coef, kernel, p, q)`` pair terms.
 
-    Assembled from the family's completeness relation K (`_pair_terms`):
-    ``(n+n') lambda`` on the diagonal, ``+2 K`` across pairs of like slots,
-    ``-2 K`` (index-twisted) across mixed slot pairs.  Its eigenspaces are
-    the isotypic components of the tensor representation and all eigenvalues
-    are non-positive.  Each pair term is added in place through a strided
-    view of the entries it touches, ``d**(n+n'+2)`` of them.
+    A term adds ``coef * kernel[i_p, j_p, i_q, j_q]`` on slots ``p < q`` with
+    every other slot's row and column index equal: ``+2`` across like slot
+    pairs and ``-2`` across mixed ones, ``kernels`` being the like, dual and
+    mixed kernels of `_kernels` (or their images in another basis).
     """
-    dim_v = _check_budget(rep, n, nprime, budget)
-    d, m = rep.dim, n + nprime
-    c = np.zeros((dim_v, dim_v))
-    c.flat[::dim_v + 1] = m * rep.lam
-    full = c.reshape((d,) * (2 * m))
-    st = full.strides
-    for coef, kernel, p, q in _pair_terms(rep, n, nprime):
-        rest = [s for s in range(m) if s not in (p, q)]
-        # axes i_p, j_p, i_q, j_q, then one shared row/column index per other slot
-        view = np.lib.stride_tricks.as_strided(
-            full, shape=(d,) * (m + 2),
-            strides=(st[p], st[m + p], st[q], st[m + q]) + tuple(st[s] + st[m + s] for s in rest),
-            writeable=True)
-        view += coef * kernel.reshape(kernel.shape + (1,) * len(rest))
-    sym_defect = np.linalg.norm(c - c.T)
-    if sym_defect > 1e-11 * max(1.0, np.linalg.norm(c)):
-        raise RuntimeError(f"tensor Casimir not symmetric (defect {sym_defect:.2e})")
-    return c
+    vv, dd, vd = kernels
+    terms = [(2.0, vv, r, s) for r, s in itertools.combinations(range(n), 2)]
+    terms += [(2.0, dd, n + r, n + s) for r, s in itertools.combinations(range(nprime), 2)]
+    terms += [(-2.0, vd, r, n + s) for r in range(n) for s in range(nprime)]
+    return terms
 
 
 def _apply_casimir(rep: RepData, n: int, nprime: int, vecs: np.ndarray) -> np.ndarray:
@@ -245,38 +240,164 @@ def _apply_casimir(rep: RepData, n: int, nprime: int, vecs: np.ndarray) -> np.nd
     d, m = rep.dim, n + nprime
     t = vecs.reshape((-1,) + (d,) * m)
     out = (m * rep.lam) * t
-    rows = list(range(1, m + 1))
-    for coef, kernel, p, q in _pair_terms(rep, n, nprime):
-        inner = list(rows)
-        inner[p], inner[q] = m + 1, m + 2
-        out = out + coef * np.einsum(kernel, [p + 1, m + 1, q + 1, m + 2], t, [0] + inner, [0] + rows)
+    for coef, kernel, p, q in _pair_terms(_kernels(rep), n, nprime):
+        # sum over the column indices of slots p and q; their row indices come last
+        term = np.tensordot(t, kernel, axes=([p + 1, q + 1], [1, 3]))
+        out = out + coef * np.moveaxis(term, [-2, -1], [p + 1, q + 1])
     return out.reshape(vecs.shape)
 
 
+@lru_cache(maxsize=64)
+def _weight_basis(rep: RepData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The eigenbasis of one fixed real algebra element: ``(U, h, pair)``.
+
+    ``X = sum_a cos(1.2345 a) Re(xi_a)``, refused unless every ``Re(xi_a)``
+    lies in the real span of the generators.  ``iX`` is Hermitian:
+    ``iX U = U diag(h)``.  X is real, so a V* slot, which carries
+    ``conj(g)`` and the algebra element ``conj(X) = X``, has the same
+    weights as a V slot.  The columns of U are the kernel of X (real), the
+    eigenvectors of weight ``h > 0``, then their conjugates, of weight
+    ``-h``: ``U[:, pair[j]] = conj(U[:, j])`` and ``h[pair[j]] = -h[j]``.
+    U(1) characters give ``X = 0``, all kernel.
+    """
+    gens = rep.generators
+    coords = np.concatenate([gens.real, gens.imag], axis=1).reshape(len(gens), -1).T
+    target = np.concatenate([gens.real, 0.0 * gens.imag], axis=1).reshape(len(gens), -1).T
+    fit = np.linalg.solve(coords.T @ coords, coords.T @ target)  # the generators are independent
+    defect = float(np.max(np.abs(coords @ fit - target), initial=0.0))
+    if defect > 1e-10 * max(1.0, float(np.max(np.abs(coords), initial=0.0))):
+        raise RuntimeError(
+            f"{rep.spec.label()}: the real part of a generator is not in the Lie algebra "
+            f"(defect {defect:.1e}); the tensor Casimir cannot be blocked by weights")
+    x = np.tensordot(np.cos(1.2345 * np.arange(1, len(gens) + 1)), gens.real, axes=1)
+    h, v = np.linalg.eigh(1j * x)
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(h), initial=0.0)))
+    up = h > tol
+    pos, kernel = v[:, up], v[:, np.abs(h) <= tol]
+    if kernel.shape[1] == 1:  # turn the phase of its largest entry away
+        big = kernel[np.argmax(np.abs(kernel[:, 0])), 0]
+        kernel = (kernel * (abs(big) / big)).real
+    elif kernel.shape[1]:
+        kernel = np.linalg.svd(np.hstack([kernel.real, kernel.imag]))[0][:, :kernel.shape[1]]
+    k, p = kernel.shape[1], pos.shape[1]
+    if k + 2 * p != rep.dim:
+        raise RuntimeError(f"{rep.spec.label()}: the weights of X are not symmetric about 0")
+    u = np.hstack([kernel, pos, pos.conj()])
+    h = np.concatenate([np.zeros(k), h[up], -h[up]])
+    pair = np.concatenate([np.arange(k), np.arange(k + p, k + 2 * p), np.arange(k, k + p)])
+    for a in (u, h, pair):
+        a.setflags(write=False)
+    return u, h, pair
+
+
+@lru_cache(maxsize=64)
+def _weight_kernels(rep: RepData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The kernels of `_kernels` in the weight basis, each as a ``(d**2, d**2)`` matrix.
+
+    ``K'[a, b, c, e] = sum conj(U_ia) U_jb conj(U_kc) U_le K[i, j, k, l]``,
+    laid out with rows ``(a, c)``, the row indices of the two slots, and
+    columns ``(b, e)``, their column indices.
+    """
+    u = _weight_basis(rep)[0]
+    out = []
+    for kernel in _kernels(rep):
+        t = kernel
+        for mat in (u.conj(), u, u.conj(), u):  # each index in turn, appended last
+            t = np.tensordot(t, mat, axes=([0], [0]))
+        t = t.transpose(0, 2, 1, 3).reshape(rep.dim ** 2, rep.dim ** 2)
+        t.setflags(write=False)
+        out.append(t)
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
-def _spectrum(rep: RepData, n: int, nprime: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of the tensor Casimir."""
-    w, u = np.linalg.eigh(tensor_casimir(rep, n, nprime, rep.dim ** (n + nprime)))
+def _weight_blocks(rep: RepData, n: int, nprime: int) -> tuple[np.ndarray, ...]:
+    """The index tuples of the tensor power (flat, sorted), grouped by ``|weight|``.
+
+    The weight of a tuple is the sum of its slots' weights ``h``.  ``C``
+    commutes with ``rho(X)``, so it has no entry between tuples of different
+    weights.  Tuples are cut into blocks only where the sorted ``|weight|``
+    jumps by more than ``1e-6`` (relative), far above float error: merging
+    two weights never breaks the blocking, and ``w`` and ``-w`` are merged
+    on purpose, so every block holds the conjugate ``pair(I)`` of each of
+    its tuples.  Block 0 holds the zero weight, where every invariant lies;
+    it is empty when no tuple has weight 0.
+    """
+    h = _weight_basis(rep)[1]
+    mag = np.zeros(1)
+    for _ in range(n + nprime):
+        mag = np.add.outer(mag, h).reshape(-1)
+    mag = np.abs(mag)
+    order = np.argsort(mag, kind="stable")
+    gap = 1e-6 * max(1.0, float(np.max(np.abs(h))))
+    blocks = [np.sort(b) for b in np.split(order, np.flatnonzero(np.diff(mag[order]) > gap) + 1)]
+    if mag[blocks[0][0]] > gap:
+        blocks.insert(0, np.empty(0, dtype=np.intp))
+    for b in blocks:
+        b.setflags(write=False)
+    return tuple(blocks)
+
+
+def _block_eigh(rep: RepData, n: int, nprime: int, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of ``C`` on one weight block.
+
+    In the weight basis ``C'[I, J] = m lambda delta_IJ + sum coef K'[I_p,
+    J_p, I_q, J_q] [I_r = J_r for r not in {p, q}]``, gathered from
+    `_weight_kernels`.  ``C`` is real, so ``C'[pair(I), pair(J)] =
+    conj(C'[I, J])``; in the columns ``e_I`` (``I = pair(I)``),
+    ``(e_I + e_Ibar)/sqrt2`` and ``(e_I - e_Ibar)/(i sqrt2)`` (``I <
+    Ibar``) the block is real symmetric, and one real ``eigh`` of it gives
+    the eigenpairs.  The eigenvectors are returned in weight-basis
+    coordinates, ``(N, N)`` complex, for `_from_weight_basis`.
+    """
+    d, m = rep.dim, n + nprime
+    size = len(flat)
+    place = d ** np.arange(m - 1, -1, -1)
+    digits = flat[:, None] // place % d
+    c = np.zeros((size, size), dtype=np.complex128)
+    c.flat[::size + 1] = m * rep.lam
+    for coef, kernel, p, q in _pair_terms(_weight_kernels(rep), n, nprime):
+        rest = flat - digits[:, p] * place[p] - digits[:, q] * place[q]
+        pq = digits[:, p] * d + digits[:, q]
+        i, j = np.nonzero(rest[:, None] == rest[None, :])
+        c[i, j] += coef * kernel[pq[i], pq[j]]
+    own = np.arange(size)
+    conjugate = _weight_basis(rep)[2][digits] @ place
+    bar = np.minimum(np.searchsorted(flat, conjugate), max(size - 1, 0))  # position of pair(I)
+    if np.any(flat[bar] != conjugate):
+        raise RuntimeError("a weight block misses the conjugates of its index tuples")
+    s = math.sqrt(0.5)
+    alpha = np.where(bar > own, s, np.where(bar < own, 1j * s, 1.0))
+    beta = np.where(bar > own, s, np.where(bar < own, -1j * s, 0.0))
+    cq = c * alpha + c[:, bar] * beta  # C' Q, Q[:, k] = alpha_k e_k + beta_k e_bar(k)
+    w, y = np.linalg.eigh((alpha.conj()[:, None] * cq + beta.conj()[:, None] * cq[bar]).real)
     if w.size and w[-1] > 1e-8:
         raise RuntimeError(f"tensor Casimir has a positive eigenvalue {w[-1]:.3e}")
-    for a in (w, u):
-        a.setflags(write=False)
-    return w, u
+    return w, alpha[:, None] * y + beta[bar][:, None] * y[bar]
 
 
-def _casimir_weights(rep: RepData, n: int, nprime: int, measure: MeasureSpec,
-                     budget: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The Casimir spectrum, the eigenvectors ``measure`` keeps (columns), and their weights.
+def _from_weight_basis(rep: RepData, m: int, flat: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``U^{(x)m} z`` for block coordinates ``z`` (``(N, k)``): ``(k, D)`` real rows."""
+    d = rep.dim
+    t = np.zeros((z.shape[1], d ** m), dtype=np.complex128)
+    t[:, flat] = z.T
+    t = t.reshape((-1,) + (d,) * m)
+    for _ in range(m):  # mode by mode: the slot contracted first is appended last
+        t = np.tensordot(t, _weight_basis(rep)[0], axes=([1], [1]))
+    return t.reshape(z.shape[1], d ** m).real
 
-    Haar keeps the null vectors, weight 1, and refuses with `SpectralGapError`
-    when a nonzero eigenvalue lies within 10x of the null cutoff, where the
-    split would not be trustworthy.  Brownian(t) keeps every eigenvector,
-    weight ``exp(t lambda / 2)``.  The budget is checked before the lookup.
+
+@lru_cache(maxsize=None)
+def _null_space(rep: RepData, n: int, nprime: int) -> np.ndarray:
+    """Orthonormal null vectors of ``C`` as ``(D, r)`` columns, from the zero-weight block.
+
+    Every invariant has weight 0, so no other block is read.  Refuses with
+    `SpectralGapError` when a nonzero eigenvalue of the zero-weight block
+    lies within 10x of the null cutoff, where the split would not be
+    trustworthy, and checks ``C u = 0`` pair term by pair term.
     """
-    _check_budget(rep, n, nprime, budget)
-    w, u = _spectrum(rep, n, nprime)
-    if measure.kind == "brownian":
-        return w, u, np.exp(0.5 * measure.t * w)
+    flat = _weight_blocks(rep, n, nprime)[0]
+    w, z = _block_eigh(rep, n, nprime, flat)
     cutoff = 1e-8 * max(1.0, abs(rep.lam) * (n + nprime))
     null = np.abs(w) < cutoff
     nonzero = np.abs(w[~null])
@@ -285,7 +406,61 @@ def _casimir_weights(rep: RepData, n: int, nprime: int, measure: MeasureSpec,
             f"smallest nonzero |eigenvalue| {nonzero.min():.3e} is within 10x of the "
             f"null cutoff {cutoff:.3e}; tighten the cutoff before trusting the projector"
         )
-    return w, u[:, null], np.ones(np.count_nonzero(null))
+    vecs = _from_weight_basis(rep, n + nprime, flat, z[:, null])
+    residual = np.linalg.norm(_apply_casimir(rep, n, nprime, vecs), axis=1)
+    if np.any(residual > 1e-9):
+        raise RuntimeError(f"null vector not annihilated by the tensor Casimir ({residual.max():.2e})")
+    u = np.ascontiguousarray(vecs.T)
+    u.setflags(write=False)
+    return u
+
+
+@lru_cache(maxsize=None)
+def _eigenvalues(rep: RepData, n: int, nprime: int) -> np.ndarray:
+    """Every eigenvalue of the tensor Casimir, ascending, with no vector of length ``D``."""
+    w = np.sort(np.concatenate([_block_eigh(rep, n, nprime, flat)[0]
+                                for flat in _weight_blocks(rep, n, nprime)]))
+    w.setflags(write=False)
+    return w
+
+
+@lru_cache(maxsize=None)
+def _spectrum(rep: RepData, n: int, nprime: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and orthonormal eigenvectors of the tensor Casimir.
+
+    One real ``eigh`` per weight block; no ``D x D`` matrix is decomposed.
+    """
+    blocks = _weight_blocks(rep, n, nprime)
+    pairs = [_block_eigh(rep, n, nprime, flat) for flat in blocks]
+    w = np.concatenate([wb for wb, _ in pairs])
+    order = np.argsort(w, kind="stable")
+    column = np.empty_like(order)
+    column[order] = np.arange(len(order))
+    u = np.empty((len(w), len(w)))
+    start = 0
+    for flat, (wb, z) in zip(blocks, pairs):
+        u[:, column[start:start + len(wb)]] = _from_weight_basis(rep, n + nprime, flat, z).T
+        start += len(wb)
+    w = w[order]
+    for a in (w, u):
+        a.setflags(write=False)
+    return w, u
+
+
+def _casimir_weights(rep: RepData, n: int, nprime: int, measure: MeasureSpec,
+                     budget: int) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvectors of ``C`` that ``measure`` keeps (columns) and their weights.
+
+    Haar keeps the null vectors (`_null_space`, the zero-weight block alone),
+    weight 1.  Brownian(t) keeps every eigenvector (`_spectrum`), weight
+    ``exp(t lambda / 2)``.  The budget is checked before either lookup.
+    """
+    _check_budget(rep, n, nprime, budget)
+    if measure.kind == "brownian":
+        w, u = _spectrum(rep, n, nprime)
+        return u, np.exp(0.5 * measure.t * w)
+    u = _null_space(rep, n, nprime)
+    return u, np.ones(u.shape[1])
 
 
 def moment_operator(rep: RepData, n: int, nprime: int, measure: MeasureSpec,
@@ -293,7 +468,8 @@ def moment_operator(rep: RepData, n: int, nprime: int, measure: MeasureSpec,
     """Exact moment operator for Haar or Brownian measures (not cached)."""
     if measure.kind == "wilson":
         raise ValueError("no exact moment operator for the Wilson action")
-    w, u, weights = _casimir_weights(rep, n, nprime, measure, budget)
+    u, weights = _casimir_weights(rep, n, nprime, measure, budget)
+    w = _spectrum(rep, n, nprime)[0] if measure.kind == "brownian" else _eigenvalues(rep, n, nprime)
     return MomentOperator(rep, n, nprime, measure.kind, (u * weights) @ u.T, w, t=measure.t)
 
 
@@ -413,7 +589,7 @@ def spanning_set(rep: RepData, n: int, nprime: int, source: str,
         labels = ("u",)
         vecs = np.eye(7).reshape(1, -1)
     elif source == "nullspace":
-        vecs = np.ascontiguousarray(_casimir_weights(rep, n, nprime, MeasureSpec.haar(), budget)[1].T)
+        vecs = np.ascontiguousarray(_casimir_weights(rep, n, nprime, MeasureSpec.haar(), budget)[0].T)
         labels = tuple(f"null{k}" for k in range(vecs.shape[0]))
     else:
         raise ValueError(f"unknown spanning-set source {source!r}")
@@ -704,7 +880,7 @@ def _expect_flat(flat: list[Loop], measure: MeasureSpec, budget: int) -> complex
     coeffs = [c for w in flat for c, _ in w.factors]
     scale = math.prod(w.scale for w in flat)
     if route == "casimir":  # Wg is diagonal on the orthonormal eigenvectors
-        _, u, wg = _casimir_weights(rep, n, nprime, measure, budget)
+        u, wg = _casimir_weights(rep, n, nprime, measure, budget)
         labels = u.reshape((rep.dim,) * (n + nprime) + (-1,))
         subscripts, path = _eigen_contraction(shape, labels.shape[-1], rep.dim)
         return complex(scale * (wg @ np.einsum(subscripts, *coeffs, labels, labels, optimize=path)))

@@ -15,10 +15,12 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lgm.catalog import GroupSpec, build_representation, check_one_group, octonion_psi
+from lgm.catalog import (GroupSpec, build_representation, check_one_group, closed_form_completeness,
+                         octonion_psi, split_casimir)
 from lgm.loops import (LoopPair, LoopSum, conjugate_loop, insert_generator, laplacian,
                        linear_loop, loop, loop_from_json, loop_to_json,
                        loopsum_from_json, loopsum_to_json, merge_at, total_merge, twist_at)
+from lgm.moments import MeasureSpec, expect_product
 from lgm.sampling import RngSpec, brownian_path_batch, haar_sample, haar_sample_batch
 
 REP = {
@@ -346,13 +348,37 @@ def test_closed_form_matches_generator_sum(key):
 
 @pytest.mark.parametrize("spec, count", [
     (GroupSpec("u", 3), 1), (GroupSpec("u1power", 2), 1), (GroupSpec("su", 3), 2),
-    (GroupSpec("so", 4), 2), (GroupSpec("sp", 2), 2), (GroupSpec("g2"), 9),
+    (GroupSpec("so", 4), 2), (GroupSpec("sp", 2), 2), (GroupSpec("g2"), 9), (GroupSpec("so", 2), 1),
 ])
 def test_merge_term_count(spec, count):
     """One term per completeness term, not one per generator."""
     rep = build_representation(spec)
     w = linear_loop(rep, np.eye(rep.dim))
     assert len(merge_at(w, 1, w, 1).terms) == count
+
+
+def test_so2_one_term_table_matches_the_split_casimir():
+    """SO(2)'s table is the one term insert(E12 - E21): exactly the generator sum, and
+    exact merge and twist expectations equal those of the generator insertions."""
+    rep = REP["so2"]
+    assert np.array_equal(closed_form_completeness(rep.spec).k, split_casimir(rep).k)
+    rng = np.random.default_rng(2)
+    for measure in (MeasureSpec.haar(), MeasureSpec.brownian(0.7)):
+        for _ in range(4):
+            w1, w2 = rand_loop(rng, rep), rand_loop(rng, rep)
+            j, j2 = int(rng.integers(1, w1.n_slots + 1)), int(rng.integers(1, w2.n_slots + 1))
+            sgn = w1.signs[j - 1] * w2.signs[j2 - 1]
+            got = expect_product([merge_at(w1, j, w2, j2)], measure)
+            want = sgn * sum(expect_product([insert_generator(w1, j, x), insert_generator(w2, j2, x)],
+                                            measure) for x in rep.generators)
+            assert abs(got - want) <= 1e-10 * (1.0 + abs(want))
+            if w1.n_slots >= 2:
+                ja, jb = 1, w1.n_slots
+                sgn = w1.signs[ja - 1] * w1.signs[jb - 1]
+                got = expect_product([twist_at(w1, ja, jb)], measure)
+                want = sgn * sum(expect_product([insert_generator(insert_generator(w1, ja, x), jb, x)],
+                                                measure) for x in rep.generators)
+                assert abs(got - want) <= 1e-10 * (1.0 + abs(want))
 
 
 def dirderiv(w, g, xi, h=1e-5):

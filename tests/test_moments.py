@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from lgm import cli, moments
 from lgm.catalog import GroupSpec, RepData, build_representation
 from lgm.loops import LoopPair, LoopSum, linear_loop, loop, total_merge
-from lgm.moments import (BudgetError, MeasureSpec, SpectralGapError, brownian_moment,
-                         expect_product, haar_moment, moment_operator, spanning_set,
-                         tensor_casimir, weingarten)
+from lgm.moments import (DEFAULT_BUDGET, BudgetError, MeasureSpec, SpectralGapError,
+                         brownian_moment, expect_product, haar_moment, moment_operator,
+                         spanning_set, weingarten)
 from lgm.sampling import RngSpec, brownian_path_batch, haar_sample
 from test_loops import loops_to_tensor
 
@@ -41,6 +41,31 @@ def brute_tensor_casimir(rep, n, nprime):
             op += acc
         total += op @ op
     return total
+
+
+def tensor_casimir(rep, n, nprime, budget=DEFAULT_BUDGET):
+    """Dense oracle: the Casimir of ``rho^{(x)n,(x)n'}`` as a ``(D, D)`` real symmetric matrix.
+
+    ``(n+n') lambda`` on the diagonal plus every pair term of
+    `moments._pair_terms`, each added in place through a strided view of
+    the entries it touches.
+    """
+    dim_v = moments._check_budget(rep, n, nprime, budget)
+    d, m = rep.dim, n + nprime
+    c = np.zeros((dim_v, dim_v))
+    c.flat[::dim_v + 1] = m * rep.lam
+    full = c.reshape((d,) * (2 * m))
+    st = full.strides
+    for coef, kernel, p, q in moments._pair_terms(moments._kernels(rep), n, nprime):
+        rest = [s for s in range(m) if s not in (p, q)]
+        # axes i_p, j_p, i_q, j_q, then one shared row/column index per other slot
+        view = np.lib.stride_tricks.as_strided(
+            full, shape=(d,) * (m + 2),
+            strides=(st[p], st[m + p], st[q], st[m + q]) + tuple(st[s] + st[m + s] for s in rest),
+            writeable=True)
+        view += coef * kernel.reshape(kernel.shape + (1,) * len(rest))
+    assert np.linalg.norm(c - c.T) <= 1e-11 * max(1.0, np.linalg.norm(c))
+    return c
 
 
 def tensor_rep_matrix(rep, g, n, nprime):
@@ -448,13 +473,15 @@ class TestMeasureSpec:
 class TestBudgetAndCaches:
     def test_budget_checked_before_the_spectrum_cache(self):
         haar = MeasureSpec.haar()
+        caches = (moments._null_space, moments._eigenvalues)  # the Haar null space, every block
         op = moment_operator(U2, 3, 2, haar, budget=64)
         assert op.matrix.shape == (32, 32)
-        cached = moments._spectrum.cache_info()
+        cached = [c.cache_info() for c in caches]
         moment_operator(U2, 3, 2, haar, budget=64)
-        assert moments._spectrum.cache_info().hits == cached.hits + 1  # the spectrum is cached
-        assert moments._spectrum.cache_info().misses == cached.misses
-        cached = moments._spectrum.cache_info()
+        for cache, before in zip(caches, cached):
+            assert cache.cache_info().hits == before.hits + 1  # both are cached
+            assert cache.cache_info().misses == before.misses
+        cached = [c.cache_info() for c in caches]
         with pytest.raises(BudgetError) as err:
             moment_operator(U2, 3, 2, haar, budget=16)
         assert err.value.required == 32
@@ -462,7 +489,7 @@ class TestBudgetAndCaches:
             haar_moment(U2, 3, 2, budget=16)
         with pytest.raises(BudgetError):
             brownian_moment(U2, 3, 2, 0.5, budget=16)
-        assert moments._spectrum.cache_info() == cached  # refused before the lookup
+        assert [c.cache_info() for c in caches] == cached  # refused before the lookups
 
     def test_brownian_expectations_keep_nothing_per_t(self):
         rng = np.random.default_rng(11)
@@ -525,10 +552,13 @@ class TestBudgetAndCaches:
 
     def test_permutation_spanning_set_needs_no_spectrum(self):
         u4 = build_representation(GroupSpec("u", 4))
-        moments._spectrum.cache_clear()
+        caches = (moments._null_space, moments._eigenvalues, moments._spectrum, moments._weight_blocks)
+        for cache in caches:
+            cache.cache_clear()
         weingarten(spanning_set(u4, 3, 3, "permutations"))
-        info = moments._spectrum.cache_info()
-        assert info.currsize == 0 and info.hits == info.misses == 0  # not even looked up
+        for cache in caches:
+            info = cache.cache_info()
+            assert info.currsize == 0 and info.hits == info.misses == 0  # not even looked up
 
 
 SO4 = build_representation(GroupSpec("so", 4))
@@ -631,14 +661,75 @@ class TestExpectationRoutes:
         assert np.max(np.abs(moments._route_wg(rep, n, nprime, source) - want)) <= 1e-12
 
     def test_u6_eighth_moment_at_default_budget(self):
-        before = moments._spectrum.cache_info()
+        caches = (moments._null_space, moments._eigenvalues, moments._spectrum, moments._weight_blocks)
+        before = [c.cache_info() for c in caches]
         chars = [linear_loop(U6, np.eye(6))] * 4 + [linear_loop(U6, np.eye(6), -1)] * 4
         assert abs(expect_product(chars, MeasureSpec.haar()) - 24.0) <= 1e-9
-        assert moments._spectrum.cache_info() == before
+        assert [c.cache_info() for c in caches] == before
 
     def test_u2_sixth_moment_with_rank_deficient_gram(self):
         chars = [linear_loop(U2, np.eye(2))] * 3 + [linear_loop(U2, np.eye(2), -1)] * 3
         assert abs(expect_product(chars, MeasureSpec.haar()) - 5.0) <= 1e-10
+
+
+# the Haar shapes above that take the Casimir route, and a Brownian shape per family
+HAAR_CASIMIR_SHAPES = [s for s in ROUTE_SHAPES if moments._route(*s, HAAR) == "casimir"]
+BLOCK_SHAPES = HAAR_CASIMIR_SHAPES + [(U3, 2, 2), (SU3, 2, 1), (SO5, 2, 2), (SP2, 2, 1), (G2, 2, 1),
+                                      (U1_2, 2, 1)]
+
+
+class TestWeightBlocks:
+    @pytest.mark.parametrize("rep,n,nprime", BLOCK_SHAPES,
+                             ids=[f"{r.spec.family}{r.spec.n}-{n}{m}" for r, n, m in BLOCK_SHAPES])
+    def test_blocks_match_the_dense_casimir(self, rep, n, nprime):
+        c = tensor_casimir(rep, n, nprime)
+        blocks = moments._weight_blocks(rep, n, nprime)
+        assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(len(c)))  # a partition
+        w, u = moments._spectrum(rep, n, nprime)
+        assert np.max(np.abs(w - np.linalg.eigvalsh(c))) <= 1e-10
+        assert u.dtype == np.float64
+        assert np.max(np.abs(u.T @ u - np.eye(len(c)))) <= 1e-12
+        assert np.max(np.abs((u * w) @ u.T - c)) <= 1e-10 * max(1.0, np.max(np.abs(c)))
+        # the Haar projector from the zero-weight block alone, against the dense null space
+        wd, ud = np.linalg.eigh(c)
+        dense = ud[:, np.abs(wd) < 1e-8 * max(1.0, abs(rep.lam) * (n + nprime))]
+        null = moments._null_space(rep, n, nprime)
+        assert null.dtype == np.float64 and null.shape == dense.shape
+        assert np.max(np.abs(null @ null.T - dense @ dense.T), initial=0.0) <= 1e-12
+
+    def test_zero_block_holds_the_weight_zero_tuples(self):
+        # G2 (4,0): weights of the defining rep are 0 and +-a, +-b, +-(a+b)
+        blocks = moments._weight_blocks(G2, 4, 0)
+        assert len(blocks[0]) == 175 and sum(map(len, blocks)) == 7 ** 4
+
+    @pytest.mark.parametrize("k,want", [(2, 1.0), (3, 1.0), (4, 4.0)])
+    def test_g2_character_moments(self, k, want):
+        # E[(tr g)^k] counts the invariants of the k-th tensor power of G2's 7-dim rep
+        got = expect_product([linear_loop(G2, np.eye(7))] * k, HAAR)
+        assert abs(got - want) <= 1e-10
+
+    def test_a_singular_weight_element_merges_weights(self):
+        # SO(4) with only the so(3) generators on the first three coordinates: X has a
+        # two-dimensional kernel, so its weights are coarser, but C still blocks by them
+        sub = SO4.generators[[not np.any(x[3]) and not np.any(x[:, 3]) for x in SO4.generators]]
+        fake = RepData(spec=SO4.spec, dim=4, generators=sub, casimir=SO4.casimir, lam=SO4.lam)
+        assert len(sub) == 3 and np.count_nonzero(moments._weight_basis(fake)[1] == 0) == 2
+        assert len(moments._weight_blocks(fake, 2, 2)[0]) > len(moments._weight_blocks(SO4, 2, 2)[0])
+        for n, nprime in ((2, 2), (2, 1)):
+            c = tensor_casimir(SO4, n, nprime)
+            w, u = moments._spectrum(fake, n, nprime)
+            assert np.max(np.abs((u * w) @ u.T - c)) <= 1e-10 * np.max(np.abs(c))
+        null, want = moments._null_space(fake, 2, 2), moments._null_space(SO4, 2, 2)
+        assert np.max(np.abs(null @ null.T - want @ want.T)) <= 1e-12
+
+    def test_weight_element_must_lie_in_the_algebra(self):
+        # adding a real symmetric matrix to a generator puts its real part outside the algebra
+        gens = SU2.generators.copy()
+        gens[0] = gens[0] + 1e-3 * np.diag([1.0, -1.0])
+        fake = RepData(spec=SU2.spec, dim=2, generators=gens, casimir=SU2.casimir, lam=SU2.lam)
+        with pytest.raises(RuntimeError, match="not in the Lie algebra"):
+            haar_moment(fake, 2, 0)
+        assert moments._weight_basis(SU2)[0].shape == (2, 2)  # the true generators pass
 
 
 def walk_wiring(source, shape, twisted):
