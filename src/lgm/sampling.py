@@ -20,7 +20,13 @@ Haar sampling:
 
 The Brownian motion ``dg = xi^a(g) o dW^a`` is integrated by the geodesic
 Euler scheme ``g <- g expm(sqrt(h) z_a xi^a)``, which stays on the group to
-roundoff; its weak error in moments is O(h).
+roundoff; its weak error in moments is O(h).  Steps run in blocks: one
+normal draw of shape ``(k, count, dim_g)`` per block, which is the stream
+``k`` per-step draws would read, so a seed fixes the same path at any block
+size; one GEMM forms the block's increments and one call of the real Taylor
+kernel ``expm_skew_batch`` exponentiates them.  Complex generators are taken
+in their real ``2d x 2d`` form, so the walk runs in real arithmetic and is
+read back as complex once at the end; SO and G2 draws come out exactly real.
 
 Estimators are deterministic functions of an RngSpec.  Each measure is a
 weight on the draws (Brownian path endpoints, Haar for the rest): the
@@ -67,6 +73,10 @@ G2_HAAR_STEPS = 5000
 #: standard error is a normal approximation, which needs tens of effective draws
 WILSON_MIN_ESS = 30.0
 
+#: entries in one block of Brownian increments (64 KB of float64): larger
+#: blocks save little time and cost resident memory
+_PATH_BLOCK_ENTRIES = 2 ** 13
+
 
 @dataclass(frozen=True)
 class RngSpec:
@@ -111,6 +121,11 @@ def _check_path(t: float, steps: int) -> None:
         raise ValueError("need at least one step")
 
 
+def _check_count(count: int) -> None:
+    if count < 0:
+        raise ValueError(f"sample count must be non-negative, got count={count}")
+
+
 def _complex_ginibre(gen: np.random.Generator, count: int, n: int) -> np.ndarray:
     z = gen.standard_normal((count, n, n)) + 1j * gen.standard_normal((count, n, n))
     return z / np.sqrt(2.0)
@@ -118,6 +133,7 @@ def _complex_ginibre(gen: np.random.Generator, count: int, n: int) -> np.ndarray
 
 def haar_sample_batch(rep: RepData, rng: RngSpec, count: int) -> np.ndarray:
     """A stack of ``count`` Haar draws in the group's matrix realization."""
+    _check_count(count)
     gen = rng.generator()
     fam = rep.spec.family
     n = rep.spec.n
@@ -179,19 +195,28 @@ def haar_sample(rep: RepData, rng: RngSpec) -> np.ndarray:
 def brownian_path_batch(rep: RepData, t: float, steps: int, rng: RngSpec,
                         count: int) -> np.ndarray:
     """Endpoints of ``count`` independent Brownian paths started at identity."""
-    from .tensor import expm_skew_batch
+    from . import tensor
 
     _check_path(t, steps)
+    _check_count(count)
     gen = rng.generator()
     xis = rep.sampling_generators
-    h = t / steps
-    g = np.broadcast_to(rep.identity(), (count,) + rep.identity().shape).copy()
-    sqrt_h = np.sqrt(h)
-    for _ in range(steps):
-        z = gen.standard_normal((count, xis.shape[0]))
-        x = sqrt_h * np.einsum("ba,aij->bij", z, xis)
-        g = g @ expm_skew_batch(x)
-    return g
+    if not np.any(xis.imag):  # SO, G2: real draws
+        xis = np.ascontiguousarray(xis.real)
+    elif xis.shape[-1] > 1:  # 1 x 1 stays complex, where the exponential is np.exp
+        xis = tensor._real_form(xis)
+    dim_g, d_r = xis.shape[0], xis.shape[-1]
+    flat = np.sqrt(t / steps) * xis.reshape(dim_g, d_r * d_r)
+    block = max(1, _PATH_BLOCK_ENTRIES // (max(count, 1) * d_r * d_r))
+    g = np.broadcast_to(np.eye(d_r, dtype=xis.dtype), (count, d_r, d_r)).copy()
+    for start in range(0, steps, block):
+        k = min(block, steps - start)
+        z = gen.standard_normal((k, count, dim_g))
+        for e in tensor.expm_skew_batch((z.reshape(k * count, dim_g) @ flat).reshape(k, count, d_r, d_r)):
+            g = g @ e
+    if d_r > rep.group_matrix_dim:
+        return tensor._complex_form(g)
+    return g.astype(np.complex128, copy=False)
 
 
 def brownian_path(rep: RepData, spec: BrownianPathSpec) -> np.ndarray:

@@ -3,12 +3,16 @@
 All heavy lifting is delegated to LAPACK/BLAS through numpy.  Tensors are
 C-contiguous ndarrays in row-major multi-index order, float64 for invariant
 theory (Casimirs, projectors, Gram and Weingarten matrices) and complex128
-for group elements and loop coefficients.  Spectral routines symmetrize
-their input, ``(M + M*) / 2``, which absorbs Hermiticity roundoff, and keep
-a real input real.
+for group elements and loop coefficients.  The spectral routine symmetrizes
+its input, ``(M + M*) / 2``, which absorbs Hermiticity roundoff.  Both
+kernels keep a real input real: the skew exponential is a real Taylor
+polynomial with scaling and squaring, and runs a complex input through its
+real 2n x 2n form.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -20,6 +24,12 @@ __all__ = [
 
 #: entries below this magnitude are dropped from the sparse JSON form
 JSON_PRUNE_TOL = 1e-14
+
+#: the degree-12 Taylor polynomial of exp as three cubics in ``y`` and the
+#: last one's ``y^4`` term: row k holds the coefficients of ``1, y, y^2, y^3, y^4``
+#: in ``b_k``, and ``exp(y) ~ b_0 + y^4 (b_1 + y^4 b_2)`` (Paterson-Stockmeyer)
+_TAYLOR = [1.0 / math.factorial(j) for j in range(13)]
+_EXP_TAYLOR = np.array([_TAYLOR[0:4] + [0.0], _TAYLOR[4:8] + [0.0], _TAYLOR[8:13]])
 
 
 def pseudoinverse(m, rel_cutoff: float = 1e-8) -> np.ndarray:
@@ -47,15 +57,52 @@ def pseudoinverse(m, rel_cutoff: float = 1e-8) -> np.ndarray:
 def expm_skew_batch(x: np.ndarray) -> np.ndarray:
     """Exponentials of a stack ``(..., n, n)`` of skew-Hermitian matrices.
 
-    Vectorized over the leading axes through the batched ``eigh``; used by
-    the Brownian-motion integrator where millions of small exponentials are
-    needed.
+    The Brownian-motion integrator calls it once per block of steps, on
+    thousands of small matrices at a time.  A real (antisymmetric) stack
+    gives a real stack.  A complex stack is exponentiated in its real form
+    ``[[Re, -Im], [Im, Re]]``, which multiplies like the complex matrices,
+    and read back from the left block column; a 1 x 1 stack is ``np.exp``.
     """
-    h = 1j * x
-    h = 0.5 * (h + np.conj(np.swapaxes(h, -1, -2)))
-    w, u = np.linalg.eigh(h)
-    phase = np.exp(-1j * w)
-    return np.einsum("...ik,...k,...jk->...ij", u, phase, np.conj(u))
+    x = np.asarray(x)
+    if x.shape[-1] == 1:
+        return np.exp(x)
+    if not np.iscomplexobj(x):
+        return _expm_real(x.astype(np.float64, copy=False))
+    return _complex_form(_expm_real(_real_form(x)))
+
+
+def _real_form(x: np.ndarray) -> np.ndarray:
+    """``[[Re x, -Im x], [Im x, Re x]]``: real ``2n x 2n`` matrices that add
+    and multiply as the complex ``n x n`` stack ``x`` does."""
+    return np.block([[x.real, -x.imag], [x.imag, x.real]])
+
+
+def _complex_form(r: np.ndarray) -> np.ndarray:
+    """The complex stack whose real form is ``r``, read from its left block column."""
+    n = r.shape[-1] // 2
+    return r[..., :n, :n] + 1j * r[..., n:, :n]
+
+
+def _expm_real(y: np.ndarray) -> np.ndarray:
+    """Scaling and squaring on a real stack: halve ``s`` times until the
+    largest Frobenius norm is at most 1/4, where the degree-12 Taylor
+    polynomial is exact to roundoff (remainder below 3e-18), evaluate it
+    from the powers ``y^0 .. y^4`` by two Horner steps in ``y^4``, and
+    square ``s`` times."""
+    norm = math.sqrt(np.max(np.einsum("...ij,...ij->...", y, y), initial=0.0))
+    # a non-finite stack is left unscaled, so it comes out non-finite instead of raising
+    s = max(0, math.ceil(math.log2(4.0 * norm))) if 0.0 < norm < math.inf else 0
+    powers = np.empty((5,) + y.shape)
+    powers[0] = np.eye(y.shape[-1])
+    powers[1] = np.ldexp(y, -s)
+    np.matmul(powers[1], powers[1], out=powers[2])
+    np.matmul(powers[2], powers[1], out=powers[3])
+    np.matmul(powers[2], powers[2], out=powers[4])
+    b0, b1, b2 = np.tensordot(_EXP_TAYLOR, powers, axes=1)  # one GEMM over all entries
+    e = b0 + powers[4] @ (b1 + powers[4] @ b2)
+    for _ in range(s):
+        e = e @ e
+    return e
 
 
 def tensor_to_json(arr) -> dict:

@@ -253,6 +253,22 @@ class TestSample:
         lines = [l for l in out.splitlines() if l.strip()]
         assert len(lines) == 2
 
+    @pytest.mark.parametrize("command", [("sample", "--family", "so", "--n", "3"),
+                                         ("brownian-path", "--family", "su", "--n", "2", "--t", "1")],
+                             ids=["sample", "brownian-path"])
+    def test_negative_count_exits_2_by_name(self, capsys, command):
+        code, out = run(capsys, *command, "--count", "-2", "--out", "json")
+        assert code == 2
+        doc = json.loads(out)["error"]
+        assert doc == {"kind": "usage", "detail": "sample count must be non-negative, got count=-2"}
+
+    @pytest.mark.parametrize("command", [("sample", "--family", "g2"),
+                                         ("brownian-path", "--family", "sp", "--n", "2", "--t", "1")],
+                             ids=["sample", "brownian-path"])
+    def test_zero_count_is_an_empty_document(self, capsys, command):
+        code, out = run(capsys, *command, "--count", "0", "--out", "json")
+        assert code == 0 and json.loads(out)["matrices"] == []
+
     @pytest.mark.parametrize("t", ["inf", "nan"])
     def test_brownian_path_non_finite_time_exits_2(self, capsys, t):
         code, out = run(capsys, "brownian-path", "--family", "su", "--n", "2",

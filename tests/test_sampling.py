@@ -17,6 +17,7 @@ from lgm.sampling import (BrownianPathSpec, RngSpec, _action_loops, brownian_pat
                           brownian_path_batch, haar_sample, haar_sample_batch,
                           mc_expect, verify_theorem_a)
 from lgm.tensor import expm_skew_batch
+from test_tensor import expm_skew_eigh
 
 U2 = build_representation(GroupSpec("u", 2))
 U3 = build_representation(GroupSpec("u", 3))
@@ -29,6 +30,7 @@ U1 = build_representation(GroupSpec("u1power", 1))
 SU3 = build_representation(GroupSpec("su", 3))
 U1_2 = build_representation(GroupSpec("u1power", 2))
 U1_INV = build_representation(GroupSpec("u1power", -1))
+G2 = build_representation(GroupSpec("g2"))
 
 
 @pytest.mark.parametrize("rep_a,rep_b,same", [(SU2, SU3, False), (U1, U1_2, True)],
@@ -136,12 +138,48 @@ class TestHaarSamplers:
             assert abs(x.mean() - y.mean()) <= 3 * se
 
     def test_g2_brownian_mixing_is_nearly_haar(self):
-        rep = build_representation(GroupSpec("g2"))
-        g = haar_sample(rep, RngSpec(5))  # t=50, 5000 steps under the hood
-        assert group_residual(rep, g) <= 1e-6
+        g = haar_sample(G2, RngSpec(5))  # t=50, 5000 steps under the hood
+        assert group_residual(G2, g) <= 1e-11
+
+    @pytest.mark.parametrize("rep", [U2, SU2, SO3, SP1, U1, G2], ids=lambda r: r.spec.label())
+    def test_count_zero_and_negative(self, rep):
+        d = rep.group_matrix_dim
+        assert haar_sample_batch(rep, RngSpec(0), 0).shape == (0, d, d)
+        with pytest.raises(ValueError, match="count must be non-negative, got count=-1"):
+            haar_sample_batch(rep, RngSpec(0), -1)
+
+
+def brownian_path_eigh(rep, t, steps, rng, count):
+    """Oracle for `brownian_path_batch`: the geodesic Euler scheme one step at
+    a time, each step drawing its own normals and exponentiating by `eigh`."""
+    gen = rng.generator()
+    xis = rep.sampling_generators
+    g = np.broadcast_to(rep.identity(), (count,) + rep.identity().shape).copy()
+    for _ in range(steps):
+        z = gen.standard_normal((count, xis.shape[0]))
+        g = g @ expm_skew_eigh(np.sqrt(t / steps) * np.einsum("ba,aij->bij", z, xis))
+    return g
 
 
 class TestBrownianPath:
+    @pytest.mark.parametrize("rep", [SU2, SO3, U3, SP2, G2, U1_2], ids=lambda r: r.spec.label())
+    @pytest.mark.parametrize("count", [0, 1, 100])
+    def test_matches_per_step_eigh_integrator(self, rep, count):
+        # 37 steps is prime: a part block is left over wherever blocks hold
+        # several steps, and one part block is all there is where they hold more
+        got = brownian_path_batch(rep, 1.3, 37, RngSpec(4, 1), count)
+        want = brownian_path_eigh(rep, 1.3, 37, RngSpec(4, 1), count)
+        d = rep.group_matrix_dim
+        assert got.shape == (count, d, d) and got.dtype == np.complex128
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
+        if rep.spec.family in ("so", "g2"):
+            assert not np.any(got.imag)
+
+    @pytest.mark.parametrize("rep", [SU2, U1], ids=lambda r: r.spec.label())
+    def test_negative_count_refused(self, rep):
+        with pytest.raises(ValueError, match="count must be non-negative, got count=-3"):
+            brownian_path_batch(rep, 1.0, 10, RngSpec(0), -3)
+
     def test_single_step_short_time_near_identity(self):
         g = brownian_path(SU2, BrownianPathSpec(t=1e-12, steps=1, rng=RngSpec(1)))
         assert np.linalg.norm(g - np.eye(2)) <= 1e-5  # O(sqrt(t))

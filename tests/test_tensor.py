@@ -91,6 +91,25 @@ class TestPseudoinverse:
             assert np.max(np.abs(w - roots)) <= 1e-10 * np.max(np.abs(roots))
 
 
+def expm_skew_eigh(x):
+    """Oracle for `expm_skew_batch`: ``exp(x) = u diag(exp(-i w)) u^H`` from the
+    batched eigendecomposition of the Hermitian ``i x``, always complex."""
+    h = 1j * np.asarray(x)
+    h = 0.5 * (h + np.conj(np.swapaxes(h, -1, -2)))
+    w, u = np.linalg.eigh(h)
+    return np.einsum("...ik,...k,...jk->...ij", u, np.exp(-1j * w), np.conj(u))
+
+
+def skew_stack(rng, count, n, norms, complex_=True):
+    """``count`` random skew-Hermitian (or real antisymmetric) ``n x n``
+    matrices with the given Frobenius norms."""
+    x = rng.standard_normal((count, n, n))
+    if complex_:
+        x = x + 1j * rng.standard_normal((count, n, n))
+    x = x - np.conj(np.swapaxes(x, -1, -2))
+    return x * (norms / np.linalg.norm(x, axis=(1, 2)))[:, None, None]
+
+
 class TestExpm:
     """``expm_skew_batch``, the exponential the Brownian integrator uses."""
 
@@ -124,6 +143,31 @@ class TestExpm:
         got = expm_skew_batch(a)
         for k in range(3):
             assert np.allclose(got[k], scipy.linalg.expm(a[k]), atol=1e-12)
+
+    def test_real_input_gives_real_output(self):
+        x = skew_stack(np.random.default_rng(10), 6, 5, np.full(6, 0.7), complex_=False)
+        got = expm_skew_batch(x)
+        assert got.dtype == np.float64
+        assert np.max(np.abs(got - expm_skew_eigh(x))) <= 1e-14
+
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_norm_spread_in_one_batch(self, n, complex_):
+        # one scaling for the whole batch: the smallest matrices are squared
+        # as often as the largest and must stay as accurate
+        norms = np.logspace(-8, 1, 40)
+        x = skew_stack(np.random.default_rng(11), norms.size, n, norms, complex_)
+        got = expm_skew_batch(x)
+        assert np.max(np.abs(got - expm_skew_eigh(x))) <= 1e-13
+        unit = np.conj(np.swapaxes(got, -1, -2)) @ got - np.eye(n)
+        assert np.max(np.abs(unit)) <= 1e-13
+
+    def test_one_by_one_is_exp(self):
+        x = 1j * np.linspace(-4.0, 4.0, 9)[:, None, None]
+        assert np.array_equal(expm_skew_batch(x), np.exp(x))
+
+    def test_empty_stack(self):
+        assert expm_skew_batch(np.zeros((0, 3, 3))).shape == (0, 3, 3)
 
 
 def tensor_from_json(doc: dict) -> np.ndarray:
