@@ -9,21 +9,21 @@ The moment operator of a probability density ``nu`` is
                            g^{-1}_{j'_1 i'_1} ... g^{-1}_{j'_{n'} i'_{n'}} ].
 
 Each exact measure is a weight on the orthonormal eigenvectors ``u_k`` of
-the tensor Casimir ``C`` (`_casimir_weights`), ``T = sum_k w_k u_k u_k^T``:
-Haar keeps the null vectors with weight 1, the projector onto the
-invariants, which is also ``tau o Wg o tau*`` (``tau`` a spanning set of
-invariant tensors, ``Wg`` the pseudoinverse of its Gram matrix); Brownian(t)
-keeps all of them with weight ``exp(t lambda_k / 2)``, so ``T = exp(t/2 C)``.
+the tensor Casimir ``C``, ``T = sum_k w_k u_k u_k^T``: Haar keeps the null
+vectors with weight 1, the projector onto the invariants, which is also
+``tau o Wg o tau*`` (``tau`` a spanning set of invariant tensors, ``Wg``
+the pseudoinverse of its Gram matrix); Brownian(t) keeps all of them with
+weight ``exp(t lambda_k / 2)``, so ``T = exp(t/2 C)``.
 
 No ``D x D`` Casimir is formed or decomposed.  ``C`` commutes with
 ``rho(X)`` for a fixed real algebra element ``X`` (`_weight_basis`), so in
 the eigenbasis of ``X`` on every slot it is block-diagonal by weight
 (`_weight_blocks`, ``w`` and ``-w`` in one block).  Each block is gathered
 from the rotated completeness relation, made real symmetric, and
-decomposed by one real ``eigh`` (`_block_eigh`).  Every invariant has
-weight zero, so Haar decomposes the zero-weight block alone
-(`_null_space`); Brownian (`_spectrum`) and ``MomentOperator.spectrum``
-(`_eigenvalues`) read every block.
+decomposed by one real ``eigh`` (`_block_eigh`, cached per block).  Every
+invariant has weight zero, so Haar decomposes the zero-weight block alone
+(`_null_space`); Brownian and ``MomentOperator.spectrum`` (`_eigenvalues`)
+read every block.
 
 An exact expectation of a product of loops takes one route, chosen by
 invariant theory (``_route``):
@@ -49,16 +49,16 @@ and their column ends by ``b``; with the coefficient edges these close into
 cycles, and ``M[a,b]`` is the product of the traces of the cycles' words in
 the coefficient matrices.  The cycles of all ``L**2`` pairs are found
 together by array operations (`_wiring`), and no tensor of the tensor power
-is formed.  On the Casimir route the
-labels are the Casimir eigenvectors the measure keeps, and ``Wg`` is
-diagonal, their weights.  Each ``M[k,k]`` is one ``einsum`` of the
-coefficient matrices with ``u_k`` on the row ends and on the column ends.
+is formed.  On the Casimir route the labels are the Casimir eigenvectors the
+measure keeps, and ``Wg`` is diagonal, their weights: ``M[k,k] = z_k^T M'_b
+conj(z_k)`` in weight coordinates, ``M'_b`` gathered from the rotated
+coefficients on block ``b`` (`_block_contraction`).
 
 The budget caps a different size on each route: the squared number of
 labels ``L**2`` on the Weingarten routes (Gram and Wg are ``L x L``), and
 the tensor-power dimension ``D = d**(n+n')`` on the Casimir route, which
-forms vectors of length ``D`` (the null vectors; all ``D`` eigenvectors for
-Brownian) and decomposes no matrix larger than its largest weight block.
+forms no matrix larger than its largest weight block, and no vector of
+length ``D`` but the Haar null vectors, once per shape, to check them.
 A Weingarten shape over the budget falls back to the Casimir route when
 ``D`` fits.
 
@@ -190,8 +190,7 @@ class MomentOperator:
     @property
     def rank(self) -> int:
         """The number of invariants: the rank of the Haar projector, for any measure."""
-        dim = self.matrix.shape[0]
-        return _casimir_weights(self.rep, self.n, self.nprime, MeasureSpec.haar(), dim)[1].size
+        return _null_space(self.rep, self.n, self.nprime).shape[1]
 
 
 def _check_budget(rep: RepData, n: int, nprime: int, budget: int) -> int:
@@ -296,21 +295,23 @@ def _weight_kernels(rep: RepData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     ``K'[a, b, c, e] = sum conj(U_ia) U_jb conj(U_kc) U_le K[i, j, k, l]``,
     laid out with rows ``(a, c)``, the row indices of the two slots, and
-    columns ``(b, e)``, their column indices.
+    columns ``(b, e)``, their column indices.  Only the like kernel is
+    rotated: ``conj(U) = U[:, pair]`` turns the others into its entries,
+    ``K'_dd[a, b, c, e] = K'_vv[pb, pa, pe, pc]`` and ``K'_vd[a, b, c, e] =
+    K'_vv[a, b, pe, pc]``.
     """
-    u = _weight_basis(rep)[0]
-    out = []
-    for kernel in _kernels(rep):
-        t = kernel
-        for mat in (u.conj(), u, u.conj(), u):  # each index in turn, appended last
-            t = np.tensordot(t, mat, axes=([0], [0]))
-        t = t.transpose(0, 2, 1, 3).reshape(rep.dim ** 2, rep.dim ** 2)
+    u, _, p = _weight_basis(rep)
+    vv = _kernels(rep)[0]
+    for mat in (u.conj(), u, u.conj(), u):  # each index in turn, appended last
+        vv = np.tensordot(vv, mat, axes=([0], [0]))
+    dd, vd = vv[np.ix_(p, p, p, p)].transpose(1, 0, 3, 2), vv[:, :, p][:, :, :, p].transpose(0, 1, 3, 2)
+    out = tuple(t.transpose(0, 2, 1, 3).reshape(rep.dim ** 2, rep.dim ** 2) for t in (vv, dd, vd))
+    for t in out:
         t.setflags(write=False)
-        out.append(t)
-    return tuple(out)
+    return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _weight_blocks(rep: RepData, n: int, nprime: int) -> tuple[np.ndarray, ...]:
     """The index tuples of the tensor power (flat, sorted), grouped by ``|weight|``.
 
@@ -338,8 +339,9 @@ def _weight_blocks(rep: RepData, n: int, nprime: int) -> tuple[np.ndarray, ...]:
     return tuple(blocks)
 
 
-def _block_eigh(rep: RepData, n: int, nprime: int, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors of ``C`` on one weight block.
+@lru_cache(maxsize=256)
+def _block_eigh(rep: RepData, n: int, nprime: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``C`` on weight block ``k``: ``(w, z, digits)``, read-only.
 
     In the weight basis ``C'[I, J] = m lambda delta_IJ + sum coef K'[I_p,
     J_p, I_q, J_q] [I_r = J_r for r not in {p, q}]``, gathered from
@@ -347,22 +349,23 @@ def _block_eigh(rep: RepData, n: int, nprime: int, flat: np.ndarray) -> tuple[np
     conj(C'[I, J])``; in the columns ``e_I`` (``I = pair(I)``),
     ``(e_I + e_Ibar)/sqrt2`` and ``(e_I - e_Ibar)/(i sqrt2)`` (``I <
     Ibar``) the block is real symmetric, and one real ``eigh`` of it gives
-    the eigenpairs.  The eigenvectors are returned in weight-basis
-    coordinates, ``(N, N)`` complex, for `_from_weight_basis`.
+    the eigenvalues ``w`` (ascending) and eigenvectors ``z`` in weight-basis
+    coordinates, ``(N, N)`` complex.  ``digits[p]`` holds slot ``p`` of its index tuples.
     """
     d, m = rep.dim, n + nprime
+    flat = _weight_blocks(rep, n, nprime)[k]
     size = len(flat)
     place = d ** np.arange(m - 1, -1, -1)
-    digits = flat[:, None] // place % d
+    digits = flat // place[:, None] % d
     c = np.zeros((size, size), dtype=np.complex128)
     c.flat[::size + 1] = m * rep.lam
     for coef, kernel, p, q in _pair_terms(_weight_kernels(rep), n, nprime):
-        rest = flat - digits[:, p] * place[p] - digits[:, q] * place[q]
-        pq = digits[:, p] * d + digits[:, q]
+        rest = flat - digits[p] * place[p] - digits[q] * place[q]
+        pq = digits[p] * d + digits[q]
         i, j = np.nonzero(rest[:, None] == rest[None, :])
         c[i, j] += coef * kernel[pq[i], pq[j]]
     own = np.arange(size)
-    conjugate = _weight_basis(rep)[2][digits] @ place
+    conjugate = place @ _weight_basis(rep)[2][digits]
     bar = np.minimum(np.searchsorted(flat, conjugate), max(size - 1, 0))  # position of pair(I)
     if np.any(flat[bar] != conjugate):
         raise RuntimeError("a weight block misses the conjugates of its index tuples")
@@ -373,7 +376,10 @@ def _block_eigh(rep: RepData, n: int, nprime: int, flat: np.ndarray) -> tuple[np
     w, y = np.linalg.eigh((alpha.conj()[:, None] * cq + beta.conj()[:, None] * cq[bar]).real)
     if w.size and w[-1] > 1e-8:
         raise RuntimeError(f"tensor Casimir has a positive eigenvalue {w[-1]:.3e}")
-    return w, alpha[:, None] * y + beta[bar][:, None] * y[bar]
+    z = alpha[:, None] * y + beta[bar][:, None] * y[bar]
+    for a in (w, z, digits):
+        a.setflags(write=False)
+    return w, z, digits
 
 
 def _from_weight_basis(rep: RepData, m: int, flat: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -387,7 +393,7 @@ def _from_weight_basis(rep: RepData, m: int, flat: np.ndarray, z: np.ndarray) ->
     return t.reshape(z.shape[1], d ** m).real
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _null_space(rep: RepData, n: int, nprime: int) -> np.ndarray:
     """Orthonormal null vectors of ``C`` as ``(D, r)`` columns, from the zero-weight block.
 
@@ -396,8 +402,7 @@ def _null_space(rep: RepData, n: int, nprime: int) -> np.ndarray:
     lies within 10x of the null cutoff, where the split would not be
     trustworthy, and checks ``C u = 0`` pair term by pair term.
     """
-    flat = _weight_blocks(rep, n, nprime)[0]
-    w, z = _block_eigh(rep, n, nprime, flat)
+    w, z, _ = _block_eigh(rep, n, nprime, 0)
     cutoff = 1e-8 * max(1.0, abs(rep.lam) * (n + nprime))
     null = np.abs(w) < cutoff
     nonzero = np.abs(w[~null])
@@ -406,7 +411,7 @@ def _null_space(rep: RepData, n: int, nprime: int) -> np.ndarray:
             f"smallest nonzero |eigenvalue| {nonzero.min():.3e} is within 10x of the "
             f"null cutoff {cutoff:.3e}; tighten the cutoff before trusting the projector"
         )
-    vecs = _from_weight_basis(rep, n + nprime, flat, z[:, null])
+    vecs = _from_weight_basis(rep, n + nprime, _weight_blocks(rep, n, nprime)[0], z[:, null])
     residual = np.linalg.norm(_apply_casimir(rep, n, nprime, vecs), axis=1)
     if np.any(residual > 1e-9):
         raise RuntimeError(f"null vector not annihilated by the tensor Casimir ({residual.max():.2e})")
@@ -415,52 +420,13 @@ def _null_space(rep: RepData, n: int, nprime: int) -> np.ndarray:
     return u
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _eigenvalues(rep: RepData, n: int, nprime: int) -> np.ndarray:
     """Every eigenvalue of the tensor Casimir, ascending, with no vector of length ``D``."""
-    w = np.sort(np.concatenate([_block_eigh(rep, n, nprime, flat)[0]
-                                for flat in _weight_blocks(rep, n, nprime)]))
+    blocks = range(len(_weight_blocks(rep, n, nprime)))  # past the cache: keeps no eigenvectors
+    w = np.sort(np.concatenate([_block_eigh.__wrapped__(rep, n, nprime, k)[0] for k in blocks]))
     w.setflags(write=False)
     return w
-
-
-@lru_cache(maxsize=None)
-def _spectrum(rep: RepData, n: int, nprime: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of the tensor Casimir.
-
-    One real ``eigh`` per weight block; no ``D x D`` matrix is decomposed.
-    """
-    blocks = _weight_blocks(rep, n, nprime)
-    pairs = [_block_eigh(rep, n, nprime, flat) for flat in blocks]
-    w = np.concatenate([wb for wb, _ in pairs])
-    order = np.argsort(w, kind="stable")
-    column = np.empty_like(order)
-    column[order] = np.arange(len(order))
-    u = np.empty((len(w), len(w)))
-    start = 0
-    for flat, (wb, z) in zip(blocks, pairs):
-        u[:, column[start:start + len(wb)]] = _from_weight_basis(rep, n + nprime, flat, z).T
-        start += len(wb)
-    w = w[order]
-    for a in (w, u):
-        a.setflags(write=False)
-    return w, u
-
-
-def _casimir_weights(rep: RepData, n: int, nprime: int, measure: MeasureSpec,
-                     budget: int) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenvectors of ``C`` that ``measure`` keeps (columns) and their weights.
-
-    Haar keeps the null vectors (`_null_space`, the zero-weight block alone),
-    weight 1.  Brownian(t) keeps every eigenvector (`_spectrum`), weight
-    ``exp(t lambda / 2)``.  The budget is checked before either lookup.
-    """
-    _check_budget(rep, n, nprime, budget)
-    if measure.kind == "brownian":
-        w, u = _spectrum(rep, n, nprime)
-        return u, np.exp(0.5 * measure.t * w)
-    u = _null_space(rep, n, nprime)
-    return u, np.ones(u.shape[1])
 
 
 def moment_operator(rep: RepData, n: int, nprime: int, measure: MeasureSpec,
@@ -468,9 +434,17 @@ def moment_operator(rep: RepData, n: int, nprime: int, measure: MeasureSpec,
     """Exact moment operator for Haar or Brownian measures (not cached)."""
     if measure.kind == "wilson":
         raise ValueError("no exact moment operator for the Wilson action")
-    u, weights = _casimir_weights(rep, n, nprime, measure, budget)
-    w = _spectrum(rep, n, nprime)[0] if measure.kind == "brownian" else _eigenvalues(rep, n, nprime)
-    return MomentOperator(rep, n, nprime, measure.kind, (u * weights) @ u.T, w, t=measure.t)
+    _check_budget(rep, n, nprime, budget)
+    spectrum = _eigenvalues(rep, n, nprime)  # before T: the two memory peaks do not add
+    if measure.kind == "haar":
+        u = _null_space(rep, n, nprime)
+        t = u @ u.T
+    else:  # T = v^T v, each eigenvector row of every block scaled by exp(t w / 4)
+        blocks = [(f, *_block_eigh(rep, n, nprime, k)) for k, f in enumerate(_weight_blocks(rep, n, nprime))]
+        v = np.vstack([_from_weight_basis(rep, n + nprime, flat, z) for flat, _, z, _ in blocks])
+        v *= np.exp(0.25 * measure.t * np.concatenate([w for _, w, _, _ in blocks]))[:, None]
+        t = v.T @ v
+    return MomentOperator(rep, n, nprime, measure.kind, t, spectrum, t=measure.t)
 
 
 def haar_moment(rep: RepData, n: int, nprime: int,
@@ -589,7 +563,7 @@ def spanning_set(rep: RepData, n: int, nprime: int, source: str,
         labels = ("u",)
         vecs = np.eye(7).reshape(1, -1)
     elif source == "nullspace":
-        vecs = np.ascontiguousarray(_casimir_weights(rep, n, nprime, MeasureSpec.haar(), budget)[0].T)
+        vecs = np.ascontiguousarray(_null_space(rep, n, nprime).T)
         labels = tuple(f"null{k}" for k in range(vecs.shape[0]))
     else:
         raise ValueError(f"unknown spanning-set source {source!r}")
@@ -704,10 +678,8 @@ def _coefficient_ends(shape: tuple[tuple[int, ...], ...]) -> tuple[int, list[tup
     # a + slot's left index is its row, a - slot's its column (g^-1_{ji} = conj(g)_{ij})
     left = [2 * c + (s == -1) for c, s in zip(canon, signs)]
     right = [2 * c + (s == 1) for c, s in zip(canon, signs)]
-    ends = []
-    start = 0
-    for loop_signs in shape:
-        r = len(loop_signs)
+    ends, start = [], 0
+    for r in map(len, shape):
         ends += [(right[start + (j - 1) % r], left[start + j]) for j in range(r)]
         start += r
     return n, ends
@@ -829,26 +801,61 @@ def _route_wg(rep: RepData, n: int, nprime: int, source: str) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _eigen_contraction(shape: tuple[tuple[int, ...], ...], n_labels: int, d: int):
-    """``einsum`` subscripts and greedy path for ``M[k, k]`` over ``n_labels`` eigenvectors.
+def _end_slots(shape: tuple[tuple[int, ...], ...]):
+    """`_coefficient_ends` with a row end first: ``(flip, side, groups)``.
 
-    The operands are the coefficient matrices in slot order, each on the two
-    ends `_coefficient_ends` gives it, then the label tensor
-    ``(d,)*m + (n_labels,)`` twice: on the row ends and on the column ends.
-    Label ``k`` is shared by both and kept, so no ``D x D`` array is formed.
+    ``flip[k]``: ``c_k`` enters transposed; ``side[k]``: 0 on a row end, 1 on a column end;
+    ``groups``: ``(k, s, t)`` (indices as a column, slots of the two ends) of the
+    coefficients on two row ends, on a row and a column end, and on two column ends.
     """
-    _, ends = _coefficient_ends(shape)
-    m = len(ends)
-    letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"  # all einsum accepts
-    if 2 * m + 1 > len(letters):
-        raise ValueError(f"the Casimir route contracts at most 25 slots, got {m}")
-    label = letters[2 * m]
-    inputs = [letters[a] + letters[b] for a, b in ends]
-    inputs += ["".join(letters[0:2 * m:2]) + label, "".join(letters[1:2 * m:2]) + label]
-    subscripts = ",".join(inputs) + "->" + label
-    shapes = [(d, d)] * m + [(d,) * m + (n_labels,)] * 2
-    path, _ = np.einsum_path(subscripts, *(np.broadcast_to(0.0, s) for s in shapes), optimize="greedy")
-    return subscripts, path
+    ends = np.array(_coefficient_ends(shape)[1], dtype=np.intp)
+    flip = ends[:, 0] % 2 > ends[:, 1] % 2
+    ends[flip] = ends[flip, ::-1]
+    side, slot = ends % 2, ends // 2
+    groups = tuple((k[:, None], slot[k, 0], slot[k, 1])
+                   for k in (np.flatnonzero(side.sum(axis=1) == v) for v in range(3)))
+    for a in (flip, side) + sum(groups, ()):
+        a.setflags(write=False)
+    return flip, side, groups
+
+
+def _block_contraction(rep: RepData, n: int, nprime: int, measure: MeasureSpec,
+                       shape: tuple[tuple[int, ...], ...], coeffs: Sequence[np.ndarray]) -> complex:
+    """``sum_b sum_j f_j z_j^T M'_b conj(z_j)`` over the eigenvectors the measure keeps.
+
+    An eigenvector of ``C`` is real, ``U^{(x)m} z = conj(U)^{(x)m} conj(z)``,
+    so ``M'_b[I, J]`` is the product of the rotated ``c'_k = A_e1^T c_k A_e2``
+    (``A``: ``U`` on a row end, ``conj(U)`` on a column end) at the digits of
+    their ends, a row end reading ``I`` and a column end ``J``.  Haar keeps
+    the null columns of block 0 (weight 1), Brownian(t) every column of every
+    block (weight ``exp(t w / 2)``).
+    """
+    u = _weight_basis(rep)[0]
+    flip, side, ((ki, si, ti), (km, sm, tm), (kj, sj, tj)) = _end_slots(shape)
+    cs = np.array([c.T if swap else c for c, swap in zip(coeffs, flip)])
+    basis = np.array([u, u.conj()])
+    rotated = basis[side[:, 0]].transpose(0, 2, 1) @ cs @ basis[side[:, 1]]
+    if measure.kind == "haar":
+        r = _null_space(rep, n, nprime).shape[1]  # the gap guard and the residual check first
+        w, z, digits = _block_eigh(rep, n, nprime, 0)
+        kept = [(z[:, len(w) - r:], np.ones(r), digits)]  # w ascends to 0: the null columns last
+    else:
+        blocks = (_block_eigh(rep, n, nprime, k) for k in range(len(_weight_blocks(rep, n, nprime))))
+        kept = [(z, np.exp(0.5 * measure.t * w), digits) for w, z, digits in blocks]
+    total = 0.0 + 0.0j
+    for z, f, digits in kept:  # a factor on I alone or J alone scales the rows of y, not N x N
+        y = z.conj()
+        if len(kj):
+            y = y * rotated[kj, digits[sj], digits[tj]].prod(axis=0)[:, None]
+        if len(km):  # c'_k[I, J] = H_k[I_s, J], H_k = c'_k[:, J_t]: whole rows are gathered
+            h = rotated.transpose(0, 2, 1)[km, digits[tm]].transpose(0, 2, 1)
+            y = h[np.arange(len(km))[:, None], digits[sm]].prod(axis=0) @ y
+        else:
+            y = y.sum(axis=0)
+        if len(ki):
+            y = y * rotated[ki, digits[si], digits[ti]].prod(axis=0)[:, None]
+        total += f @ np.sum(z * y, axis=0)
+    return total
 
 
 def _product_route(flat: Sequence[Loop], measure: MeasureSpec, budget: int) -> tuple[str, int, int]:
@@ -865,14 +872,9 @@ def _expect_flat(flat: list[Loop], measure: MeasureSpec, budget: int) -> complex
     rep = flat[0].rep
     if route == "zero":
         return 0.0 + 0.0j
-    if route == "characters":
-        k_tot = 0
-        coeff = 1.0 + 0.0j
-        for w in flat:
-            k_tot += w.rep.spec.n * sum(w.signs)
-            coeff *= w.scale
-            for c, _ in w.factors:
-                coeff *= c[0, 0]
+    if route == "characters":  # E[z^k] is [k = 0] under Haar, exp(-t k^2 / 2) under Brownian(t)
+        k_tot = sum(w.rep.spec.n * sum(w.signs) for w in flat)
+        coeff = math.prod(w.scale * math.prod(c[0, 0] for c, _ in w.factors) for w in flat)
         if measure.kind == "haar":
             return coeff if k_tot == 0 else 0.0 + 0.0j
         return coeff * np.exp(-0.5 * measure.t * k_tot ** 2)
@@ -880,10 +882,7 @@ def _expect_flat(flat: list[Loop], measure: MeasureSpec, budget: int) -> complex
     coeffs = [c for w in flat for c, _ in w.factors]
     scale = math.prod(w.scale for w in flat)
     if route == "casimir":  # Wg is diagonal on the orthonormal eigenvectors
-        u, wg = _casimir_weights(rep, n, nprime, measure, budget)
-        labels = u.reshape((rep.dim,) * (n + nprime) + (-1,))
-        subscripts, path = _eigen_contraction(shape, labels.shape[-1], rep.dim)
-        return complex(scale * (wg @ np.einsum(subscripts, *coeffs, labels, labels, optimize=path)))
+        return complex(scale * _block_contraction(rep, n, nprime, measure, shape, coeffs))
     source = route.partition(":")[2]
     forms = _forms(rep)
     m_ab = _contract(_wiring(source, shape, len(forms) > 1), coeffs, forms)

@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -491,6 +492,19 @@ class TestBudgetAndCaches:
             brownian_moment(U2, 3, 2, 0.5, budget=16)
         assert [c.cache_info() for c in caches] == cached  # refused before the lookups
 
+    def test_brownian_u4_sixth_moment_stays_below_two_casimirs(self):
+        # E|tr g|^6 = 3! on U(4) far into the Haar limit; D = 4096 and no D x D array is formed
+        u4 = build_representation(GroupSpec("u", 4))
+        chars = [linear_loop(u4, np.eye(4))] * 3 + [linear_loop(u4, np.eye(4), -1)] * 3
+        tracemalloc.start()
+        try:
+            got = expect_product(chars, MeasureSpec.brownian(50.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(got - 6.0) <= 1e-8
+        assert peak < 2 * 4096 ** 2 * 8
+
     def test_brownian_expectations_keep_nothing_per_t(self):
         rng = np.random.default_rng(11)
         coeffs = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(4)]
@@ -513,10 +527,10 @@ class TestBudgetAndCaches:
     def test_invariant_layer_is_float64(self, rep, n, nprime, source):
         # one shape per family: every completeness relation is real, so is every array
         assert tensor_casimir(rep, n, nprime).dtype == np.float64
-        assert moments._spectrum(rep, n, nprime)[1].dtype == np.float64
-        for measure in (MeasureSpec.haar(), MeasureSpec.brownian(0.5)):
-            for a in moments._casimir_weights(rep, n, nprime, measure, 4096):
-                assert a.dtype == np.float64
+        w, u = block_spectrum(rep, n, nprime)
+        assert w.dtype == u.dtype == np.float64
+        assert moments._null_space(rep, n, nprime).dtype == np.float64
+        assert moments._eigenvalues(rep, n, nprime).dtype == np.float64
         assert haar_moment(rep, n, nprime).matrix.dtype == np.float64
         assert brownian_moment(rep, n, nprime, 0.5).matrix.dtype == np.float64
         for src in {source, "nullspace"}:
@@ -552,7 +566,7 @@ class TestBudgetAndCaches:
 
     def test_permutation_spanning_set_needs_no_spectrum(self):
         u4 = build_representation(GroupSpec("u", 4))
-        caches = (moments._null_space, moments._eigenvalues, moments._spectrum, moments._weight_blocks)
+        caches = (moments._null_space, moments._eigenvalues, moments._block_eigh, moments._weight_blocks)
         for cache in caches:
             cache.cache_clear()
         weingarten(spanning_set(u4, 3, 3, "permutations"))
@@ -573,13 +587,23 @@ ROUTE_SHAPES = [(rep, n, m - n) for rep in (U2, U3, SU2, SU3, SO3, SO4, SO5, SP1
                 if rep.dim ** m <= 729 and m <= (4 if rep is U1_2 else 9)]
 
 
+@lru_cache(maxsize=8)
+def dense_spectrum(rep, n, nprime):
+    """``eigh`` of the dense `tensor_casimir`."""
+    return np.linalg.eigh(tensor_casimir(rep, n, nprime))
+
+
 def casimir_route_value(flat, measure):
-    """Oracle: the loop tensor contracted with the D x D moment matrix of the measure."""
+    """Oracle: the loop tensor contracted with the D x D moment matrix of the measure,
+    from the dense tensor Casimir: its null projector under Haar, ``exp(t/2 C)`` under
+    Brownian(t)."""
     a, pattern = loops_to_tensor(flat)
     n = pattern.count(1)
     m = len(pattern)
     rep = flat[0].rep
-    t = moment_operator(rep, n, m - n, measure).matrix.reshape((rep.dim,) * (2 * m))
+    w, v = dense_spectrum(rep, n, m - n)
+    f = (np.abs(w) < 1e-6).astype(float) if measure.kind == "haar" else np.exp(0.5 * measure.t * w)
+    t = ((v * f) @ v.T).reshape((rep.dim,) * (2 * m))
     subs: list[int] = []
     for s in range(m):
         subs.extend([s, m + s])
@@ -640,13 +664,12 @@ class TestExpectationRoutes:
     def test_brownian_takes_the_casimir_route(self):
         assert moments._route(U3, 1, 1, MeasureSpec.brownian(0.5)) == "casimir"
 
-    def test_casimir_route_slot_limit(self):
-        # einsum has 52 index letters: two ends per slot and the eigenvector label
+    def test_casimir_route_has_no_slot_limit(self):
+        # 26 slots, 52 ends: the block contraction puts no bound on the number of slots
         u1 = build_representation(GroupSpec("u", 1))
         chars = [linear_loop(u1, np.eye(1))] * 13 + [linear_loop(u1, np.eye(1), -1)] * 13
-        with pytest.raises(ValueError, match="at most 25 slots"):
-            expect_product(chars, MeasureSpec.brownian(0.5))
-        assert abs(expect_product(chars[1:-1], MeasureSpec.brownian(0.5)) - 1.0) <= 1e-12
+        assert moments._route(u1, 13, 13, MeasureSpec.brownian(0.5)) == "casimir"
+        assert abs(expect_product(chars, MeasureSpec.brownian(0.5)) - 1.0) <= 1e-12
 
     def test_neither_route_fits(self):
         with pytest.raises(BudgetError):
@@ -661,7 +684,7 @@ class TestExpectationRoutes:
         assert np.max(np.abs(moments._route_wg(rep, n, nprime, source) - want)) <= 1e-12
 
     def test_u6_eighth_moment_at_default_budget(self):
-        caches = (moments._null_space, moments._eigenvalues, moments._spectrum, moments._weight_blocks)
+        caches = (moments._null_space, moments._eigenvalues, moments._block_eigh, moments._weight_blocks)
         before = [c.cache_info() for c in caches]
         chars = [linear_loop(U6, np.eye(6))] * 4 + [linear_loop(U6, np.eye(6), -1)] * 4
         assert abs(expect_product(chars, MeasureSpec.haar()) - 24.0) <= 1e-9
@@ -678,14 +701,46 @@ BLOCK_SHAPES = HAAR_CASIMIR_SHAPES + [(U3, 2, 2), (SU3, 2, 1), (SO5, 2, 2), (SP2
                                       (U1_2, 2, 1)]
 
 
+def block_spectrum(rep, n, nprime):
+    """Every weight block's eigenpairs in D space: eigenvalues ascending, eigenvectors as columns."""
+    blocks = moments._weight_blocks(rep, n, nprime)
+    pairs = [moments._block_eigh(rep, n, nprime, k)[:2] for k in range(len(blocks))]
+    w = np.concatenate([wb for wb, _ in pairs])
+    u = np.vstack([moments._from_weight_basis(rep, n + nprime, flat, z)
+                   for flat, (_, z) in zip(blocks, pairs)]).T
+    order = np.argsort(w, kind="stable")
+    return w[order], u[:, order]
+
+
+def rotated_kernels(rep):
+    """Oracle for `moments._weight_kernels`: each of the three kernels rotated on its own."""
+    u = moments._weight_basis(rep)[0]
+    out = []
+    for kernel in moments._kernels(rep):
+        t = kernel
+        for mat in (u.conj(), u, u.conj(), u):  # each index in turn, appended last
+            t = np.tensordot(t, mat, axes=([0], [0]))
+        out.append(t.transpose(0, 2, 1, 3).reshape(rep.dim ** 2, rep.dim ** 2))
+    return out
+
+
 class TestWeightBlocks:
+    @pytest.mark.parametrize("rep", [U2, U3, SU2, SU3, SO3, SO4, SO5, SP1, SP2, G2, U1_2],
+                             ids=lambda r: r.spec.label())
+    def test_weight_kernels_match_three_rotations(self, rep):
+        for got, want in zip(moments._weight_kernels(rep), rotated_kernels(rep)):
+            assert np.max(np.abs(got - want)) <= 1e-13
+
     @pytest.mark.parametrize("rep,n,nprime", BLOCK_SHAPES,
                              ids=[f"{r.spec.family}{r.spec.n}-{n}{m}" for r, n, m in BLOCK_SHAPES])
     def test_blocks_match_the_dense_casimir(self, rep, n, nprime):
         c = tensor_casimir(rep, n, nprime)
         blocks = moments._weight_blocks(rep, n, nprime)
         assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(len(c)))  # a partition
-        w, u = moments._spectrum(rep, n, nprime)
+        place = rep.dim ** np.arange(n + nprime - 1, -1, -1)
+        for k, flat in enumerate(blocks):  # each block's digits are its index tuples
+            assert np.array_equal(place @ moments._block_eigh(rep, n, nprime, k)[2], flat)
+        w, u = block_spectrum(rep, n, nprime)
         assert np.max(np.abs(w - np.linalg.eigvalsh(c))) <= 1e-10
         assert u.dtype == np.float64
         assert np.max(np.abs(u.T @ u - np.eye(len(c)))) <= 1e-12
@@ -717,7 +772,7 @@ class TestWeightBlocks:
         assert len(moments._weight_blocks(fake, 2, 2)[0]) > len(moments._weight_blocks(SO4, 2, 2)[0])
         for n, nprime in ((2, 2), (2, 1)):
             c = tensor_casimir(SO4, n, nprime)
-            w, u = moments._spectrum(fake, n, nprime)
+            w, u = block_spectrum(fake, n, nprime)
             assert np.max(np.abs((u * w) @ u.T - c)) <= 1e-10 * np.max(np.abs(c))
         null, want = moments._null_space(fake, 2, 2), moments._null_space(SO4, 2, 2)
         assert np.max(np.abs(null @ null.T - want @ want.T)) <= 1e-12
