@@ -13,8 +13,8 @@ from .loops import (Loop, LoopPair, LoopSum, conjugate_loop, laplacian, linear_l
 from .moments import (BudgetError, MeasureSpec, MomentOperator, SpanningSet,
                       SpectralGapError, WeingartenMap, brownian_moment, expect_product,
                       haar_moment, spanning_set, weingarten)
-from .sampling import (BrownianPathSpec, MCEstimate, RngSpec, TheoremAReport,
-                       brownian_path, brownian_path_batch, haar_sample,
+from .sampling import (BrownianPathSpec, EffectiveSampleError, MCEstimate, RngSpec,
+                       TheoremAReport, brownian_path, brownian_path_batch, haar_sample,
                        haar_sample_batch, mc_expect, verify_theorem_a)
 from .tensor import pseudoinverse
 

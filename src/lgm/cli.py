@@ -7,7 +7,8 @@ exact round-trip form), and a run is a pure function of its arguments,
 input files and seed.
 
 Exit codes: 0 on success, 2 on usage errors (bad flags, unreadable input
-files), 1 on numerical guards (tensor budget, spectral-gap refusal).
+files), 1 on numerical guards (tensor budget, spectral-gap refusal,
+effective-sample-size refusal of a Wilson estimate).
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from .loops import Loop, _matrix_to_json, loop_from_json
 from .moments import (BudgetError, DEFAULT_BUDGET, MeasureSpec, SpectralGapError,
                       _product_route, expect_product, moment_operator, spanning_set,
                       weingarten)
-from .sampling import (MCEstimate, RngSpec, brownian_path_batch, haar_sample_batch,
-                       verify_theorem_a)
+from .sampling import (EffectiveSampleError, RngSpec, brownian_path_batch,
+                       haar_sample_batch, mc_expect, verify_theorem_a)
 from .tensor import tensor_to_json
 
 __all__ = ["main"]
@@ -129,8 +130,6 @@ def _cmd_moment(args) -> int:
     rep = build_representation(spec)
     n, nprime = _parse_tensor_flag(args.tensor)
     measure = _measure(args)
-    if measure.kind == "wilson":
-        raise UsageError("no exact moment operator for the Wilson action; use 'lgm expect'")
     op = moment_operator(rep, n, nprime, measure, args.budget)
     tensor = tensor_to_json(op.matrix)
     payload = {
@@ -171,11 +170,7 @@ def _cmd_expect(args) -> int:
     loops = _load_loops(args.loops)
     measure = _measure(args)
     if measure.kind == "wilson":
-        result = expect_product(loops, measure, args.budget, samples=args.samples,
-                                rng=RngSpec(args.seed))
-    else:
-        result = expect_product(loops, measure, args.budget)
-    if isinstance(result, MCEstimate):
+        result = mc_expect(loops, measure, args.samples, RngSpec(args.seed))
         payload = {
             "value": [result.value.real, result.value.imag],
             "stderr": result.stderr,
@@ -184,6 +179,7 @@ def _cmd_expect(args) -> int:
         }
         lines = [f"value: {result.value!r} +- {result.stderr!r} ({result.samples} samples)"]
     else:
+        result = expect_product(loops, measure, args.budget)
         route = _product_route(loops, measure, args.budget)[0]
         payload = {"value": [result.real, result.imag], "route": route}
         lines = [f"value: {result!r}", f"route: {route}"]
@@ -334,7 +330,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         _error(args, "usage", str(exc))
         return 2
-    except (BudgetError, SpectralGapError) as exc:
+    except (BudgetError, SpectralGapError, EffectiveSampleError) as exc:
         _error(args, type(exc).__name__, str(exc))
         return 1
     except ValueError as exc:

@@ -62,8 +62,8 @@ length ``D`` but the Haar null vectors, once per shape, to check them.
 A Weingarten shape over the budget falls back to the Casimir route when
 ``D`` fits.
 
-The Wilson action admits no exact closed form here; for that measure the
-expectation is delegated to the Monte-Carlo estimator in ``sampling``.
+The Wilson action admits no exact closed form: `expect_product` refuses
+it, and its expectations are estimated by ``sampling.mc_expect``.
 """
 
 from __future__ import annotations
@@ -135,6 +135,8 @@ class MeasureSpec:
         if self.kind == "brownian" and not self.t > 0:
             raise ValueError("brownian measure needs t > 0")
         if self.kind == "wilson":
+            if not self.plaquettes:
+                raise ValueError("the Wilson measure needs an explicit plaquette list")
             check_one_group(p.rep.spec for p in self.plaquettes)
             for p in self.plaquettes:
                 if p.n_slots != 1:
@@ -890,28 +892,18 @@ def _expect_flat(flat: list[Loop], measure: MeasureSpec, budget: int) -> complex
 
 
 def expect_product(items: Sequence[ProductItem], measure: MeasureSpec,
-                   budget: int = DEFAULT_BUDGET, samples: int | None = None,
-                   rng=None):
-    """Expectation of a product of loops (and loop sums) under a measure.
+                   budget: int = DEFAULT_BUDGET) -> complex:
+    """Exact expectation of a product of loops (and loop sums) under Haar or Brownian.
 
-    Haar and Brownian are exact; each plain product takes the route `_route`
-    picks: Weingarten contraction against permutations or pairings, an
-    exact zero, the character algebra for U(1) characters, or contraction
-    against the tensor-Casimir eigenvectors, weighted 1 on the null vectors
-    (Haar) or ``exp(t lambda_k / 2)`` (Brownian).  The Wilson action has no
-    exact route and is estimated by self-normalized importance sampling; it
-    returns an `MCEstimate` and requires ``samples`` and ``rng``.
+    Each plain product takes the route `_route` picks: Weingarten
+    contraction against permutations or pairings, an exact zero, the
+    character algebra for U(1) characters, or contraction against the
+    tensor-Casimir eigenvectors, weighted 1 on the null vectors (Haar) or
+    ``exp(t lambda_k / 2)`` (Brownian).  The Wilson action has no exact
+    route and is refused; ``sampling.mc_expect`` estimates it.
     """
     if measure.kind == "wilson":
-        from .sampling import RngSpec, mc_expect
-
-        if samples is None:
-            raise ValueError("the Wilson measure needs an explicit sample count")
-        if rng is None:
-            rng = RngSpec(0)
-        return mc_expect(list(items), measure, samples, rng)
-    total = 0.0 + 0.0j
-    for flat in _expand_items(items):
-        if flat:
-            total += _expect_flat(flat, measure, budget)
-    return total
+        raise ValueError("no exact expectation under the Wilson action; estimate it with mc_expect")
+    if not items:
+        raise ValueError("need at least one loop")
+    return sum((_expect_flat(flat, measure, budget) for flat in _expand_items(items)), 0j)

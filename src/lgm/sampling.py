@@ -33,7 +33,8 @@ weight on the draws (Brownian path endpoints, Haar for the rest): the
 log-weight ``beta * Re sum_p W_p`` is zero for Haar and Brownian, which have
 no plaquettes, and one self-normalized estimator reads it.  That estimator
 refuses when fewer than ``WILSON_MIN_ESS`` effective draws remain, which
-only Wilson weights can cause: equal weights keep all of at least 100.
+only Wilson weights can cause: equal weights keep all of at least
+``MIN_SAMPLES``, the floor `_check_samples` puts on every estimate.
 Plaquettes are linear loops, so the action is summed into one coefficient
 per (rep, slot sign) and costs one trace per draw.  The Theorem-A check
 builds ``Delta(W_1...W_n)`` once and reads it per measure.
@@ -55,6 +56,7 @@ from .moments import DEFAULT_BUDGET, MeasureSpec, expect_product
 __all__ = [
     "RngSpec",
     "MCEstimate",
+    "EffectiveSampleError",
     "BrownianPathSpec",
     "TheoremAReport",
     "haar_sample",
@@ -72,6 +74,9 @@ G2_HAAR_STEPS = 5000
 #: smallest Kish effective sample size a Wilson estimate is returned from; the
 #: standard error is a normal approximation, which needs tens of effective draws
 WILSON_MIN_ESS = 30.0
+
+#: fewest draws any Monte-Carlo estimate is formed from
+MIN_SAMPLES = 100
 
 #: entries in one block of Brownian increments (64 KB of float64): larger
 #: blocks save little time and cost resident memory
@@ -119,6 +124,15 @@ def _check_path(t: float, steps: int) -> None:
         raise ValueError(f"path time must be finite and positive, got t={t}")
     if steps < 1:
         raise ValueError("need at least one step")
+
+
+class EffectiveSampleError(RuntimeError):
+    """The Wilson weights collapsed: fewer than ``WILSON_MIN_ESS`` effective draws remain."""
+
+
+def _check_samples(samples: int | None) -> None:
+    if samples is None or samples < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples, got {samples}")
 
 
 def _check_count(count: int) -> None:
@@ -271,16 +285,17 @@ def _weighted_estimate(log_w: np.ndarray, vals: np.ndarray) -> tuple[complex, fl
     """Self-normalized importance-sampling mean of ``vals`` with weights ``exp(log_w)``.
 
     The weights are shifted by their maximum before ``exp``; the estimate is
-    refused when their Kish effective sample size ``(sum w)^2 / sum w^2``
-    falls below ``WILSON_MIN_ESS``.  Returns the value and its plug-in
-    standard error ``sqrt(sum w^2 |v - value|^2) / sum w``; with equal
-    weights these are the sample mean and ``sqrt(sum |v - mean|^2) / B``.
+    refused (`EffectiveSampleError`) when their Kish effective sample size
+    ``(sum w)^2 / sum w^2`` falls below ``WILSON_MIN_ESS``.  Returns the
+    value and its plug-in standard error ``sqrt(sum w^2 |v - value|^2) /
+    sum w``; with equal weights these are the sample mean and
+    ``sqrt(sum |v - mean|^2) / B``.
     """
     weights = np.exp(log_w - np.max(log_w))
     wsum = np.sum(weights)
     ess = float(wsum ** 2 / np.sum(weights ** 2))
     if not ess >= WILSON_MIN_ESS:
-        raise RuntimeError(
+        raise EffectiveSampleError(
             f"effective sample size {ess:.3g} of {log_w.size} draws is below {WILSON_MIN_ESS:g}: "
             "the Wilson weights collapsed onto a few draws"
         )
@@ -297,11 +312,8 @@ def mc_expect(items: Sequence, measure: MeasureSpec, samples: int, rng: RngSpec,
     draw carries the log-weight ``beta * Re sum_p W_p``, zero for Haar and
     Brownian (no plaquettes), and one self-normalized estimator reads them.
     """
-    if samples < 100:
-        raise ValueError("need at least 100 samples")
+    _check_samples(samples)
     rep = _common_rep(list(items) + list(measure.plaquettes))
-    if measure.kind == "wilson" and not measure.plaquettes:
-        raise ValueError("the Wilson measure needs an explicit plaquette list")
     if measure.kind == "brownian":
         gs = brownian_path_batch(rep, measure.t, steps, rng, samples)
     else:
@@ -354,7 +366,7 @@ def _exact_report(kind: str, lhs: complex, rhs: complex, tol: float) -> TheoremA
 
 
 def verify_theorem_a(loops: Sequence[Loop], measure: MeasureSpec,
-                     samples: int | None = None, rng: RngSpec | None = None,
+                     samples: int | None = None, rng: RngSpec = RngSpec(0),
                      budget: int = DEFAULT_BUDGET) -> TheoremAReport:
     """Check the integration-by-parts identity for a family of loops.
 
@@ -366,8 +378,9 @@ def verify_theorem_a(loops: Sequence[Loop], measure: MeasureSpec,
     compared with the expectation of all the terms at t.
     Wilson: the terms and the action's beta, beta^2 terms are evaluated per
     Haar draw and their weighted mean estimated (self-normalized importance
-    sampling); reports a z-score.  At beta = 0 the measure is Haar and the
-    residual is computed exactly instead.
+    sampling) from at least ``MIN_SAMPLES`` draws; reports a z-score.  At
+    beta = 0 the measure is Haar and the residual is computed exactly
+    instead.
     """
     loops = list(loops)
     terms = _laplacian_terms(loops)
@@ -388,10 +401,7 @@ def verify_theorem_a(loops: Sequence[Loop], measure: MeasureSpec,
         rhs = -sum(coef * expect_product(items, haar, budget) for coef, items in terms[1:])
         return _exact_report(measure.kind, lhs, rhs, 1e-9 * (1.0 + abs(lhs)))
 
-    if samples is None:
-        raise ValueError("the Wilson check needs an explicit sample count")
-    if rng is None:
-        rng = RngSpec(0)
+    _check_samples(samples)
     rep = _common_rep(loops + list(measure.plaquettes))
     gs = haar_sample_batch(rep, rng, samples)
     known = {id(w): w.evaluate_batch(gs) for w in loops}  # each loop evaluated once

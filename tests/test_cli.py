@@ -69,6 +69,12 @@ class TestMoment:
             assert abs(e["re"] - 1.0 / 7.0) <= 1e-9
             assert abs(e["im"]) <= 1e-12
 
+    def test_su2_mixed_spectrum(self, capsys):
+        code, out = run(capsys, "moment", "--family", "su", "--n", "2", "--tensor", "1,1",
+                        "--out", "json")
+        assert code == 0
+        assert json.loads(out)["spectrum"] == pytest.approx([-4.0, -4.0, -4.0, 0.0], abs=1e-12)
+
     def test_budget_exceeded_is_guard_error(self, capsys):
         code, out = run(capsys, "moment", "--family", "u", "--n", "4",
                         "--tensor", "4,3", "--measure", "haar", "--out", "json")
@@ -225,6 +231,27 @@ class TestExpect:
         assert code == 2
         assert json.loads(out)["error"]["kind"] == "usage"
 
+    def test_empty_loop_list_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "loops.json"
+        target.write_text("[]")
+        code, out = run(capsys, "expect", "--loops", str(target), "--out", "json")
+        assert code == 2
+        assert json.loads(out)["error"] == {"kind": "usage", "detail": "need at least one loop"}
+
+    def test_collapsed_wilson_weights_exit_1(self, capsys, tmp_path):
+        # 40 SU(3) plaquettes at beta = 6: one draw carries almost all the weight
+        from lgm.catalog import GroupSpec, build_representation
+
+        rep = build_representation(GroupSpec("su", 3))
+        loops, plaq = tmp_path / "loops.json", tmp_path / "plaq.json"
+        write_loops(loops, [linear_loop(rep, np.eye(3))])
+        write_loops(plaq, [linear_loop(rep, np.eye(3))] * 40)
+        code, out = run(capsys, "expect", "--loops", str(loops), "--measure", "wilson:beta=6",
+                        "--plaquettes", str(plaq), "--samples", "5000", "--out", "json")
+        assert code == 1
+        doc = json.loads(out)["error"]
+        assert doc["kind"] == "EffectiveSampleError" and "effective sample size" in doc["detail"]
+
 
 class TestSample:
     def test_jsonl_count_and_unitarity(self, capsys):
@@ -312,6 +339,17 @@ class TestVerify:
         assert doc["passed"] is True
         assert doc["z"] <= 3.0
         assert doc["samples"] == 20000
+
+    def test_theorem_a_wilson_needs_plaquettes(self, capsys, tmp_path):
+        from lgm.catalog import GroupSpec, build_representation
+
+        loops_file = tmp_path / "loops.json"
+        write_loops(loops_file, [linear_loop(build_representation(GroupSpec("u", 2)), np.eye(2))])
+        code, out = run(capsys, "verify", "theorem-a", "--loops", str(loops_file),
+                        "--measure", "wilson:beta=0.5", "--samples", "2000", "--out", "json")
+        assert code == 2
+        doc = json.loads(out)["error"]
+        assert doc["kind"] == "usage" and "plaquette" in doc["detail"]
 
     def test_theorem_a_brownian_u1_characters_json(self, capsys, tmp_path):
         # mixed U(1) characters take the character-algebra route

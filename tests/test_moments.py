@@ -433,9 +433,16 @@ class TestExpectProduct:
                            MeasureSpec.haar())
 
     def test_wilson_requires_samples(self):
+        # exact only: a Wilson estimate needs samples, which only mc_expect takes
         meas = MeasureSpec.wilson(0.1, [linear_loop(U2, np.eye(2))])
-        with pytest.raises(ValueError, match="sample count"):
+        with pytest.raises(ValueError, match="mc_expect"):
             expect_product([linear_loop(U2, np.eye(2))], meas)
+
+    @pytest.mark.parametrize("measure", [MeasureSpec.haar(), MeasureSpec.brownian(0.5)],
+                             ids=["haar", "brownian"])
+    def test_empty_product_is_refused(self, measure):
+        with pytest.raises(ValueError, match="need at least one loop"):
+            expect_product([], measure)
 
 
 class TestMeasureSpec:
@@ -464,6 +471,12 @@ class TestMeasureSpec:
             MeasureSpec.parse("wilson:beta=nan")
         with pytest.raises(ValueError, match="linear"):
             MeasureSpec.wilson(0.1, [loop(U2, [np.eye(2), np.eye(2)], [1, 1])])
+
+    def test_wilson_needs_plaquettes(self):
+        with pytest.raises(ValueError, match="plaquette"):
+            MeasureSpec.wilson(0.5, [])
+        with pytest.raises(ValueError, match="plaquette"):
+            MeasureSpec.parse("wilson:beta=0.5")
 
     @pytest.mark.parametrize("t", [float("inf"), float("nan"), 0.0])
     def test_brownian_moment_needs_finite_positive_t(self, t):
@@ -751,6 +764,15 @@ class TestWeightBlocks:
         null = moments._null_space(rep, n, nprime)
         assert null.dtype == np.float64 and null.shape == dense.shape
         assert np.max(np.abs(null @ null.T - dense @ dense.T), initial=0.0) <= 1e-12
+
+    @pytest.mark.parametrize("measure", [HAAR, MeasureSpec.brownian(0.5)], ids=["haar", "brownian"])
+    @pytest.mark.parametrize("rep,n,nprime", [(SU2, 1, 1), (G2, 2, 0), (SP1, 2, 1), (U3, 2, 1), (SO4, 2, 2)],
+                             ids=["su2-11", "g2-20", "sp1-21", "u3-21", "so4-22"])
+    def test_moment_operator_spectrum_is_the_dense_casimir_spectrum(self, rep, n, nprime, measure):
+        got = moment_operator(rep, n, nprime, measure).spectrum
+        want = np.linalg.eigvalsh(tensor_casimir(rep, n, nprime))
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
     def test_zero_block_holds_the_weight_zero_tuples(self):
         # G2 (4,0): weights of the defining rep are 0 and +-a, +-b, +-(a+b)

@@ -311,6 +311,14 @@ class TestMcExpect:
         with pytest.raises(ValueError, match="100"):
             mc_expect([linear_loop(U2, np.eye(2))], MeasureSpec.haar(), 10, RngSpec(0))
 
+    def test_one_sample_floor_for_every_estimate(self):
+        # a missing count and too few Wilson draws meet the same floor
+        w = linear_loop(U2, np.eye(2))
+        with pytest.raises(ValueError, match="100"):
+            mc_expect([w], MeasureSpec.haar(), None, RngSpec(0))
+        with pytest.raises(ValueError, match="100"):
+            verify_theorem_a([w], MeasureSpec.wilson(0.5, [w]), samples=10)
+
     def test_wilson_needs_plaquettes(self):
         with pytest.raises(ValueError, match="plaquette"):
             mc_expect([linear_loop(U2, np.eye(2))], MeasureSpec.wilson(0.1, []),
