@@ -129,18 +129,17 @@ def _cmd_moment(args) -> int:
     spec = _group_spec(args)
     rep = build_representation(spec)
     n, nprime = _parse_tensor_flag(args.tensor)
+    if args.measure.partition(":")[0].strip().lower() == "wilson":  # no plaquette list would help
+        raise UsageError("no exact moment operator for the Wilson action")
     measure = _measure(args)
     op = moment_operator(rep, n, nprime, measure, args.budget)
     tensor = tensor_to_json(op.matrix)
-    payload = {
-        "tensor": tensor,
-        "rank": op.rank,
-        "spectrum": [float(x) for x in op.spectrum],
-    }
+    spectrum = [float(x) for x in op.spectrum]
+    payload = {"tensor": tensor, "rank": op.rank, "spectrum": spectrum}
     lines = [
         f"{spec.label()} moment on tensor power ({n},{nprime}), measure {measure.kind}",
         f"rank: {op.rank}",
-        f"spectrum: {[float(x) for x in op.spectrum]}",
+        f"spectrum: {spectrum}",
         json.dumps(tensor),
     ]
     _emit(args, payload, lines)

@@ -22,8 +22,8 @@ the eigenbasis of ``X`` on every slot it is block-diagonal by weight
 from the rotated completeness relation, made real symmetric, and
 decomposed by one real ``eigh`` (`_block_eigh`, cached per block).  Every
 invariant has weight zero, so Haar decomposes the zero-weight block alone
-(`_null_space`); Brownian and ``MomentOperator.spectrum`` (`_eigenvalues`)
-read every block.
+(`_null_space`); Brownian reads every block.  `_kept` alone says which
+eigenvectors a measure keeps, and with what weights.
 
 An exact expectation of a product of loops takes one route, chosen by
 invariant theory (``_route``):
@@ -71,7 +71,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence, Union
 
 import numpy as np
@@ -130,10 +130,10 @@ class MeasureSpec:
     def __post_init__(self):
         if self.kind not in ("haar", "brownian", "wilson"):
             raise ValueError(f"unknown measure kind {self.kind!r}")
+        if self.kind == "brownian" and not (math.isfinite(self.t) and self.t > 0):
+            raise ValueError(f"brownian measure needs a finite t > 0, got t={self.t}")
         if not (math.isfinite(self.t) and math.isfinite(self.beta)):
             raise ValueError(f"measure parameters must be finite, got t={self.t}, beta={self.beta}")
-        if self.kind == "brownian" and not self.t > 0:
-            raise ValueError("brownian measure needs t > 0")
         if self.kind == "wilson":
             if not self.plaquettes:
                 raise ValueError("the Wilson measure needs an explicit plaquette list")
@@ -179,20 +179,30 @@ class MeasureSpec:
 
 @dataclass(frozen=True)
 class MomentOperator:
-    """T(nu) on the tensor representation, with the Casimir spectrum cached."""
+    """T(nu) on the tensor representation; the Casimir spectrum is read on first use."""
 
     rep: RepData
     n: int
     nprime: int
     kind: str
     matrix: np.ndarray
-    spectrum: np.ndarray
     t: float = 0.0
 
     @property
     def rank(self) -> int:
         """The number of invariants: the rank of the Haar projector, for any measure."""
         return _null_space(self.rep, self.n, self.nprime).shape[1]
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Every eigenvalue of ``C``, ascending: the blocks the measure keeps are read
+        through the `_block_eigh` cache, the others decomposed once and not kept."""
+        rep, n, nprime = self.rep, self.n, self.nprime
+        kept = {k for k, _, _ in _kept(rep, n, nprime, MeasureSpec(self.kind, t=self.t))}
+        w = np.sort(np.concatenate([(_block_eigh if k in kept else _decompose_block)(rep, n, nprime, k)[0]
+                                    for k in range(len(_weight_blocks(rep, n, nprime)))]))
+        w.setflags(write=False)
+        return w
 
 
 def _check_budget(rep: RepData, n: int, nprime: int, budget: int) -> int:
@@ -341,9 +351,8 @@ def _weight_blocks(rep: RepData, n: int, nprime: int) -> tuple[np.ndarray, ...]:
     return tuple(blocks)
 
 
-@lru_cache(maxsize=256)
-def _block_eigh(rep: RepData, n: int, nprime: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``C`` on weight block ``k``: ``(w, z, digits)``, read-only.
+def _decompose_block(rep: RepData, n: int, nprime: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``C`` on weight block ``k``: ``(w, z, digits)``, read-only; `_block_eigh` caches it.
 
     In the weight basis ``C'[I, J] = m lambda delta_IJ + sum coef K'[I_p,
     J_p, I_q, J_q] [I_r = J_r for r not in {p, q}]``, gathered from
@@ -384,6 +393,9 @@ def _block_eigh(rep: RepData, n: int, nprime: int, k: int) -> tuple[np.ndarray, 
     return w, z, digits
 
 
+_block_eigh = lru_cache(maxsize=256)(_decompose_block)
+
+
 def _from_weight_basis(rep: RepData, m: int, flat: np.ndarray, z: np.ndarray) -> np.ndarray:
     """``U^{(x)m} z`` for block coordinates ``z`` (``(N, k)``): ``(k, D)`` real rows."""
     d = rep.dim
@@ -422,31 +434,38 @@ def _null_space(rep: RepData, n: int, nprime: int) -> np.ndarray:
     return u
 
 
-@lru_cache(maxsize=64)
-def _eigenvalues(rep: RepData, n: int, nprime: int) -> np.ndarray:
-    """Every eigenvalue of the tensor Casimir, ascending, with no vector of length ``D``."""
-    blocks = range(len(_weight_blocks(rep, n, nprime)))  # past the cache: keeps no eigenvectors
-    w = np.sort(np.concatenate([_block_eigh.__wrapped__(rep, n, nprime, k)[0] for k in blocks]))
-    w.setflags(write=False)
-    return w
+def _kept(rep: RepData, n: int, nprime: int, measure: MeasureSpec) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """The columns ``z`` of block ``k`` the measure keeps, and their weights ``f``: Haar keeps the
+    null columns of block 0 (weight 1) once `_null_space` has run its gap guard and residual
+    check, Brownian(t) every column of every block (weight ``exp(t w / 2)``)."""
+    if measure.kind == "wilson":
+        raise ValueError("no exact moment operator for the Wilson action")
+    if measure.kind == "haar":
+        r = _null_space(rep, n, nprime).shape[1]
+        w, z, _ = _block_eigh(rep, n, nprime, 0)
+        return [(0, z[:, len(w) - r:], np.ones(r))]  # w ascends to 0: the null columns last
+    eighs = (_block_eigh(rep, n, nprime, k) for k in range(len(_weight_blocks(rep, n, nprime))))
+    return [(k, z, np.exp(0.5 * measure.t * w)) for k, (w, z, _) in enumerate(eighs)]
 
 
 def moment_operator(rep: RepData, n: int, nprime: int, measure: MeasureSpec,
                     budget: int = DEFAULT_BUDGET) -> MomentOperator:
-    """Exact moment operator for Haar or Brownian measures (not cached)."""
-    if measure.kind == "wilson":
-        raise ValueError("no exact moment operator for the Wilson action")
-    _check_budget(rep, n, nprime, budget)
-    spectrum = _eigenvalues(rep, n, nprime)  # before T: the two memory peaks do not add
-    if measure.kind == "haar":
-        u = _null_space(rep, n, nprime)
-        t = u @ u.T
-    else:  # T = v^T v, each eigenvector row of every block scaled by exp(t w / 4)
-        blocks = [(f, *_block_eigh(rep, n, nprime, k)) for k, f in enumerate(_weight_blocks(rep, n, nprime))]
-        v = np.vstack([_from_weight_basis(rep, n + nprime, flat, z) for flat, _, z, _ in blocks])
-        v *= np.exp(0.25 * measure.t * np.concatenate([w for _, w, _, _ in blocks]))[:, None]
-        t = v.T @ v
-    return MomentOperator(rep, n, nprime, measure.kind, t, spectrum, t=measure.t)
+    """Exact moment operator for Haar or Brownian measures (not cached).
+
+    ``T = v^T v``, a row of ``v`` for each eigenvector `_kept` keeps, scaled
+    by the root of its weight.  Rows leave the weight basis ``D // 32`` at a
+    time (at least 4096 entries), so a chunk's temporaries stay below ``T``.
+    """
+    dim = _check_budget(rep, n, nprime, budget)
+    kept, flat = _kept(rep, n, nprime, measure), _weight_blocks(rep, n, nprime)
+    v = np.empty((sum(len(f) for _, _, f in kept), dim))
+    chunk, row = max(dim // 32, 4096 // dim), 0
+    for k, z, f in kept:
+        for lo in range(0, len(f), chunk):
+            rows = _from_weight_basis(rep, n + nprime, flat[k], z[:, lo:lo + chunk])
+            np.multiply(rows, np.sqrt(f[lo:lo + chunk])[:, None], out=v[row:row + len(rows)])
+            row += len(rows)
+    return MomentOperator(rep, n, nprime, measure.kind, v.T @ v, t=measure.t)
 
 
 def haar_moment(rep: RepData, n: int, nprime: int,
@@ -458,8 +477,6 @@ def haar_moment(rep: RepData, n: int, nprime: int,
 def brownian_moment(rep: RepData, n: int, nprime: int, t: float,
                     budget: int = DEFAULT_BUDGET) -> MomentOperator:
     """Heat-semigroup moment ``exp(t/2 C)`` on the tensor representation."""
-    if not (math.isfinite(t) and t > 0):
-        raise ValueError(f"brownian moment needs a finite t > 0, got t={t}")
     return moment_operator(rep, n, nprime, MeasureSpec.brownian(t), budget)
 
 
@@ -608,22 +625,20 @@ def weingarten(ss: SpanningSet, rel_cutoff: float = 1e-8) -> WeingartenMap:
 ProductItem = Union[Loop, LoopSum]
 
 
+def _item_terms(item: ProductItem) -> list[list[Loop]]:
+    """The loops of each term of a product item: one term for a `Loop`, one per `LoopSum` term."""
+    if isinstance(item, Loop):
+        return [[item]]
+    if not isinstance(item, LoopSum):
+        raise TypeError(f"expected Loop or LoopSum, got {type(item).__name__}")
+    return [[term.left, term.right] if isinstance(term, LoopPair) else [term] for term in item.terms]
+
+
 def _expand_items(items: Sequence[ProductItem]) -> list[list[Loop]]:
     """Multilinear expansion of a product of loops and loop sums."""
     combos: list[list[Loop]] = [[]]
     for item in items:
-        if isinstance(item, Loop):
-            for combo in combos:
-                combo.append(item)
-            continue
-        if not isinstance(item, LoopSum):
-            raise TypeError(f"expected Loop or LoopSum, got {type(item).__name__}")
-        new: list[list[Loop]] = []
-        for term in item.terms:
-            extension = [term.left, term.right] if isinstance(term, LoopPair) else [term]
-            for combo in combos:
-                new.append(combo + extension)
-        combos = new
+        combos = [combo + loops for loops in _item_terms(item) for combo in combos]
     return combos
 
 
@@ -823,29 +838,21 @@ def _end_slots(shape: tuple[tuple[int, ...], ...]):
 
 def _block_contraction(rep: RepData, n: int, nprime: int, measure: MeasureSpec,
                        shape: tuple[tuple[int, ...], ...], coeffs: Sequence[np.ndarray]) -> complex:
-    """``sum_b sum_j f_j z_j^T M'_b conj(z_j)`` over the eigenvectors the measure keeps.
+    """``sum_b sum_j f_j z_j^T M'_b conj(z_j)`` over the eigenvectors the measure keeps (`_kept`).
 
     An eigenvector of ``C`` is real, ``U^{(x)m} z = conj(U)^{(x)m} conj(z)``,
     so ``M'_b[I, J]`` is the product of the rotated ``c'_k = A_e1^T c_k A_e2``
     (``A``: ``U`` on a row end, ``conj(U)`` on a column end) at the digits of
-    their ends, a row end reading ``I`` and a column end ``J``.  Haar keeps
-    the null columns of block 0 (weight 1), Brownian(t) every column of every
-    block (weight ``exp(t w / 2)``).
+    their ends, a row end reading ``I`` and a column end ``J``.
     """
     u = _weight_basis(rep)[0]
     flip, side, ((ki, si, ti), (km, sm, tm), (kj, sj, tj)) = _end_slots(shape)
     cs = np.array([c.T if swap else c for c, swap in zip(coeffs, flip)])
     basis = np.array([u, u.conj()])
     rotated = basis[side[:, 0]].transpose(0, 2, 1) @ cs @ basis[side[:, 1]]
-    if measure.kind == "haar":
-        r = _null_space(rep, n, nprime).shape[1]  # the gap guard and the residual check first
-        w, z, digits = _block_eigh(rep, n, nprime, 0)
-        kept = [(z[:, len(w) - r:], np.ones(r), digits)]  # w ascends to 0: the null columns last
-    else:
-        blocks = (_block_eigh(rep, n, nprime, k) for k in range(len(_weight_blocks(rep, n, nprime))))
-        kept = [(z, np.exp(0.5 * measure.t * w), digits) for w, z, digits in blocks]
     total = 0.0 + 0.0j
-    for z, f, digits in kept:  # a factor on I alone or J alone scales the rows of y, not N x N
+    for k, z, f in _kept(rep, n, nprime, measure):  # a factor on I alone or J alone scales the rows of y
+        digits = _block_eigh(rep, n, nprime, k)[2]
         y = z.conj()
         if len(kj):
             y = y * rotated[kj, digits[sj], digits[tj]].prod(axis=0)[:, None]

@@ -50,8 +50,8 @@ from typing import Sequence
 import numpy as np
 
 from .catalog import RepData, check_one_group
-from .loops import Loop, LoopSum, conjugate_loop, linear_loop, total_merge, total_twist
-from .moments import DEFAULT_BUDGET, MeasureSpec, expect_product
+from .loops import Loop, conjugate_loop, linear_loop, total_merge, total_twist
+from .moments import DEFAULT_BUDGET, MeasureSpec, _item_terms, expect_product
 
 __all__ = [
     "RngSpec",
@@ -252,20 +252,13 @@ def _product_values(items: Sequence, gs: np.ndarray, known: dict | None = None) 
     return vals
 
 
-def _common_rep(items: Sequence) -> RepData:
-    reps = []
-    for item in items:
-        if isinstance(item, Loop):
-            reps.append(item.rep)
-        elif isinstance(item, LoopSum):
-            for term in item.terms:
-                reps.extend([term.left.rep, term.right.rep] if hasattr(term, "left") else [term.rep])
-        else:
-            raise TypeError(f"expected Loop or LoopSum, got {type(item).__name__}")
-    if not reps:
+def _common_rep(items: Sequence, plaquettes: Sequence[Loop]) -> RepData:
+    """The one group of a product's loops and the plaquettes; refuses a product of no loops."""
+    loops = [w for item in items for term in _item_terms(item) for w in term]
+    if not loops:
         raise ValueError("need at least one loop")
-    check_one_group(rep.spec for rep in reps)
-    return reps[0]
+    check_one_group(w.rep.spec for w in loops + list(plaquettes))
+    return loops[0].rep
 
 
 def _action_loops(plaquettes: Sequence[Loop]) -> list[Loop]:
@@ -313,7 +306,7 @@ def mc_expect(items: Sequence, measure: MeasureSpec, samples: int, rng: RngSpec,
     Brownian (no plaquettes), and one self-normalized estimator reads them.
     """
     _check_samples(samples)
-    rep = _common_rep(list(items) + list(measure.plaquettes))
+    rep = _common_rep(items, measure.plaquettes)
     if measure.kind == "brownian":
         gs = brownian_path_batch(rep, measure.t, steps, rng, samples)
     else:
@@ -402,7 +395,7 @@ def verify_theorem_a(loops: Sequence[Loop], measure: MeasureSpec,
         return _exact_report(measure.kind, lhs, rhs, 1e-9 * (1.0 + abs(lhs)))
 
     _check_samples(samples)
-    rep = _common_rep(loops + list(measure.plaquettes))
+    rep = _common_rep(loops, measure.plaquettes)
     gs = haar_sample_batch(rep, rng, samples)
     known = {id(w): w.evaluate_batch(gs) for w in loops}  # each loop evaluated once
     prod = _product_values(terms[0][1], gs, known)

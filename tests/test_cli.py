@@ -83,6 +83,13 @@ class TestMoment:
         assert doc["error"]["kind"] == "BudgetError"
         assert "16384" in doc["error"]["detail"]
 
+    def test_wilson_has_no_exact_moment(self, capsys):
+        code, out = run(capsys, "moment", "--family", "su", "--n", "2", "--tensor", "1,1",
+                        "--measure", "wilson:beta=0.1", "--out", "json")
+        assert code == 2
+        assert json.loads(out)["error"] == {"kind": "usage",
+                                            "detail": "no exact moment operator for the Wilson action"}
+
     def test_json_and_text_carry_the_same_tensor(self, capsys):
         argv = ("moment", "--family", "su", "--n", "2", "--tensor", "1,1", "--measure", "brownian:t=0.5")
         code, out = run(capsys, *argv, "--out", "json")
@@ -231,10 +238,18 @@ class TestExpect:
         assert code == 2
         assert json.loads(out)["error"]["kind"] == "usage"
 
-    def test_empty_loop_list_exits_2(self, capsys, tmp_path):
-        target = tmp_path / "loops.json"
+    @pytest.mark.parametrize("command", [("expect",), ("verify", "theorem-a")])
+    @pytest.mark.parametrize("measure", ["haar", "wilson"])
+    def test_empty_loop_list_exits_2(self, capsys, tmp_path, command, measure):
+        # the plaquettes are no loop of the product
+        from lgm.catalog import GroupSpec, build_representation
+
+        target, plaq = tmp_path / "loops.json", tmp_path / "plaq.json"
         target.write_text("[]")
-        code, out = run(capsys, "expect", "--loops", str(target), "--out", "json")
+        write_loops(plaq, [linear_loop(build_representation(GroupSpec("u", 2)), np.eye(2))])
+        wilson = ("--measure", "wilson:beta=0.5", "--plaquettes", str(plaq), "--samples", "200")
+        code, out = run(capsys, *command, "--loops", str(target), *(wilson if measure == "wilson" else ()),
+                        "--out", "json")
         assert code == 2
         assert json.loads(out)["error"] == {"kind": "usage", "detail": "need at least one loop"}
 

@@ -487,7 +487,7 @@ class TestMeasureSpec:
 class TestBudgetAndCaches:
     def test_budget_checked_before_the_spectrum_cache(self):
         haar = MeasureSpec.haar()
-        caches = (moments._null_space, moments._eigenvalues)  # the Haar null space, every block
+        caches = (moments._null_space, moments._block_eigh)  # the Haar null space, its block
         op = moment_operator(U2, 3, 2, haar, budget=64)
         assert op.matrix.shape == (32, 32)
         cached = [c.cache_info() for c in caches]
@@ -543,9 +543,8 @@ class TestBudgetAndCaches:
         w, u = block_spectrum(rep, n, nprime)
         assert w.dtype == u.dtype == np.float64
         assert moments._null_space(rep, n, nprime).dtype == np.float64
-        assert moments._eigenvalues(rep, n, nprime).dtype == np.float64
-        assert haar_moment(rep, n, nprime).matrix.dtype == np.float64
-        assert brownian_moment(rep, n, nprime, 0.5).matrix.dtype == np.float64
+        for op in (haar_moment(rep, n, nprime), brownian_moment(rep, n, nprime, 0.5)):
+            assert op.matrix.dtype == op.spectrum.dtype == np.float64
         for src in {source, "nullspace"}:
             wm = weingarten(spanning_set(rep, n, nprime, src))
             for a in (wm.spanning.vectors, wm.gram, wm.wg, wm.moment_matrix()):
@@ -577,11 +576,12 @@ class TestBudgetAndCaches:
         with pytest.raises(RuntimeError, match="not invariant"):
             spanning_set(U3, 2, 2, "permutations")
 
-    def test_permutation_spanning_set_needs_no_spectrum(self):
+    def test_permutation_spanning_set_needs_no_spectrum(self, monkeypatch):
         u4 = build_representation(GroupSpec("u", 4))
-        caches = (moments._null_space, moments._eigenvalues, moments._block_eigh, moments._weight_blocks)
+        caches = (moments._null_space, moments._block_eigh, moments._weight_blocks)
         for cache in caches:
             cache.cache_clear()
+        monkeypatch.setattr(moments, "_decompose_block", None)  # no block decomposed past the cache
         weingarten(spanning_set(u4, 3, 3, "permutations"))
         for cache in caches:
             info = cache.cache_info()
@@ -696,8 +696,9 @@ class TestExpectationRoutes:
         want = weingarten(spanning_set(rep, n, nprime, source)).wg
         assert np.max(np.abs(moments._route_wg(rep, n, nprime, source) - want)) <= 1e-12
 
-    def test_u6_eighth_moment_at_default_budget(self):
-        caches = (moments._null_space, moments._eigenvalues, moments._block_eigh, moments._weight_blocks)
+    def test_u6_eighth_moment_at_default_budget(self, monkeypatch):
+        caches = (moments._null_space, moments._block_eigh, moments._weight_blocks)
+        monkeypatch.setattr(moments, "_decompose_block", None)  # no block decomposed past the cache
         before = [c.cache_info() for c in caches]
         chars = [linear_loop(U6, np.eye(6))] * 4 + [linear_loop(U6, np.eye(6), -1)] * 4
         assert abs(expect_product(chars, MeasureSpec.haar()) - 24.0) <= 1e-9
@@ -773,6 +774,45 @@ class TestWeightBlocks:
         want = np.linalg.eigvalsh(tensor_casimir(rep, n, nprime))
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    def test_moment_operator_decomposes_each_block_once(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, *args: calls.append(len(a)) or eigh(a, *args))
+        moments._weight_basis(U3)  # its own eigh, once per representation
+        blocks = len(moments._weight_blocks(U3, 2, 2))
+        for measure, first in ((MeasureSpec.brownian(0.5), blocks), (HAAR, 1)):
+            moments._block_eigh.cache_clear()
+            moments._null_space.cache_clear()
+            calls.clear()
+            op = moment_operator(U3, 2, 2, measure)
+            assert len(calls) == first
+            assert len(op.spectrum) == 81 and len(calls) == blocks  # the blocks not kept, once each
+            assert moments._block_eigh.cache_info().currsize == first  # only the kept blocks are cached
+
+    def test_residual_check_runs_before_any_haar_result(self, monkeypatch):
+        monkeypatch.setattr(moments, "_apply_casimir", lambda rep, n, nprime, vecs: vecs)  # C u = u
+        moments._null_space.cache_clear()
+        chars = [linear_loop(SO4, np.eye(4), s) for s in (1, 1, -1, -1)]  # an epsilon-type invariant
+        for compute in (lambda: moment_operator(SO4, 2, 2, HAAR), lambda: expect_product(chars, HAAR)):
+            with pytest.raises(RuntimeError, match="not annihilated"):
+                compute()
+
+    @pytest.mark.parametrize("rep,n,nprime", [(SO5, 4, 0), (U3, 3, 3), (SU2, 4, 4), (U2, 5, 5)],
+                             ids=["so5-40", "u3-33", "su2-44", "u2-55"])
+    def test_cold_brownian_moment_peak(self, rep, n, nprime):
+        # v and T = v^T v are D x D each; the chunk temporaries and the cached blocks come on top
+        blocks = moments._weight_blocks(rep, n, nprime)
+        moments._weight_kernels(rep)
+        moments._block_eigh.cache_clear()
+        tracemalloc.start()
+        try:
+            moment_operator(rep, n, nprime, MeasureSpec.brownian(0.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        dim = rep.dim ** (n + nprime)
+        assert peak <= 2.25 * dim ** 2 * 8 + sum(len(b) ** 2 for b in blocks) * 16
 
     def test_zero_block_holds_the_weight_zero_tuples(self):
         # G2 (4,0): weights of the defining rep are 0 and +-a, +-b, +-(a+b)

@@ -319,6 +319,16 @@ class TestMcExpect:
         with pytest.raises(ValueError, match="100"):
             verify_theorem_a([w], MeasureSpec.wilson(0.5, [w]), samples=10)
 
+    @pytest.mark.parametrize("measure", [MeasureSpec.haar(), MeasureSpec.brownian(0.5),
+                                         MeasureSpec.wilson(0.5, [linear_loop(U2, np.eye(2))])],
+                             ids=["haar", "brownian", "wilson"])
+    def test_empty_product_is_refused(self, measure):
+        # the plaquettes are no loop of the product
+        with pytest.raises(ValueError, match="need at least one loop"):
+            mc_expect([], measure, 200, RngSpec(0))
+        with pytest.raises(ValueError, match="need at least one loop"):
+            verify_theorem_a([], measure, samples=200)
+
     def test_wilson_needs_plaquettes(self):
         with pytest.raises(ValueError, match="plaquette"):
             mc_expect([linear_loop(U2, np.eye(2))], MeasureSpec.wilson(0.1, []),
