@@ -238,10 +238,18 @@ class TestExpect:
         assert code == 2
         assert json.loads(out)["error"]["kind"] == "usage"
 
-    @pytest.mark.parametrize("command", [("expect",), ("verify", "theorem-a")])
-    @pytest.mark.parametrize("measure", ["haar", "wilson"])
-    def test_empty_loop_list_exits_2(self, capsys, tmp_path, command, measure):
-        # the plaquettes are no loop of the product
+    def test_empty_loop_list_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "loops.json"
+        target.write_text("[]")
+        code, out = run(capsys, "expect", "--loops", str(target), "--out", "json")
+        assert code == 2
+        assert json.loads(out)["error"] == {"kind": "usage", "detail": "need at least one loop"}
+
+    @pytest.mark.parametrize("command,measure", [
+        (("verify", "theorem-a"), "haar"), (("expect",), "wilson"), (("verify", "theorem-a"), "wilson"),
+    ], ids=["verify-haar", "expect-wilson", "verify-wilson"])
+    def test_empty_loop_list_exits_2_under_every_command(self, capsys, tmp_path, command, measure):
+        # the plaquettes are not loops of the product
         from lgm.catalog import GroupSpec, build_representation
 
         target, plaq = tmp_path / "loops.json", tmp_path / "plaq.json"
