@@ -133,8 +133,8 @@ def _cmd_moment(args) -> int:
         raise UsageError("no exact moment operator for the Wilson action")
     measure = _measure(args)
     op = moment_operator(rep, n, nprime, measure, args.budget)
+    spectrum = [float(x) for x in op.spectrum]  # before T: its eigh temporaries are freed first
     tensor = tensor_to_json(op.matrix)
-    spectrum = [float(x) for x in op.spectrum]
     payload = {"tensor": tensor, "rank": op.rank, "spectrum": spectrum}
     lines = [
         f"{spec.label()} moment on tensor power ({n},{nprime}), measure {measure.kind}",

@@ -179,14 +179,12 @@ class MeasureSpec:
 
 @dataclass(frozen=True)
 class MomentOperator:
-    """T(nu) on the tensor representation; the Casimir spectrum is read on first use."""
+    """T(nu) on the tensor representation; the matrix and the Casimir spectrum are formed on first read."""
 
     rep: RepData
     n: int
     nprime: int
-    kind: str
-    matrix: np.ndarray
-    t: float = 0.0
+    measure: MeasureSpec
 
     @property
     def rank(self) -> int:
@@ -194,11 +192,28 @@ class MomentOperator:
         return _null_space(self.rep, self.n, self.nprime).shape[1]
 
     @cached_property
+    def matrix(self) -> np.ndarray:
+        """``T = v^T v``, a row of ``v`` for each eigenvector `_kept` keeps, scaled by the
+        root of its weight.  Rows leave the weight basis ``D // 32`` at a time (at least
+        4096 entries), so a chunk's temporaries stay below ``T``."""
+        rep, n, nprime = self.rep, self.n, self.nprime
+        kept, flat = _kept(rep, n, nprime, self.measure), _weight_blocks(rep, n, nprime)
+        dim = rep.dim ** (n + nprime)
+        v = np.empty((sum(len(f) for _, _, f in kept), dim))
+        chunk, row = max(dim // 32, 4096 // dim), 0
+        for k, z, f in kept:
+            for lo in range(0, len(f), chunk):
+                rows = _from_weight_basis(rep, n + nprime, flat[k], z[:, lo:lo + chunk])
+                np.multiply(rows, np.sqrt(f[lo:lo + chunk])[:, None], out=v[row:row + len(rows)])
+                row += len(rows)
+        return v.T @ v
+
+    @cached_property
     def spectrum(self) -> np.ndarray:
         """Every eigenvalue of ``C``, ascending: the blocks the measure keeps are read
         through the `_block_eigh` cache, the others decomposed once and not kept."""
         rep, n, nprime = self.rep, self.n, self.nprime
-        kept = {k for k, _, _ in _kept(rep, n, nprime, MeasureSpec(self.kind, t=self.t))}
+        kept = {k for k, _, _ in _kept(rep, n, nprime, self.measure)}
         w = np.sort(np.concatenate([(_block_eigh if k in kept else _decompose_block)(rep, n, nprime, k)[0]
                                     for k in range(len(_weight_blocks(rep, n, nprime)))]))
         w.setflags(write=False)
@@ -285,11 +300,7 @@ def _weight_basis(rep: RepData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     tol = 1e-9 * max(1.0, float(np.max(np.abs(h), initial=0.0)))
     up = h > tol
     pos, kernel = v[:, up], v[:, np.abs(h) <= tol]
-    if kernel.shape[1] == 1:  # turn the phase of its largest entry away
-        big = kernel[np.argmax(np.abs(kernel[:, 0])), 0]
-        kernel = (kernel * (abs(big) / big)).real
-    elif kernel.shape[1]:
-        kernel = np.linalg.svd(np.hstack([kernel.real, kernel.imag]))[0][:, :kernel.shape[1]]
+    kernel = np.linalg.svd(np.hstack([kernel.real, kernel.imag]))[0][:, :kernel.shape[1]]  # a real basis
     k, p = kernel.shape[1], pos.shape[1]
     if k + 2 * p != rep.dim:
         raise RuntimeError(f"{rep.spec.label()}: the weights of X are not symmetric about 0")
@@ -450,22 +461,11 @@ def _kept(rep: RepData, n: int, nprime: int, measure: MeasureSpec) -> list[tuple
 
 def moment_operator(rep: RepData, n: int, nprime: int, measure: MeasureSpec,
                     budget: int = DEFAULT_BUDGET) -> MomentOperator:
-    """Exact moment operator for Haar or Brownian measures (not cached).
-
-    ``T = v^T v``, a row of ``v`` for each eigenvector `_kept` keeps, scaled
-    by the root of its weight.  Rows leave the weight basis ``D // 32`` at a
-    time (at least 4096 entries), so a chunk's temporaries stay below ``T``.
-    """
-    dim = _check_budget(rep, n, nprime, budget)
-    kept, flat = _kept(rep, n, nprime, measure), _weight_blocks(rep, n, nprime)
-    v = np.empty((sum(len(f) for _, _, f in kept), dim))
-    chunk, row = max(dim // 32, 4096 // dim), 0
-    for k, z, f in kept:
-        for lo in range(0, len(f), chunk):
-            rows = _from_weight_basis(rep, n + nprime, flat[k], z[:, lo:lo + chunk])
-            np.multiply(rows, np.sqrt(f[lo:lo + chunk])[:, None], out=v[row:row + len(rows)])
-            row += len(rows)
-    return MomentOperator(rep, n, nprime, measure.kind, v.T @ v, t=measure.t)
+    """Exact moment operator for Haar or Brownian measures (not cached); the budget and
+    `_kept` (the Wilson refusal, and under Haar the gap guard and residual check) run here."""
+    _check_budget(rep, n, nprime, budget)
+    _kept(rep, n, nprime, measure)
+    return MomentOperator(rep, n, nprime, measure)
 
 
 def haar_moment(rep: RepData, n: int, nprime: int,

@@ -28,16 +28,18 @@ kernel ``expm_skew_batch`` exponentiates them.  Complex generators are taken
 in their real ``2d x 2d`` form, so the walk runs in real arithmetic and is
 read back as complex once at the end; SO and G2 draws come out exactly real.
 
-Estimators are deterministic functions of an RngSpec.  Each measure is a
-weight on the draws (Brownian path endpoints, Haar for the rest): the
-log-weight ``beta * Re sum_p W_p`` is zero for Haar and Brownian, which have
-no plaquettes, and one self-normalized estimator reads it.  That estimator
-refuses when fewer than ``WILSON_MIN_ESS`` effective draws remain, which
-only Wilson weights can cause: equal weights keep all of at least
-``MIN_SAMPLES``, the floor `_check_samples` puts on every estimate.
-Plaquettes are linear loops, so the action is summed into one coefficient
-per (rep, slot sign) and costs one trace per draw.  The Theorem-A check
-builds ``Delta(W_1...W_n)`` once and reads it per measure.
+Estimators are deterministic functions of an RngSpec, and one pipeline,
+`_mc_estimate`, makes every one: it takes a loop polynomial ``sum coef *
+prod items``, draws once (Brownian path endpoints, Haar for the rest),
+evaluates each distinct item once, and gives every draw the log-weight
+``beta * Re sum_p W_p``, zero for Haar and Brownian, which have no
+plaquettes.  One self-normalized estimator reads it and refuses when fewer
+than ``WILSON_MIN_ESS`` effective draws remain, which only Wilson weights
+can cause: equal weights keep all of at least ``MIN_SAMPLES``, the floor
+`_check_samples` puts on every estimate.  Plaquettes are linear loops, so
+the action is summed into one coefficient per (rep, slot sign) and costs one
+trace per draw.  `mc_expect` is the polynomial of one product; the Wilson
+Theorem-A check is ``Delta(W_1...W_n)`` plus the action's terms.
 """
 
 from __future__ import annotations
@@ -242,16 +244,6 @@ def brownian_path(rep: RepData, spec: BrownianPathSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _product_values(items: Sequence, gs: np.ndarray, known: dict | None = None) -> np.ndarray:
-    """The product of ``items`` on each draw; ``known`` maps ``id(item)`` to
-    values already evaluated on ``gs``."""
-    known = known or {}
-    vals = np.ones(gs.shape[0], dtype=np.complex128)
-    for item in items:
-        vals = vals * (known[id(item)] if id(item) in known else item.evaluate_batch(gs))
-    return vals
-
-
 def _common_rep(items: Sequence, plaquettes: Sequence[Loop]) -> RepData:
     """The one group of a product's loops and the plaquettes; refuses a product of no loops."""
     loops = [w for item in items for term in _item_terms(item) for w in term]
@@ -297,23 +289,39 @@ def _weighted_estimate(log_w: np.ndarray, vals: np.ndarray) -> tuple[complex, fl
     return value, stderr
 
 
-def mc_expect(items: Sequence, measure: MeasureSpec, samples: int, rng: RngSpec,
-              steps: int = 200) -> MCEstimate:
-    """Monte-Carlo expectation of a product of loops under a measure.
+def _mc_estimate(terms: Sequence[tuple[complex, Sequence]], measure: MeasureSpec, samples: int,
+                 rng: RngSpec, steps: int = 200) -> MCEstimate:
+    """The estimate of a loop polynomial ``sum coef * prod items`` under a measure.
 
     Brownian draws are path endpoints; every other measure draws Haar.  Each
     draw carries the log-weight ``beta * Re sum_p W_p``, zero for Haar and
     Brownian (no plaquettes), and one self-normalized estimator reads them.
+    Each distinct item is evaluated once per estimate.
     """
     _check_samples(samples)
-    rep = _common_rep(items, measure.plaquettes)
+    rep = _common_rep([item for _, items in terms for item in items], measure.plaquettes)
     if measure.kind == "brownian":
         gs = brownian_path_batch(rep, measure.t, steps, rng, samples)
     else:
         gs = haar_sample_batch(rep, rng, samples)
     action = sum((w.evaluate_batch(gs) for w in _action_loops(measure.plaquettes)), np.zeros(samples))
-    value, stderr = _weighted_estimate(measure.beta * action.real, _product_values(items, gs))
+    memo: dict = {}  # id(item) -> its values; ``terms`` keeps every item alive
+    y = 0.0
+    for coef, items in terms:
+        prod = np.ones(samples, dtype=np.complex128)
+        for item in items:
+            if id(item) not in memo:
+                memo[id(item)] = item.evaluate_batch(gs)
+            prod = prod * memo[id(item)]
+        y = y + coef * prod
+    value, stderr = _weighted_estimate(measure.beta * action.real, y)
     return MCEstimate(value, stderr, samples, float(np.max(np.abs(measure.beta * action.imag))))
+
+
+def mc_expect(items: Sequence, measure: MeasureSpec, samples: int, rng: RngSpec,
+              steps: int = 200) -> MCEstimate:
+    """Monte-Carlo expectation of a product of loops under a measure (`_mc_estimate`)."""
+    return _mc_estimate([(1.0, items)], measure, samples, rng, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -369,13 +377,15 @@ def verify_theorem_a(loops: Sequence[Loop], measure: MeasureSpec,
     Brownian: the identity becomes an ODE in t; the exact expectation is
     differentiated by central differences, step ``min(1e-4, t/2)``, and
     compared with the expectation of all the terms at t.
-    Wilson: the terms and the action's beta, beta^2 terms are evaluated per
-    Haar draw and their weighted mean estimated (self-normalized importance
-    sampling) from at least ``MIN_SAMPLES`` draws; reports a z-score.  At
-    beta = 0 the measure is Haar and the residual is computed exactly
-    instead.
+    Wilson: the terms plus the action's ``-beta lambda p`` and ``-beta^2
+    merge(p, q)`` terms, for ``p, q`` the Hermitized plaquette loops, make
+    one loop polynomial, estimated by `_mc_estimate` as `mc_expect` is;
+    reports a z-score.  At beta = 0 the measure is Haar and the residual is
+    computed exactly instead.
     """
     loops = list(loops)
+    if not loops:  # before the action terms, whose plaquettes are no loops of the product
+        raise ValueError("need at least one loop")
     terms = _laplacian_terms(loops)
     if measure.kind == "brownian":
         t = measure.t
@@ -394,36 +404,23 @@ def verify_theorem_a(loops: Sequence[Loop], measure: MeasureSpec,
         rhs = -sum(coef * expect_product(items, haar, budget) for coef, items in terms[1:])
         return _exact_report(measure.kind, lhs, rhs, 1e-9 * (1.0 + abs(lhs)))
 
-    _check_samples(samples)
-    rep = _common_rep(loops, measure.plaquettes)
-    gs = haar_sample_batch(rep, rng, samples)
-    known = {id(w): w.evaluate_batch(gs) for w in loops}  # each loop evaluated once
-    prod = _product_values(terms[0][1], gs, known)
-    y = terms[0][0] * prod
-    for coef, items in terms[1:]:
-        y = y + coef * _product_values(items, gs, known)
-    beta = measure.beta
     # The sampler weights by exp(beta * Re(sum_p W_p)), i.e. the Hermitized
     # action; the beta and beta^2 terms must use the same effective
     # plaquette set (1/2)(W_p + conj(W_p)).  Summed per rep, with A and B the
     # summed coefficients of the + and - slots, that set is the loop
-    # e = tr((A + B^dagger)/2 rho(g)) and its conjugate, and e + conj(e) = 2 Re e.
+    # e = tr((A + B^dagger)/2 rho(g)) and its conjugate.
     halves: dict = {}
     for w in _action_loops(measure.plaquettes):
         (coeff, sign), = w.factors
         halves[w.rep] = halves.get(w.rep, 0.0) + 0.5 * (coeff if sign == 1 else coeff.conj().T)
-    log_w = np.zeros(samples)
     effective = []
-    for p_rep, half in halves.items():
-        e = linear_loop(p_rep, half)
-        e_re = e.evaluate_batch(gs).real
-        log_w = log_w + 2.0 * beta * e_re
-        y = y - 2.0 * beta * p_rep.lam * e_re * prod
-        effective.extend([e, conjugate_loop(e)])
-    for p, p2 in itertools.product(effective, repeat=2):
-        y = y - beta ** 2 * total_merge(p, p2).evaluate_batch(gs) * prod
-
-    value, stderr = _weighted_estimate(log_w, y)
-    z = abs(value) / stderr if stderr > 0 else float("inf")
-    return TheoremAReport("wilson", value, 0.0, abs(value), 3.0 * stderr,
-                          z <= 3.0, z_score=z, stderr=stderr, samples=samples)
+    for rep, half in halves.items():
+        e = linear_loop(rep, half)
+        effective += [e, conjugate_loop(e)]
+    beta = measure.beta
+    terms += [(-beta * p.rep.lam, [p] + loops) for p in effective]
+    terms += [(-beta ** 2, [total_merge(p, q)] + loops) for p, q in itertools.product(effective, repeat=2)]
+    est = _mc_estimate(terms, measure, samples, rng)
+    z = abs(est.value) / est.stderr if est.stderr > 0 else float("inf")
+    return TheoremAReport("wilson", est.value, 0.0, abs(est.value), 3.0 * est.stderr,
+                          z <= 3.0, z_score=z, stderr=est.stderr, samples=samples)

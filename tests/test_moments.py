@@ -505,6 +505,20 @@ class TestBudgetAndCaches:
             brownian_moment(U2, 3, 2, 0.5, budget=16)
         assert [c.cache_info() for c in caches] == cached  # refused before the lookups
 
+    def test_spectrum_forms_no_moment_matrix(self):
+        # T is formed on first read of `matrix`, and `lgm moment` reads the spectrum first,
+        # so the spectrum's eigh temporaries never sit on top of T
+        u5 = build_representation(GroupSpec("u", 5))
+        tracemalloc.start()
+        try:
+            op = haar_moment(u5, 2, 2)
+            op.spectrum
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 625 ** 2 * 8  # less than one D x D float64 array
+        assert np.trace(op.matrix) == pytest.approx(op.rank)
+
     def test_brownian_u4_sixth_moment_stays_below_two_casimirs(self):
         # E|tr g|^6 = 3! on U(4) far into the Haar limit; D = 4096 and no D x D array is formed
         u4 = build_representation(GroupSpec("u", 4))

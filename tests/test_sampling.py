@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 
 from lgm.catalog import GroupSpec, build_representation, group_residual
-from lgm.loops import conjugate_loop, linear_loop, loop, merge_at, total_merge, total_twist
+from lgm.loops import Loop, conjugate_loop, linear_loop, loop, merge_at, total_merge, total_twist
 from lgm.moments import MeasureSpec, expect_product
 from lgm.sampling import (BrownianPathSpec, RngSpec, _action_loops, brownian_path,
                           brownian_path_batch, haar_sample, haar_sample_batch,
                           mc_expect, verify_theorem_a)
-from lgm.tensor import expm_skew_batch
+from lgm.tensor import _real_form, expm_skew_batch
 from test_tensor import expm_skew_eigh
 
 U2 = build_representation(GroupSpec("u", 2))
@@ -224,19 +224,24 @@ class TestBrownianPath:
 
     def test_su2_weak_error_decreases_linearly(self):
         # couple coarse and fine paths through one increment stream, so the
-        # discretization biases separate cleanly from the shared noise
-        b, fine, t = 40_000, 128, 1.0
-        z = np.random.default_rng((21, 0)).standard_normal((b, fine, 3))
-        xis = SU2.generators
-        vals = {}
-        for steps in (8, 16, 32, 128):
-            ratio = fine // steps
-            zc = z.reshape(b, steps, ratio, 3).sum(axis=2) / np.sqrt(ratio)
-            h = t / steps
-            g = np.broadcast_to(np.eye(2, dtype=complex), (b, 2, 2)).copy()
-            for k in range(steps):
-                g = g @ expm_skew_batch(np.sqrt(h) * np.einsum("ba,aij->bij", zc[:, k], xis))
-            vals[steps] = np.trace(g, axis1=1, axis2=2).real.mean()
+        # discretization biases separate cleanly from the shared noise: a
+        # coarse increment sums its fine ones.  Paths run in the real 4 x 4
+        # form, as brownian_path_batch runs them, a chunk of paths at a time;
+        # the chunks read the same stream as one draw for all 40,000 paths.
+        b, fine, t, chunk = 40_000, 128, 1.0, 512
+        gen = np.random.default_rng((21, 0))
+        flat = np.sqrt(t / fine) * _real_form(SU2.generators).reshape(3, 16)
+        sums = dict.fromkeys((8, 16, 32, 128), 0.0)
+        for start in range(0, b, chunk):
+            c = min(chunk, b - start)
+            z = np.ascontiguousarray(gen.standard_normal((c, fine, 3)).transpose(1, 0, 2))  # (fine, c, 3)
+            for steps in sums:
+                inc = z.reshape(steps, fine // steps, c, 3).sum(axis=1) @ flat
+                g = np.broadcast_to(np.eye(4), (c, 4, 4)).copy()
+                for e in expm_skew_batch(inc.reshape(steps, c, 4, 4)):
+                    g = g @ e
+                sums[steps] += 0.5 * np.trace(g, axis1=1, axis2=2).sum()  # Re tr of the complex g
+        vals = {steps: total / b for steps, total in sums.items()}
         exact = 2.0 * np.exp(SU2.lam * t / 2.0)
         assert abs(vals[128] - exact) <= 0.02
         d8, d16, d32 = (vals[s] - vals[128] for s in (8, 16, 32))
@@ -251,6 +256,16 @@ class TestMcExpect:
                         100_000, RngSpec(4))
         assert abs(est.value) <= 3 * est.stderr
         assert est.samples == 100_000
+
+    def test_each_distinct_item_is_evaluated_once(self, monkeypatch):
+        w = linear_loop(U2, np.eye(2))
+        calls = []
+        evaluate = Loop.evaluate_batch
+        monkeypatch.setattr(Loop, "evaluate_batch", lambda self, gs: calls.append(self) or evaluate(self, gs))
+        est = mc_expect([w, w, w], MeasureSpec.haar(), 200, RngSpec(3))
+        assert len(calls) == 1 and calls[0] is w
+        vals = evaluate(w, haar_sample_batch(U2, RngSpec(3), 200))
+        assert abs(est.value - np.mean(vals * vals * vals)) <= 1e-14 * max(1.0, abs(est.value))
 
     def test_estimates_are_reproducible(self):
         args = ([linear_loop(U2, np.eye(2))], MeasureSpec.haar(), 5000, RngSpec(5))
