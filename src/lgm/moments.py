@@ -449,8 +449,6 @@ def _kept(rep: RepData, n: int, nprime: int, measure: MeasureSpec) -> list[tuple
     """The columns ``z`` of block ``k`` the measure keeps, and their weights ``f``: Haar keeps the
     null columns of block 0 (weight 1) once `_null_space` has run its gap guard and residual
     check, Brownian(t) every column of every block (weight ``exp(t w / 2)``)."""
-    if measure.kind == "wilson":
-        raise ValueError("no exact moment operator for the Wilson action")
     if measure.kind == "haar":
         r = _null_space(rep, n, nprime).shape[1]
         w, z, _ = _block_eigh(rep, n, nprime, 0)
@@ -461,10 +459,13 @@ def _kept(rep: RepData, n: int, nprime: int, measure: MeasureSpec) -> list[tuple
 
 def moment_operator(rep: RepData, n: int, nprime: int, measure: MeasureSpec,
                     budget: int = DEFAULT_BUDGET) -> MomentOperator:
-    """Exact moment operator for Haar or Brownian measures (not cached); the budget and
-    `_kept` (the Wilson refusal, and under Haar the gap guard and residual check) run here."""
+    """Exact moment operator for Haar or Brownian measures (not cached).  The budget, the Wilson
+    refusal and the Haar `_null_space` checks run here; matrix and spectrum wait for a read."""
     _check_budget(rep, n, nprime, budget)
-    _kept(rep, n, nprime, measure)
+    if measure.kind == "wilson":
+        raise ValueError("no exact moment operator for the Wilson action")
+    if measure.kind == "haar":
+        _null_space(rep, n, nprime)
     return MomentOperator(rep, n, nprime, measure)
 
 

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -151,8 +152,7 @@ def haar_sample_batch(rep: RepData, rng: RngSpec, count: int) -> np.ndarray:
     """A stack of ``count`` Haar draws in the group's matrix realization."""
     _check_count(count)
     gen = rng.generator()
-    fam = rep.spec.family
-    n = rep.spec.n
+    fam, n = rep.spec.family, rep.spec.n
     if fam == "u" or fam == "su":
         q = _gram_schmidt(_complex_ginibre(gen, count, n))
         if fam == "su":  # Q diag(conj det Q, 1, ..., 1): left-SU(N)-equivariant, so Haar on SU(N)
@@ -166,8 +166,7 @@ def haar_sample_batch(rep: RepData, rng: RngSpec, count: int) -> np.ndarray:
     if fam == "sp":
         return _haar_sp(gen, count, n, rep.constants["J"])
     if fam == "u1power":
-        z = np.exp(2j * np.pi * gen.random(count))
-        return z[:, None, None]
+        return np.exp(2j * np.pi * gen.random(count))[:, None, None]
     if fam == "g2":
         return brownian_path_batch(rep, G2_HAAR_TIME, G2_HAAR_STEPS, rng, count)
     raise ValueError(fam)  # pragma: no cover
@@ -194,8 +193,7 @@ def _gram_schmidt(z: np.ndarray) -> np.ndarray:
 
 def _haar_sp(gen: np.random.Generator, count: int, n: int, j: np.ndarray) -> np.ndarray:
     d = 2 * n
-    firsts: list = []
-    seconds: list = []
+    firsts, seconds = [], []
     for _ in range(n):
         v = (gen.standard_normal((count, d)) + 1j * gen.standard_normal((count, d))) / np.sqrt(2.0)
         v = _orthonormal_column(v.T, firsts + seconds)
@@ -296,7 +294,8 @@ def _mc_estimate(terms: Sequence[tuple[complex, Sequence]], measure: MeasureSpec
     Brownian draws are path endpoints; every other measure draws Haar.  Each
     draw carries the log-weight ``beta * Re sum_p W_p``, zero for Haar and
     Brownian (no plaquettes), and one self-normalized estimator reads them.
-    Each distinct item is evaluated once per estimate.
+    Each distinct item (by ``id``: ``terms`` keeps it alive) is evaluated
+    once, and its values are held until its last use.
     """
     _check_samples(samples)
     rep = _common_rep([item for _, items in terms for item in items], measure.plaquettes)
@@ -305,14 +304,16 @@ def _mc_estimate(terms: Sequence[tuple[complex, Sequence]], measure: MeasureSpec
     else:
         gs = haar_sample_batch(rep, rng, samples)
     action = sum((w.evaluate_batch(gs) for w in _action_loops(measure.plaquettes)), np.zeros(samples))
-    memo: dict = {}  # id(item) -> its values; ``terms`` keeps every item alive
+    uses, memo = Counter(id(item) for _, items in terms for item in items), {}
     y = 0.0
     for coef, items in terms:
         prod = np.ones(samples, dtype=np.complex128)
         for item in items:
-            if id(item) not in memo:
-                memo[id(item)] = item.evaluate_batch(gs)
-            prod = prod * memo[id(item)]
+            uses[id(item)] -= 1
+            values = memo.pop(id(item)) if id(item) in memo else item.evaluate_batch(gs)
+            if uses[id(item)]:
+                memo[id(item)] = values
+            prod = prod * values
         y = y + coef * prod
     value, stderr = _weighted_estimate(measure.beta * action.real, y)
     return MCEstimate(value, stderr, samples, float(np.max(np.abs(measure.beta * action.imag))))

@@ -492,8 +492,8 @@ class TestBudgetAndCaches:
         assert op.matrix.shape == (32, 32)
         cached = [c.cache_info() for c in caches]
         moment_operator(U2, 3, 2, haar, budget=64)
-        for cache, before in zip(caches, cached):
-            assert cache.cache_info().hits == before.hits + 1  # both are cached
+        for cache, before, reads in zip(caches, cached, (1, 0)):  # the warm guard reads no block
+            assert cache.cache_info().hits == before.hits + reads
             assert cache.cache_info().misses == before.misses
         cached = [c.cache_info() for c in caches]
         with pytest.raises(BudgetError) as err:
@@ -795,14 +795,15 @@ class TestWeightBlocks:
         monkeypatch.setattr(np.linalg, "eigh", lambda a, *args: calls.append(len(a)) or eigh(a, *args))
         moments._weight_basis(U3)  # its own eigh, once per representation
         blocks = len(moments._weight_blocks(U3, 2, 2))
-        for measure, first in ((MeasureSpec.brownian(0.5), blocks), (HAAR, 1)):
+        for measure, guard, kept in ((MeasureSpec.brownian(0.5), 0, blocks), (HAAR, 1, 1)):
             moments._block_eigh.cache_clear()
             moments._null_space.cache_clear()
             calls.clear()
             op = moment_operator(U3, 2, 2, measure)
-            assert len(calls) == first
-            assert len(op.spectrum) == 81 and len(calls) == blocks  # the blocks not kept, once each
-            assert moments._block_eigh.cache_info().currsize == first  # only the kept blocks are cached
+            assert len(calls) == guard  # Haar's gap guard reads block 0
+            assert len(op.spectrum) == 81 and len(calls) == blocks  # every block, once each
+            assert np.trace(op.matrix) > 0 and len(calls) == blocks  # T reads the cached kept blocks
+            assert moments._block_eigh.cache_info().currsize == kept  # only the kept blocks are cached
 
     def test_residual_check_runs_before_any_haar_result(self, monkeypatch):
         monkeypatch.setattr(moments, "_apply_casimir", lambda rep, n, nprime, vecs: vecs)  # C u = u
@@ -821,7 +822,7 @@ class TestWeightBlocks:
         moments._block_eigh.cache_clear()
         tracemalloc.start()
         try:
-            moment_operator(rep, n, nprime, MeasureSpec.brownian(0.5))
+            moment_operator(rep, n, nprime, MeasureSpec.brownian(0.5)).matrix
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
