@@ -21,19 +21,19 @@ Families: SO(N), Sp(N) (compact symplectic, 2N x 2N), U(N), SU(N), G2 in its
 ("u1power", one generator ``i*n``; orthonormality lives on u(1) itself, where
 the basis is ``i``).
 
-The Sp(N) and SU(N) bases are assembled from unnormalized raw shapes and
-orthonormalized with Gram-Schmidt under kappa, so no printed normalization
-factor is trusted.  The G2 generators are not transcribed from the
-literature either: they are computed as the derivation algebra of the
-octonion product restricted to the trace-free imaginary part, then
-orthonormalized.  Both constructions are validated against the closed
-completeness relations.
+Every basis comes from one construction, ``_algebra``: the skew-Hermitian
+matrices that the family's defining conditions map to zero (SO real, U none,
+SU traceless, Sp ``X^T J + J X = 0``, G2 real and a derivation of the
+octonion product), orthonormalized under kappa from the projections of the
+matrix units.  No basis element or normalization is transcribed from the
+literature; each basis is validated against the closed completeness
+relations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable
 
 import numpy as np
@@ -186,92 +186,12 @@ def kappa_coefficient(family: str) -> float:
     return 0.5 if family in ("so", "sp") else 1.0
 
 
-def _eij(n: int, i: int, j: int) -> np.ndarray:
-    m = np.zeros((n, n), dtype=np.complex128)
-    m[i, j] = 1.0
-    return m
-
-
-def _gram_schmidt(raw: list[np.ndarray], kappa_coef: float = 1.0) -> np.ndarray:
-    """Orthonormalize matrices under kappa(X, Y) = kappa_coef * tr(X^dagger Y).
-
-    kappa is real on the real span of skew-Hermitian matrices; the raw list
-    must be linearly independent.
-    """
-    out: list[np.ndarray] = []
-    for x in raw:
-        v = x.astype(np.complex128)
-        for _ in range(2):  # one re-orthogonalization pass for stability
-            for u in out:
-                v = v - kappa_coef * np.real(np.sum(np.conj(u) * v)) * u
-        norm = np.sqrt(kappa_coef * np.real(np.sum(np.conj(v) * v)))
-        if norm < 1e-12:
-            raise ValueError("raw generator list is linearly dependent")
-        out.append(v / norm)
-    return np.stack(out)
-
-
-def _so_generators(n: int) -> np.ndarray:
-    raw = [_eij(n, i, j) - _eij(n, j, i) for i in range(n) for j in range(i + 1, n)]
-    return _gram_schmidt(raw, kappa_coefficient("so"))
-
-
-def _u_generators(n: int) -> np.ndarray:
-    raw = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            raw.append(1j * (_eij(n, a, b) + _eij(n, b, a)))
-            raw.append(_eij(n, a, b) - _eij(n, b, a))
-    for a in range(n):
-        raw.append(1j * _eij(n, a, a))
-    return _gram_schmidt(raw)
-
-
-def _su_generators(n: int) -> np.ndarray:
-    raw = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            raw.append(1j * (_eij(n, a, b) + _eij(n, b, a)))
-            raw.append(_eij(n, a, b) - _eij(n, b, a))
-    for l in range(1, n):
-        d = np.zeros((n, n), dtype=np.complex128)
-        for j in range(l):
-            d[j, j] = 1.0
-        d[l, l] = -float(l)
-        raw.append(1j * d)
-    return _gram_schmidt(raw)
-
-
 def symplectic_form(n: int) -> np.ndarray:
     """The real 2N x 2N matrix J = [[0, I], [-I, 0]]."""
     j = np.zeros((2 * n, 2 * n))
     j[:n, n:] = np.eye(n)
     j[n:, :n] = -np.eye(n)
     return j
-
-
-def _sp_generators(n: int) -> np.ndarray:
-    def iota(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        m = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-        m[:n, :n] = a
-        m[:n, n:] = b
-        m[n:, :n] = -np.conj(b)
-        m[n:, n:] = np.conj(a)
-        return m
-
-    zero = np.zeros((n, n), dtype=np.complex128)
-    raw = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            raw.append(iota(_eij(n, a, b) - _eij(n, b, a), zero))
-            raw.append(iota(1j * (_eij(n, a, b) + _eij(n, b, a)), zero))
-            raw.append(iota(zero, _eij(n, a, b) + _eij(n, b, a)))
-            raw.append(iota(zero, 1j * (_eij(n, a, b) + _eij(n, b, a))))
-    for c in range(n):
-        raw.append(iota(1j * _eij(n, c, c), zero))
-        raw.append(iota(zero, _eij(n, c, c)))
-        raw.append(iota(zero, 1j * _eij(n, c, c)))
-    return _gram_schmidt(raw, kappa_coefficient("sp"))
 
 
 @lru_cache(maxsize=None)
@@ -293,73 +213,58 @@ def octonion_psi() -> np.ndarray:
     return psi
 
 
-def _g2_generators() -> np.ndarray:
-    """Basis of the derivation algebra of the octonion product on Im(O).
+def _algebra(d: int, kappa_coef: float, *conditions) -> np.ndarray:
+    """Orthonormal basis, under ``kappa = kappa_coef * tr(X^dagger Y)``, of the
+    skew-Hermitian d x d matrices that every condition maps to zero.
 
-    A real 7x7 matrix D is a derivation iff it is antisymmetric and
-    compatible with the psi-structure constants:
-
-        psi_ijk D_lk = D_mi psi_mjl + D_mj psi_iml   for all i < j, l.
-
-    The null space of the stacked linear system is 14-dimensional; SVD
-    returns an orthonormal basis under tr(D^T D'), which is kappa.
+    A condition is a real-linear map on a ``(k, d, d)`` complex stack.  The
+    conditions and ``X + X^dagger`` are stacked over the real coordinates
+    ``(Re X, Im X)``; the null space comes from one ``eigh`` of their Gram
+    matrix.  The projections of ``E_ij`` and then ``i E_ij`` onto it are
+    Gram-Schmidt orthonormalized in that order, dependent ones skipped, so the
+    basis does not hang on which null vectors LAPACK returns.
     """
-    psi = octonion_psi()
-    rows = []
-    # antisymmetry (covers the e_0 component of the derivation property)
-    for i in range(7):
-        for j in range(i, 7):
-            row = np.zeros((7, 7))
-            row[i, j] += 1.0
-            row[j, i] += 1.0
-            rows.append(row.reshape(-1))
-    # e_l components of D(e_i e_j) = D(e_i) e_j + e_i D(e_j)
-    for i in range(7):
-        for j in range(i + 1, 7):
-            for l in range(7):
-                row = np.zeros((7, 7))
-                for k in range(7):
-                    row[l, k] += psi[i, j, k]
-                for m in range(7):
-                    row[m, i] -= psi[m, j, l]
-                    row[m, j] -= psi[i, m, l]
-                rows.append(row.reshape(-1))
-    system = np.array(rows)
-    _, s, vt = np.linalg.svd(system)
-    null_mask = np.concatenate([s, np.zeros(vt.shape[0] - s.shape[0])]) < 1e-10
-    basis = vt[null_mask]
-    if basis.shape[0] != 14:
-        raise RuntimeError(f"derivation solve produced {basis.shape[0]} generators, expected 14")
-    return basis.reshape(14, 7, 7).astype(np.complex128)
+    eye = np.eye(d * d).reshape(d * d, d, d)
+    coords = np.concatenate([eye, 1j * eye])  # E_ij, then i E_ij
+    images = [x.reshape(2 * d * d, -1) for x in
+              [coords + np.conj(np.swapaxes(coords, 1, 2))] + [c(coords) for c in conditions]]
+    w, v = np.linalg.eigh(sum(np.real(x @ x.conj().T) for x in images))
+    null = v[:, w < 1e-9 * w[-1]]
+    q = np.zeros((0, null.shape[1]))
+    for p in null:  # row k: the projection of coordinate k, in null-space coordinates
+        for _ in range(2):  # one re-orthogonalization pass for stability
+            p = p - (q @ p) @ q
+        norm = np.linalg.norm(p)
+        if norm > 1e-8:
+            q = np.vstack([q, p / norm])
+    x = q @ null.T
+    x /= np.sqrt(kappa_coef * np.sum(x * x, axis=1, keepdims=True))
+    return (x[:, :d * d] + 1j * x[:, d * d:]).reshape(-1, d, d)
 
 
 @lru_cache(maxsize=None)
 def build_representation(spec: GroupSpec) -> RepData:
-    """Construct RepData for a group spec (cached; RepData is immutable)."""
-    fam = spec.family
+    """Construct RepData for a group spec (cached; RepData is immutable).
+
+    A G2 generator derives the octonion product: ``psi_ijk X_lk = X_mi psi_mjl + X_mj psi_iml``.
+    """
+    fam, n = spec.family, spec.n
     constants: dict = {}
-    if fam == "so":
-        gens = _so_generators(spec.n)
-        dim = spec.n
-    elif fam == "sp":
-        gens = _sp_generators(spec.n)
-        dim = 2 * spec.n
-        constants["J"] = symplectic_form(spec.n)
-    elif fam == "u":
-        gens = _u_generators(spec.n)
-        dim = spec.n
-    elif fam == "su":
-        gens = _su_generators(spec.n)
-        dim = spec.n
+    real = lambda x: x.imag
+    conditions = {"so": (real,), "u": (), "su": (lambda x: np.trace(x, axis1=1, axis2=2),)}.get(fam)
+    if fam == "sp":
+        j = constants["J"] = symplectic_form(n)
+        conditions = (lambda x: np.swapaxes(x, 1, 2) @ j + j @ x,)
     elif fam == "g2":
-        gens = _g2_generators()
-        dim = 7
-        constants["psi"] = octonion_psi()
-    elif fam == "u1power":
-        gens = np.array([[[1j * spec.n]]], dtype=np.complex128)
-        dim = 1
-    else:  # pragma: no cover
-        raise ValueError(fam)
+        psi = constants["psi"] = octonion_psi()
+        ein = partial(np.einsum, optimize=True)
+        conditions = (real, lambda x: ein("ijk,blk->bijl", psi, x) - ein("bmi,mjl->bijl", x, psi)
+                      - ein("bmj,iml->bijl", x, psi))
+    dim = {"sp": 2 * n, "g2": 7, "u1power": 1}.get(fam, n)
+    if fam == "u1power":
+        gens = np.array([[[1j * n]]], dtype=np.complex128)
+    else:
+        gens = _algebra(dim, kappa_coefficient(fam), *conditions)
 
     expected = algebra_dimension(spec)
     if gens.shape[0] != expected:

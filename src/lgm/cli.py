@@ -65,7 +65,7 @@ def _group_spec(args) -> GroupSpec:
 
 
 def _measure(args) -> MeasureSpec:
-    plaquettes = _load_loops(args.plaquettes) if getattr(args, "plaquettes", None) else ()
+    plaquettes = _load_loops(args.plaquettes) if getattr(args, "plaquettes", None) else None
     try:
         return MeasureSpec.parse(args.measure, plaquettes)
     except ValueError as exc:

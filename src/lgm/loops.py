@@ -26,6 +26,7 @@ the U(1) characters); the inverse is taken as the conjugate transpose.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -72,10 +73,21 @@ class Loop:
                 raise ValueError(f"coefficient shape {c.shape} does not match rep dim {d}")
             if sign not in (1, -1):
                 raise ValueError(f"slot sign must be +1 or -1, got {sign}")
+            if not np.isfinite(c).all():
+                raise ValueError("loop coefficients must be finite")
             c.setflags(write=False)
             frozen.append((c, int(sign)))
-        object.__setattr__(self, "factors", tuple(frozen))
-        object.__setattr__(self, "scale", complex(self.scale))
+        self.__dict__.update(factors=tuple(frozen), scale=_finite_scale(self.scale))
+
+    @classmethod
+    def _derived(cls, rep: RepData, factors: tuple, scale: complex) -> "Loop":
+        """A loop on complex coefficients made from checked loops and the completeness
+        table, frozen in place: no copy, and only the scale is checked."""
+        for c, _ in factors:
+            c.setflags(write=False)
+        w = object.__new__(cls)
+        w.__dict__.update(rep=rep, factors=factors, scale=_finite_scale(scale))
+        return w
 
     @property
     def n_slots(self) -> int:
@@ -86,7 +98,7 @@ class Loop:
         return tuple(s for _, s in self.factors)
 
     def scaled(self, c: complex) -> "Loop":
-        return Loop(self.rep, self.factors, self.scale * c)
+        return Loop._derived(self.rep, self.factors, self.scale * c)
 
     def rotated(self, k: int) -> "Loop":
         """Cyclic rotation of the factor word (same function by trace cyclicity)."""
@@ -155,6 +167,13 @@ class LoopSum:
         return LoopSum(self.terms + other.terms)
 
 
+def _finite_scale(scale: complex) -> complex:
+    scale = complex(scale)
+    if not cmath.isfinite(scale):
+        raise ValueError(f"loop scale must be finite, got {scale}")
+    return scale
+
+
 def loop(rep: RepData, coeffs: Sequence[np.ndarray], signs: Sequence[int],
          scale: complex = 1.0) -> Loop:
     if len(coeffs) != len(signs):
@@ -207,7 +226,7 @@ def _close(rep: RepData, letters: list, scale: complex) -> Loop | complex:
     acc = None
     for x in letters:
         if isinstance(x, int):
-            factors.append((np.eye(rep.dim) if acc is None else acc, x))
+            factors.append((np.eye(rep.dim, dtype=np.complex128) if acc is None else acc, x))
             acc = None
         else:
             acc = x if acc is None else acc @ x
@@ -215,7 +234,7 @@ def _close(rep: RepData, letters: list, scale: complex) -> Loop | complex:
         return scale * complex(np.trace(acc))
     if acc is not None:  # the word's tail wraps round to its head
         factors[0] = (acc @ factors[0][0], factors[0][1])
-    return Loop(rep, tuple(factors), scale)
+    return Loop._derived(rep, tuple(factors), scale)
 
 
 def _transposed(letters: list, f: np.ndarray) -> list:

@@ -155,26 +155,31 @@ class MeasureSpec:
         return cls("wilson", beta=float(beta), plaquettes=tuple(plaquettes))
 
     @classmethod
-    def parse(cls, text: str, plaquettes: Sequence[Loop] = ()) -> "MeasureSpec":
-        """Parse CLI measure strings: ``haar``, ``brownian:t=1.5``, ``wilson:beta=0.1``."""
+    def parse(cls, text: str, plaquettes: Sequence[Loop] | None = None) -> "MeasureSpec":
+        """Parse CLI measure strings: ``haar``, ``brownian:t=1.5``, ``wilson:beta=0.1``.  A key the
+        measure does not read, a key without a number, and plaquettes outside Wilson are refused."""
         head, _, tail = text.partition(":")
         head = head.strip().lower()
+        keys = {"haar": (), "brownian": ("t",), "wilson": ("beta",)}
+        if head not in keys:
+            raise ValueError(f"unknown measure {text!r}")
         params = {}
-        if tail:
-            for item in tail.split(","):
-                key, _, val = item.partition("=")
-                params[key.strip()] = float(val)
+        for item in tail.split(",") if tail else ():
+            key, _, val = (part.strip() for part in item.partition("="))
+            if key not in keys[head]:
+                raise ValueError(f"the {head} measure has no parameter {key!r}")
+            try:
+                params[key] = float(val)
+            except ValueError:
+                raise ValueError(f"measure parameter {key!r} needs a number, got {val!r}") from None
+        if plaquettes is not None and head != "wilson":
+            raise ValueError(f"the {head} measure reads no plaquettes; they belong to wilson")
         if head == "haar":
             return cls.haar()
-        if head == "brownian":
-            if "t" not in params:
-                raise ValueError("brownian measure needs t, e.g. brownian:t=1.5")
-            return cls.brownian(params["t"])
-        if head == "wilson":
-            if "beta" not in params:
-                raise ValueError("wilson measure needs beta, e.g. wilson:beta=0.1")
-            return cls.wilson(params["beta"], plaquettes)
-        raise ValueError(f"unknown measure {text!r}")
+        (key,) = keys[head]
+        if key not in params:
+            raise ValueError(f"{head} measure needs {key}, e.g. {head}:{key}=0.5")
+        return cls.brownian(params[key]) if head == "brownian" else cls.wilson(params[key], plaquettes or ())
 
 
 @dataclass(frozen=True)

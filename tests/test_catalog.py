@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lgm.catalog import (GroupSpec, algebra_dimension, build_representation,
+from lgm.catalog import (GroupSpec, _algebra, algebra_dimension, build_representation,
                          casimir_eigenvalue, closed_form_completeness, group_residual,
                          kappa_coefficient, octonion_psi, split_casimir, symplectic_form)
 from lgm.sampling import RngSpec, brownian_path_batch, haar_sample
@@ -65,6 +65,59 @@ def test_sp_preserves_symplectic_form():
     assert np.array_equal(j, symplectic_form(3))
     for xi in rep.generators:
         assert np.linalg.norm(xi.T @ j + j @ xi) <= 1e-12
+
+
+def g2_derivation_defect(x):
+    """``psi_ijk X_lk - X_mi psi_mjl - X_mj psi_iml`` on a stack: zero iff each X derives the octonions."""
+    psi = octonion_psi()
+    return (np.einsum("ijk,alk->aijl", psi, x) - np.einsum("ami,mjl->aijl", x, psi)
+            - np.einsum("amj,iml->aijl", x, psi))
+
+
+def sp_defect(n):
+    j = symplectic_form(n)
+    return lambda x: np.swapaxes(x, 1, 2) @ j + j @ x
+
+
+def real_defect(x):
+    return x.imag
+
+
+def trace_defect(x):
+    return np.trace(x, axis1=1, axis2=2)
+
+
+# each family's defining conditions, beyond skew-Hermitian
+CONDITIONS = (
+    [(GroupSpec("so", n), (real_defect,)) for n in range(2, 9)]
+    + [(GroupSpec("su", n), (trace_defect,)) for n in range(2, 7)]
+    + [(GroupSpec("u", n), ()) for n in range(1, 7)]
+    + [(GroupSpec("sp", n), (sp_defect(n),)) for n in range(1, 5)]
+    + [(GroupSpec("g2"), (real_defect, g2_derivation_defect))]
+)
+
+
+def by_label(cases):
+    return [pytest.param(spec, conditions, id=spec.label()) for spec, conditions in cases]
+
+
+@pytest.mark.parametrize("spec,conditions", by_label(CONDITIONS))
+def test_generators_satisfy_the_defining_conditions(spec, conditions):
+    gens = build_representation(spec).generators
+    assert gens.shape[0] == algebra_dimension(spec)
+    for condition in conditions:
+        assert np.max(np.abs(condition(gens)), initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("spec,conditions", by_label(c for c in CONDITIONS if c[1]))
+def test_algebra_basis_does_not_hang_on_the_null_vectors(spec, conditions):
+    # a repeated or rescaled condition changes the Gram matrix, and so the null
+    # vectors LAPACK returns, but not the basis
+    rep = build_representation(spec)
+    d, c = rep.dim, kappa_coefficient(spec.family)
+    first, last = conditions[0], conditions[-1]
+    for variant in ((first,) + conditions, conditions[:-1] + (lambda x: 3.0 * last(x),)):
+        assert np.max(np.abs(_algebra(d, c, *variant) - rep.generators)) <= 1e-12
 
 
 def test_casimir_eigenvalue_closed_forms():

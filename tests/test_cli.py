@@ -233,6 +233,32 @@ class TestExpect:
         doc = json.loads(out)["error"]
         assert doc["kind"] == "usage" and "finite" in doc["detail"]
 
+    @pytest.mark.parametrize("measure,plaquettes,match", [
+        ("brownian:t=0.5,tt=9", False, "no parameter 'tt'"), ("haar:t=3", False, "no parameter 't'"),
+        ("brownian:t", False, "parameter 't' needs a number"), ("haar", True, "reads no plaquettes"),
+        ("brownian:t=0.5", True, "reads no plaquettes"),
+    ])
+    def test_measure_string_refuses_what_it_does_not_read(self, capsys, u3_pair_file, measure,
+                                                          plaquettes, match):
+        extra = ("--plaquettes", u3_pair_file) if plaquettes else ()
+        code, out = run(capsys, "expect", "--loops", u3_pair_file, "--measure", measure, *extra,
+                        "--out", "json")
+        assert code == 2
+        doc = json.loads(out)["error"]
+        assert doc["kind"] == "usage" and match in doc["detail"]
+
+    def test_non_finite_loop_coefficient_exits_2(self, capsys, tmp_path, u3_pair_file):
+        # a NaN coefficient would reach the document as bare NaN tokens, which are not JSON
+        doc = json.loads(open(u3_pair_file).read())
+        doc[0]["factors"][0]["coeff"][0][0] = [float("nan"), 0.0]
+        bad = tmp_path / "nan_loops.json"
+        bad.write_text(json.dumps(doc))
+        code, out = run(capsys, "expect", "--loops", str(bad), "--measure", "wilson:beta=0.5",
+                        "--plaquettes", u3_pair_file, "--samples", "200", "--out", "json")
+        assert code == 2
+        doc = json.loads(out)["error"]
+        assert doc["kind"] == "usage" and "finite" in doc["detail"]
+
     def test_missing_file_exits_2(self, capsys):
         code, out = run(capsys, "expect", "--loops", "missing.json", "--out", "json")
         assert code == 2

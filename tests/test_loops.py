@@ -99,6 +99,21 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="does not match rep dim"):
             linear_loop(REP["u3"], np.eye(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_non_finite_coefficient_or_scale_refused(self, bad):
+        c = np.eye(2, dtype=complex)
+        c[0, 1] = bad
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            loop(REP["u2"], [np.eye(2), c], [1, -1])
+        with pytest.raises(ValueError, match="scale must be finite"):
+            linear_loop(REP["u2"], np.eye(2), scale=bad)
+        with pytest.raises(ValueError, match="scale must be finite"):
+            linear_loop(REP["u2"], np.eye(2)).scaled(bad)
+        doc = loop_to_json(linear_loop(REP["u2"], np.eye(2)))
+        doc["factors"][0]["coeff"][0][1] = [complex(bad).real, complex(bad).imag]
+        with pytest.raises(ValueError, match="coefficients must be finite"):  # the JSON route too
+            loop_from_json(doc)
+
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(2)
         rep = REP["sp2"]

@@ -459,6 +459,23 @@ class TestMeasureSpec:
         with pytest.raises(ValueError):
             MeasureSpec.parse("gibbs:beta=1")
 
+    @pytest.mark.parametrize("text,match", [
+        ("brownian:t=0.5,tt=9", "no parameter 'tt'"), ("haar:t=3", "no parameter 't'"),
+        ("wilson:beta=0.5,t=1", "no parameter 't'"), ("brownian:t=1,", "no parameter ''"),
+        ("brownian:t", "parameter 't' needs a number"), ("brownian:t=", "parameter 't' needs a number"),
+        ("wilson:beta=x", "parameter 'beta' needs a number"),
+    ])
+    def test_parse_refuses_what_the_measure_does_not_read(self, text, match):
+        plaquettes = [linear_loop(U2, np.eye(2))] if text.startswith("wilson") else []
+        with pytest.raises(ValueError, match=match):
+            MeasureSpec.parse(text, plaquettes)
+
+    @pytest.mark.parametrize("text", ["haar", "brownian:t=0.5"])
+    def test_parse_refuses_plaquettes_outside_wilson(self, text):
+        for plaquettes in ([linear_loop(U2, np.eye(2))], []):
+            with pytest.raises(ValueError, match="reads no plaquettes"):
+                MeasureSpec.parse(text, plaquettes)
+
     def test_validation(self):
         with pytest.raises(ValueError, match="t > 0"):
             MeasureSpec.brownian(-1.0)
@@ -855,9 +872,11 @@ class TestWeightBlocks:
         assert np.max(np.abs(null @ null.T - want @ want.T)) <= 1e-12
 
     def test_weight_element_must_lie_in_the_algebra(self):
-        # adding a real symmetric matrix to a generator puts its real part outside the algebra
+        # adding a real symmetric matrix to a purely imaginary generator puts its real part
+        # outside the algebra (a real generator would span its own perturbed real part)
         gens = SU2.generators.copy()
-        gens[0] = gens[0] + 1e-3 * np.diag([1.0, -1.0])
+        a = next(a for a, xi in enumerate(gens) if not np.any(xi.real))
+        gens[a] = gens[a] + 1e-3 * np.diag([1.0, -1.0])
         fake = RepData(spec=SU2.spec, dim=2, generators=gens, casimir=SU2.casimir, lam=SU2.lam)
         with pytest.raises(RuntimeError, match="not in the Lie algebra"):
             haar_moment(fake, 2, 0)
