@@ -65,16 +65,11 @@ class Loop:
     def __post_init__(self):
         if not self.factors:
             raise ValueError("a loop needs at least one factor")
-        d = self.rep.dim
         frozen = []
         for coeff, sign in self.factors:
-            c = np.array(coeff, dtype=np.complex128)
-            if c.shape != (d, d):
-                raise ValueError(f"coefficient shape {c.shape} does not match rep dim {d}")
             if sign not in (1, -1):
                 raise ValueError(f"slot sign must be +1 or -1, got {sign}")
-            if not np.isfinite(c).all():
-                raise ValueError("loop coefficients must be finite")
+            c = _checked_coeff(np.array(coeff, dtype=np.complex128), self.rep.dim)
             c.setflags(write=False)
             frozen.append((c, int(sign)))
         self.__dict__.update(factors=tuple(frozen), scale=_finite_scale(self.scale))
@@ -103,7 +98,7 @@ class Loop:
     def rotated(self, k: int) -> "Loop":
         """Cyclic rotation of the factor word (same function by trace cyclicity)."""
         k %= self.n_slots
-        return Loop(self.rep, self.factors[k:] + self.factors[:k], self.scale)
+        return Loop._derived(self.rep, self.factors[k:] + self.factors[:k], self.scale)
 
     def evaluate(self, g: np.ndarray) -> complex:
         return complex(self.evaluate_batch(np.asarray(g, dtype=np.complex128)[None])[0])
@@ -167,6 +162,14 @@ class LoopSum:
         return LoopSum(self.terms + other.terms)
 
 
+def _checked_coeff(c: np.ndarray, d: int) -> np.ndarray:
+    if c.shape != (d, d):
+        raise ValueError(f"coefficient shape {c.shape} does not match rep dim {d}")
+    if not np.isfinite(c).all():
+        raise ValueError("loop coefficients must be finite")
+    return c
+
+
 def _finite_scale(scale: complex) -> complex:
     scale = complex(scale)
     if not cmath.isfinite(scale):
@@ -191,17 +194,21 @@ def _check_slot(w: Loop, j: int) -> None:
 
 
 def insert_generator(w: Loop, j: int, x: np.ndarray) -> Loop:
-    """Insert the algebra element ``x`` at slot ``j`` (after ``g``, before ``g^{-1}``)."""
+    """Insert the algebra element ``x`` at slot ``j`` (after ``g``, before ``g^{-1}``).
+
+    Only ``x`` and the coefficient it multiplies are new, so only they are checked.
+    """
     _check_slot(w, j)
-    jj = j - 1
-    coeffs = [c for c, _ in w.factors]
-    signs = list(w.signs)
-    if signs[jj] == 1:
-        nxt = (jj + 1) % w.n_slots
-        coeffs[nxt] = x @ coeffs[nxt]
+    x = _checked_coeff(np.asarray(x, dtype=np.complex128), w.rep.dim)
+    k = j - 1
+    if w.signs[k] == 1:
+        k = j % w.n_slots
+        product = x @ w.factors[k][0]
     else:
-        coeffs[jj] = coeffs[jj] @ x
-    return loop(w.rep, coeffs, signs, w.scale)
+        product = w.factors[k][0] @ x
+    factors = list(w.factors)
+    factors[k] = (_checked_coeff(product, w.rep.dim), w.factors[k][1])
+    return Loop._derived(w.rep, tuple(factors), w.scale)
 
 
 def _cut(w: Loop, j: int) -> int:
@@ -338,9 +345,9 @@ def conjugate_loop(w: Loop) -> Loop:
     coefficients).
     """
     r = w.n_slots
-    coeffs = [w.factors[(r - 1 - k) % r][0].conj().T for k in range(r)]
-    signs = [-w.factors[(r - 2 - k) % r][1] for k in range(r)]
-    return loop(w.rep, coeffs, signs, np.conj(w.scale))
+    factors = tuple((w.factors[(r - 1 - k) % r][0].conj().T, -w.factors[(r - 2 - k) % r][1])
+                    for k in range(r))
+    return Loop._derived(w.rep, factors, np.conj(w.scale))
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,14 @@ Haar sampling:
   are built in pairs (q_k, -J conj(q_k)); the whole procedure commutes with
   left multiplication by symplectic-unitary matrices, so the output law is
   left-invariant and therefore exactly Haar on Sp(N).
-* G2 has no direct sampler; approximate Haar by running the Brownian motion
-  to large time (the heat semigroup converges to the Haar projector).
+* G2: an octonion frame.  G2 acts simply transitively on basic triples
+  ``(u1, u2, u4)`` of unit imaginary octonions, ``u4`` orthogonal to ``u1``,
+  ``u2`` and ``u1 x u2`` (Harvey-Lawson, Acta Math. 148 (1982); Bryant,
+  Ann. Math. 126 (1987)), so a triple fixes the element whose columns are
+  the triple and its cross products.  The triple is Gram-Schmidt of three
+  Gaussian vectors; their law is O(7)-invariant, Gram-Schmidt commutes with
+  O(7) and the cross product with G2, so the law of the frame is
+  left-invariant and therefore exactly Haar on G2.
 * U(1) characters: a uniform phase.
 
 The Brownian motion ``dg = xi^a(g) o dW^a`` is integrated by the geodesic
@@ -52,7 +58,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .catalog import RepData, check_one_group
+from .catalog import RepData, check_one_group, octonion_psi
 from .loops import Loop, conjugate_loop, linear_loop, total_merge, total_twist
 from .moments import DEFAULT_BUDGET, MeasureSpec, _item_terms, expect_product
 
@@ -69,10 +75,6 @@ __all__ = [
     "mc_expect",
     "verify_theorem_a",
 ]
-
-#: defaults for the approximate G2 Haar sampler (long-time Brownian mixing)
-G2_HAAR_TIME = 50.0
-G2_HAAR_STEPS = 5000
 
 #: smallest Kish effective sample size a Wilson estimate is returned from; the
 #: standard error is a normal approximation, which needs tens of effective draws
@@ -168,7 +170,7 @@ def haar_sample_batch(rep: RepData, rng: RngSpec, count: int) -> np.ndarray:
     if fam == "u1power":
         return np.exp(2j * np.pi * gen.random(count))[:, None, None]
     if fam == "g2":
-        return brownian_path_batch(rep, G2_HAAR_TIME, G2_HAAR_STEPS, rng, count)
+        return _haar_g2(gen, count)
     raise ValueError(fam)  # pragma: no cover
 
 
@@ -200,6 +202,42 @@ def _haar_sp(gen: np.random.Generator, count: int, n: int, j: np.ndarray) -> np.
         firsts.append(v)
         seconds.append(-(j @ np.conj(v)))
     return np.ascontiguousarray(np.stack(firsts + seconds).transpose(2, 1, 0))
+
+
+def _g2_tables(psi: np.ndarray) -> tuple:
+    """The octonion cross product and the G2 frame, read off ``psi``.
+
+    ``(x x y)_k = psi_ijk x_i y_j`` is the sum, over the three pairs with
+    ``psi_ijk = +1``, of ``x_i y_j - x_j y_i``; ``i[k]`` and ``j[k]`` hold
+    them.  The frame of ``(e1, e2, e4)`` has ``e3 = e1 x e2``, and every
+    column ``k`` past ``e4`` is ``e_a x e_b`` for the first pair ``a, b`` of
+    ``e1 .. e4`` with ``psi_abk = +1``.
+    """
+    _, i, j = np.nonzero(psi.transpose(2, 0, 1) > 0)
+    products = [next((a, b) for a in range(4) for b in range(4) if psi[a, b, k] > 0) for k in (2, 4, 5, 6)]
+    return i.reshape(7, 3), j.reshape(7, 3), products
+
+
+_CROSS_I, _CROSS_J, _G2_PRODUCTS = _g2_tables(octonion_psi())
+
+
+def _cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The octonion cross product of columns ``(7, B)``, one per draw; the
+    three terms are summed elementwise, so a draw does not hang on the batch."""
+    t = x[_CROSS_I] * y[_CROSS_J] - x[_CROSS_J] * y[_CROSS_I]
+    return t[:, 0] + t[:, 1] + t[:, 2]
+
+
+def _haar_g2(gen: np.random.Generator, count: int) -> np.ndarray:
+    """Haar on G2: the octonion frame of a Gram-Schmidt basic triple."""
+    v = np.ascontiguousarray(gen.standard_normal((count, 3, 7)).transpose(1, 2, 0))
+    (a1, b1), *rest = _G2_PRODUCTS
+    u = [_orthonormal_column(v[0], [])]
+    u.append(_orthonormal_column(v[1], u))
+    u.append(_cross(u[a1], u[b1]))  # u1 x u2
+    u.append(_orthonormal_column(v[2], u))  # u4, orthogonal to u1, u2, u1 x u2
+    u += [_cross(u[a], u[b]) for a, b in rest]
+    return np.stack(u).transpose(2, 1, 0).astype(np.complex128, order="C")
 
 
 def haar_sample(rep: RepData, rng: RngSpec) -> np.ndarray:

@@ -21,7 +21,7 @@ from lgm.loops import (LoopPair, LoopSum, conjugate_loop, insert_generator, lapl
                        linear_loop, loop, loop_from_json, loop_to_json,
                        loopsum_from_json, loopsum_to_json, merge_at, total_merge, twist_at)
 from lgm.moments import MeasureSpec, expect_product
-from lgm.sampling import RngSpec, brownian_path_batch, haar_sample, haar_sample_batch
+from lgm.sampling import RngSpec, haar_sample, haar_sample_batch
 
 REP = {
     "u2": build_representation(GroupSpec("u", 2)),
@@ -38,8 +38,6 @@ REP = {
 
 
 def sample(rep, seed):
-    if rep.spec.family == "g2":
-        return brownian_path_batch(rep, 5.0, 100, RngSpec(seed), 1)[0]
     return haar_sample(rep, RngSpec(seed))
 
 
@@ -131,8 +129,6 @@ BATCH_REPS = {
 
 
 def _draws(rep, count):
-    if rep.spec.family == "g2":  # group elements only; their law does not matter here
-        return brownian_path_batch(rep, 2.0, 10, RngSpec(5), count)
     return haar_sample_batch(rep, RngSpec(5), count)
 
 
@@ -461,6 +457,22 @@ class TestSlotBookkeeping:
         got = insert_generator(w, 2, xi).evaluate(g)
         want = np.trace(a @ g @ b @ xi @ np.conj(g).T)
         assert abs(got - want) <= 1e-13
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_insert_generator_checks_its_element(self, bad, j):
+        # only the coefficient x multiplies is new: it is checked, the others are shared
+        rep = REP["u2"]
+        w = loop(rep, [np.eye(2), 2 * np.eye(2)], [1, -1])
+        x = rep.generators[0].copy()
+        x[0, 1] = bad
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            insert_generator(w, j, x)
+        with pytest.raises(ValueError, match="does not match rep dim"):
+            insert_generator(w, j, np.ones((1, 2)))
+        out = insert_generator(w, j, rep.generators[0])  # after slot 1's g, or before slot 2's g^{-1}: c_2
+        assert out.factors[0][0] is w.factors[0][0]
+        assert all(not c.flags.writeable for c, _ in out.factors)
 
     def test_position_validation(self):
         rep = REP["u2"]

@@ -10,6 +10,7 @@ import itertools
 import numpy as np
 import pytest
 
+from lgm import sampling
 from lgm.catalog import GroupSpec, build_representation, group_residual
 from lgm.loops import Loop, conjugate_loop, linear_loop, loop, merge_at, total_merge, total_twist
 from lgm.moments import MeasureSpec, expect_product
@@ -137,9 +138,22 @@ class TestHaarSamplers:
             se = np.sqrt(np.var(x, ddof=1) / x.size + np.var(y, ddof=1) / y.size)
             assert abs(x.mean() - y.mean()) <= 3 * se
 
-    def test_g2_brownian_mixing_is_nearly_haar(self):
-        g = haar_sample(G2, RngSpec(5))  # t=50, 5000 steps under the hood
-        assert group_residual(G2, g) <= 1e-11
+    def test_g2_draws_lie_on_the_group(self):
+        gs = haar_sample_batch(G2, RngSpec(5), 10_000)
+        assert gs.dtype == np.complex128 and not np.any(gs.imag)
+        assert max(group_residual(G2, g) for g in gs) <= 1e-12
+
+    def test_g2_single_sample_is_first_of_batch(self):
+        assert np.array_equal(haar_sample(G2, RngSpec(9)),
+                              haar_sample_batch(G2, RngSpec(9), 4)[0])
+
+    def test_g2_draws_take_no_brownian_path(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a G2 Haar draw ran a Brownian path")
+
+        monkeypatch.setattr(sampling, "brownian_path_batch", refuse)
+        haar_sample(G2, RngSpec(1))
+        haar_sample_batch(G2, RngSpec(1), 8)
 
     @pytest.mark.parametrize("rep", [U2, SU2, SO3, SP1, U1, G2], ids=lambda r: r.spec.label())
     def test_count_zero_and_negative(self, rep):
@@ -147,6 +161,46 @@ class TestHaarSamplers:
         assert haar_sample_batch(rep, RngSpec(0), 0).shape == (0, d, d)
         with pytest.raises(ValueError, match="count must be non-negative, got count=-1"):
             haar_sample_batch(rep, RngSpec(0), -1)
+
+
+class TestG2HaarLaw:
+    """1e5 G2 draws against exact Haar moments: ``E[g_ij g_kl] = delta_ik delta_jl / 7``,
+    ``E[g_ia g_jb g_kc] = psi_ijk psi_abc / 42`` (the one invariant of the third
+    power; zero under SO(7)), and 4-loop products against `expect_product`."""
+
+    SAMPLES = 100_000
+
+    @pytest.fixture(scope="class")
+    def draws(self):
+        return haar_sample_batch(G2, RngSpec(21), self.SAMPLES)
+
+    @staticmethod
+    def _within_3_sigma(vals, target):
+        stderr = np.std(vals) / np.sqrt(vals.size)
+        assert abs(vals.mean() - target) <= 3.0 * stderr, (vals.mean(), target, stderr)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_second_moment(self, draws, seed):
+        a, b = np.random.default_rng(seed).standard_normal((2, 7, 7))
+        vals = np.einsum("bij,ij->b", draws.real, a) * np.einsum("bij,ij->b", draws.real, b)
+        self._within_3_sigma(vals, np.sum(a * b) / 7.0)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_third_moment(self, draws, seed):
+        a, b, c = np.random.default_rng(seed).standard_normal((3, 7, 7))
+        psi = G2.constants["psi"]
+        target = np.einsum("ijk,abc,ia,jb,kc->", psi, psi, a, b, c) / 42.0
+        assert abs(target) >= 0.1  # far from the SO(7) value 0
+        vals = np.prod([np.einsum("bij,ij->b", draws.real, m) for m in (a, b, c)], axis=0)
+        self._within_3_sigma(vals, target)
+
+    @pytest.mark.parametrize("slots", [(1, 1, 1, 1), (2, 1, 1), (3, 1), (4,)], ids=str)
+    def test_four_slot_products(self, draws, slots):
+        gen = np.random.default_rng(sum(slots) * len(slots))
+        loops = [loop(G2, list(gen.standard_normal((k, 7, 7)) + 1j * gen.standard_normal((k, 7, 7))), [1] * k)
+                 for k in slots]
+        target = expect_product(loops, MeasureSpec.haar())
+        self._within_3_sigma(np.prod([w.evaluate_batch(draws) for w in loops], axis=0), target)
 
 
 def brownian_path_eigh(rep, t, steps, rng, count):
