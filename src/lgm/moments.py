@@ -54,6 +54,13 @@ measure keeps, and ``Wg`` is diagonal, their weights: ``M[k,k] = z_k^T M'_b
 conj(z_k)`` in weight coordinates, ``M'_b`` gathered from the rotated
 coefficients on block ``b`` (`_block_contraction`).
 
+A loop polynomial is contracted shape by shape (`_expect_products`): its
+plain products are grouped by representation and shape, the slot signs of
+their loops, and each group takes one route and one contraction of its
+stacked ``(B, m, d, d)`` coefficients, which gathers every weight block or
+wiring once for all B products, `_BATCH_ENTRIES` at a time.  A single
+product is a group of one.
+
 The budget caps a different size on each route: the squared number of
 labels ``L**2`` on the Weingarten routes (Gram and Wg are ``L x L``), and
 the tensor-power dimension ``D = d**(n+n')`` on the Casimir route, which
@@ -199,9 +206,13 @@ class MomentOperator:
     @cached_property
     def matrix(self) -> np.ndarray:
         """``T = v^T v``, a row of ``v`` for each eigenvector `_kept` keeps, scaled by the
-        root of its weight.  Rows leave the weight basis ``D // 32`` at a time (at least
-        4096 entries), so a chunk's temporaries stay below ``T``."""
+        root of its weight: under Haar ``u u^T`` from the null vectors `_null_space`
+        stores.  Under Brownian rows leave the weight basis ``D // 32`` at a time (at
+        least 4096 entries), so a chunk's temporaries stay below ``T``."""
         rep, n, nprime = self.rep, self.n, self.nprime
+        if self.measure.kind == "haar":
+            u = _null_space(rep, n, nprime)
+            return u @ u.T
         kept, flat = _kept(rep, n, nprime, self.measure), _weight_blocks(rep, n, nprime)
         dim = rep.dim ** (n + nprime)
         v = np.empty((sum(len(f) for _, _, f in kept), dim))
@@ -650,6 +661,11 @@ def _expand_items(items: Sequence[ProductItem]) -> list[list[Loop]]:
 
 _PERMUTATIONS, _PAIRINGS = "weingarten:permutations", "weingarten:pairings"
 
+#: complex entries (16 KiB) of the largest temporary of a batched contraction:
+#: a group of products is contracted in slices that stay under it, and a
+#: product whose own temporaries are larger is a slice by itself
+_BATCH_ENTRIES = 2 ** 10
+
 
 def _route(rep: RepData, n: int, nprime: int, measure: MeasureSpec,
            budget: int = DEFAULT_BUDGET) -> str:
@@ -790,20 +806,27 @@ def _forms(rep: RepData) -> np.ndarray:
     return forms
 
 
-def _contract(wiring, coeffs: Sequence[np.ndarray], forms: np.ndarray) -> np.ndarray:
-    """``M[a, b]``, flattened, from the wiring and the coefficient matrices in slot order."""
+def _contract(wiring, cs: np.ndarray, forms: np.ndarray) -> np.ndarray:
+    """``M[a, b]`` of each coefficient set as a column, ``(L**2, B)``, from the wiring
+    and the ``(B, m, d, d)`` coefficient matrices in slot order, `_BATCH_ENTRIES` at a time."""
     steps, order, starts, _ = wiring
-    cs = np.array(coeffs)
-    letters = np.concatenate([cs, cs.transpose(0, 2, 1)])
-    if forms.shape[0] > 1:  # every letter times every form, in one product
-        k, d = letters.shape[:2]
-        wide = letters.reshape(k * d, d) @ forms.transpose(1, 0, 2).reshape(d, -1)
-        letters = wide.reshape(k, d, -1, d).transpose(0, 2, 1, 3).reshape(-1, d, d)
-    acc = letters[steps[0]]
-    for idx in steps[1:]:  # the cycles still open are a prefix
-        acc[:len(idx)] = acc[:len(idx)] @ letters[idx]
-    traces = np.einsum("kii->k", acc)
-    return np.multiply.reduceat(traces[order], starts)
+    b, m, d = cs.shape[:3]
+    step = max(1, _BATCH_ENTRIES // ((len(steps[0]) + 2 * m * len(forms)) * d * d))
+    out = []
+    for lo in range(0, b, step):
+        chunk = cs[lo:lo + step].transpose(1, 0, 2, 3)  # letters first, then the sets
+        letters = np.concatenate([chunk, chunk.transpose(0, 1, 3, 2)])
+        if forms.shape[0] > 1:  # every letter times every form, in one product
+            k = letters.shape[0]
+            wide = letters.reshape(-1, d) @ forms.transpose(1, 0, 2).reshape(d, -1)
+            letters = wide.reshape(k, -1, d, len(forms), d).transpose(0, 3, 1, 2, 4).reshape(
+                k * len(forms), -1, d, d)
+        acc = letters.take(steps[0], axis=0)
+        for idx in steps[1:]:  # the cycles still open are a prefix
+            acc[:len(idx)] = acc[:len(idx)] @ letters.take(idx, axis=0)
+        traces = np.einsum("kbii->kb", acc)
+        out.append(np.multiply.reduceat(traces.take(order, axis=0), starts))
+    return np.concatenate(out, axis=1)
 
 
 @lru_cache(maxsize=64)
@@ -817,8 +840,8 @@ def _route_wg(rep: RepData, n: int, nprime: int, source: str) -> np.ndarray:
     forms = _forms(rep)
     wiring = _wiring(source, ((1,),) * n + ((-1,),) * nprime, len(forms) > 1)
     n_labels = wiring[-1]
-    m_ab = _contract(wiring, [np.eye(rep.dim)] * (n + nprime), forms)
-    wg = pseudoinverse(m_ab.reshape(n_labels, n_labels), 1e-8)
+    m_ab = _contract(wiring, np.array([[np.eye(rep.dim)] * (n + nprime)]), forms)
+    wg = pseudoinverse(m_ab[:, 0].reshape(n_labels, n_labels), 1e-8)
     wg.setflags(write=False)
     return wg
 
@@ -828,95 +851,187 @@ def _end_slots(shape: tuple[tuple[int, ...], ...]):
     """`_coefficient_ends` with a row end first: ``(flip, side, groups)``.
 
     ``flip[k]``: ``c_k`` enters transposed; ``side[k]``: 0 on a row end, 1 on a column end;
-    ``groups``: ``(k, s, t)`` (indices as a column, slots of the two ends) of the
-    coefficients on two row ends, on a row and a column end, and on two column ends.
+    ``groups``: ``(k, s, t)`` (indices, slots of the two ends) of the coefficients on
+    two row ends, on a row and a column end, and on two column ends.
     """
     ends = np.array(_coefficient_ends(shape)[1], dtype=np.intp)
     flip = ends[:, 0] % 2 > ends[:, 1] % 2
     ends[flip] = ends[flip, ::-1]
     side, slot = ends % 2, ends // 2
-    groups = tuple((k[:, None], slot[k, 0], slot[k, 1])
+    groups = tuple((k, slot[k, 0], slot[k, 1])
                    for k in (np.flatnonzero(side.sum(axis=1) == v) for v in range(3)))
     for a in (flip, side) + sum(groups, ()):
         a.setflags(write=False)
     return flip, side, groups
 
 
+@lru_cache(maxsize=256)
+def _end_bases(rep: RepData, shape: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(order, left, right)`` for the coefficients of ``shape``: ``order`` reads the flat
+    ``(m, d, d)`` coefficients with each one `_end_slots` flips transposed, and ``left``
+    and ``right`` are ``A_e1^T`` and ``A_e2`` (``A``: ``U`` on a row end, ``conj(U)`` on a
+    column end), ``(m, d, d)`` each."""
+    u, d = _weight_basis(rep)[0], rep.dim
+    flip, side, _ = _end_slots(shape)
+    order = np.arange(len(flip) * d * d).reshape(-1, d, d)
+    order[flip] = order[flip].transpose(0, 2, 1)
+    basis = np.array([u, u.conj()])
+    out = order.reshape(-1), np.ascontiguousarray(basis[side[:, 0]].transpose(0, 2, 1)), basis[side[:, 1]]
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=512)
+def _block_reads(rep: RepData, shape: tuple[tuple[int, ...], ...], k: int):
+    """Where block ``k`` reads the rotated coefficients ``c'`` of a product of ``shape``.
+
+    Returns ``(on_i, on_j, col, index, row)``.  `_block_contraction` stacks
+    the rows of every ``c'_j`` and then of every ``c'_j^T``, ``(2 m d, d)``.
+    ``on_i`` and ``on_j`` hold the flat positions of ``c'_j[I_s, I_t]`` for
+    the coefficients on two row ends and of ``c'_j[J_s, J_t]`` for those on
+    two column ends, ``(K, N)`` each (``s``, ``t`` the slots of its ends).
+    For the ``K`` coefficients on a row and a column end, ``col`` holds the
+    rows of ``c'_j^T`` at ``J_t``, the columns ``H_j = c'_j[:, J_t]``, and
+    ``(index, row)`` pick row ``I_s`` of each ``H_j``.
+    """
+    flip, _, ((ki, si, ti), (km, sm, tm), (kj, sj, tj)) = _end_slots(shape)
+    n = sum(s == 1 for loop_signs in shape for s in loop_signs)
+    digits = _block_eigh(rep, n, len(flip) - n, k)[2]
+    d = rep.dim
+    on_i, on_j = ((kk[:, None] * d + digits[ss]) * d + digits[tt] for kk, ss, tt in ((ki, si, ti), (kj, sj, tj)))
+    reads = (on_i, on_j, (len(flip) + km[:, None]) * d + digits[tm], np.arange(len(km))[:, None], digits[sm])
+    for a in reads:
+        a.setflags(write=False)
+    return reads
+
+
 def _block_contraction(rep: RepData, n: int, nprime: int, measure: MeasureSpec,
-                       shape: tuple[tuple[int, ...], ...], coeffs: Sequence[np.ndarray]) -> complex:
-    """``sum_b sum_j f_j z_j^T M'_b conj(z_j)`` over the eigenvectors the measure keeps (`_kept`).
+                       shape: tuple[tuple[int, ...], ...], cs: np.ndarray) -> np.ndarray:
+    """``sum_b sum_j f_j z_j^T M'_b conj(z_j)`` over the eigenvectors the measure keeps (`_kept`),
+    for each of the ``(B, m, d, d)`` coefficient sets: ``(B,)``.
 
     An eigenvector of ``C`` is real, ``U^{(x)m} z = conj(U)^{(x)m} conj(z)``,
     so ``M'_b[I, J]`` is the product of the rotated ``c'_k = A_e1^T c_k A_e2``
     (``A``: ``U`` on a row end, ``conj(U)`` on a column end) at the digits of
-    their ends, a row end reading ``I`` and a column end ``J``.
+    their ends, a row end reading ``I`` and a column end ``J``.  All B sets
+    are rotated by one product, and each block gathers all of them at once
+    (`_block_reads`), `_BATCH_ENTRIES` at a time.
     """
-    u = _weight_basis(rep)[0]
-    flip, side, ((ki, si, ti), (km, sm, tm), (kj, sj, tj)) = _end_slots(shape)
-    cs = np.array([c.T if swap else c for c, swap in zip(coeffs, flip)])
-    basis = np.array([u, u.conj()])
-    rotated = basis[side[:, 0]].transpose(0, 2, 1) @ cs @ basis[side[:, 1]]
-    total = 0.0 + 0.0j
+    order, left, right = _end_bases(rep, shape)
+    rotated = left @ cs.reshape(len(cs), -1).take(order, axis=1).reshape(cs.shape) @ right
+    rows = np.concatenate([rotated, rotated.transpose(0, 1, 3, 2)], axis=1).reshape(len(cs), -1, rep.dim)
+    flat = rows.reshape(len(cs), -1)
+    total = np.zeros(len(cs), dtype=np.complex128)
     for k, z, f in _kept(rep, n, nprime, measure):  # a factor on I alone or J alone scales the rows of y
-        digits = _block_eigh(rep, n, nprime, k)[2]
-        y = z.conj()
-        if len(kj):
-            y = y * rotated[kj, digits[sj], digits[tj]].prod(axis=0)[:, None]
-        if len(km):  # c'_k[I, J] = H_k[I_s, J], H_k = c'_k[:, J_t]: whole rows are gathered
-            h = rotated.transpose(0, 2, 1)[km, digits[tm]].transpose(0, 2, 1)
-            y = h[np.arange(len(km))[:, None], digits[sm]].prod(axis=0) @ y
-        else:
-            y = y.sum(axis=0)
-        if len(ki):
-            y = y * rotated[ki, digits[si], digits[ti]].prod(axis=0)[:, None]
-        total += f @ np.sum(z * y, axis=0)
+        on_i, on_j, col, index, row = _block_reads(rep, shape, k)
+        size = len(z)
+        step = max(1, _BATCH_ENTRIES // max(1, size * (len(col) * size + z.shape[1])))
+        for lo in range(0, len(cs), step):
+            y = z.conj()
+            if len(on_j):
+                y = y * flat[lo:lo + step].take(on_j, axis=1).prod(axis=1)[:, :, None]
+            if len(col):  # c'_k[I, J] = H_k[I_s, J], H_k = c'_k[:, J_t]: whole rows are gathered
+                h = rows[lo:lo + step].take(col, axis=1).transpose(0, 1, 3, 2)
+                y = h[:, index, row].prod(axis=1) @ y
+            else:
+                y = y.sum(axis=-2, keepdims=True)
+            if len(on_i):
+                y = y * flat[lo:lo + step].take(on_i, axis=1).prod(axis=1)[:, :, None]
+            total[lo:lo + step] += np.sum(z * y, axis=-2) @ f
     return total
+
+
+def _shape_route(rep: RepData, shape: tuple[tuple[int, ...], ...], measure: MeasureSpec,
+                 budget: int) -> tuple[str, int, int]:
+    """The route of every product of loops of ``shape`` (their slot signs) on ``rep``, with its ``(n, n')``."""
+    signs = [s for loop_signs in shape for s in loop_signs]
+    n = signs.count(1)
+    return _route(rep, n, len(signs) - n, measure, budget), n, len(signs) - n
 
 
 def _product_route(flat: Sequence[Loop], measure: MeasureSpec, budget: int) -> tuple[str, int, int]:
     """The route of a plain product of loops, with its ``(n, n')``."""
     check_one_group(w.rep.spec for w in flat)
-    signs = [s for w in flat for s in w.signs]
-    n = signs.count(1)
-    return _route(flat[0].rep, n, len(signs) - n, measure, budget), n, len(signs) - n
+    return _shape_route(flat[0].rep, tuple(w.signs for w in flat), measure, budget)
 
 
-def _expect_flat(flat: list[Loop], measure: MeasureSpec, budget: int) -> complex:
-    """Exact expectation of a plain product of loops (Haar or Brownian)."""
-    route, n, nprime = _product_route(flat, measure, budget)
-    rep = flat[0].rep
-    if route == "zero":
-        return 0.0 + 0.0j
-    if route == "characters":  # E[z^k] is [k = 0] under Haar, exp(-t k^2 / 2) under Brownian(t)
-        k_tot = sum(w.rep.spec.n * sum(w.signs) for w in flat)
-        coeff = math.prod(w.scale * math.prod(c[0, 0] for c, _ in w.factors) for w in flat)
-        if measure.kind == "haar":
-            return coeff if k_tot == 0 else 0.0 + 0.0j
-        return coeff * np.exp(-0.5 * measure.t * k_tot ** 2)
-    shape = tuple(w.signs for w in flat)
-    coeffs = [c for w in flat for c, _ in w.factors]
-    scale = math.prod(w.scale for w in flat)
-    if route == "casimir":  # Wg is diagonal on the orthonormal eigenvectors
-        return complex(scale * _block_contraction(rep, n, nprime, measure, shape, coeffs))
-    source = route.partition(":")[2]
-    forms = _forms(rep)
-    m_ab = _contract(_wiring(source, shape, len(forms) > 1), coeffs, forms)
-    return complex(scale * (_route_wg(rep, n, nprime, source).reshape(-1) @ m_ab))
+def _character_value(flat: Sequence[Loop], measure: MeasureSpec) -> complex:
+    """A product of U(1) characters: ``E[z^k]`` is ``[k = 0]`` under Haar and
+    ``exp(-t k^2 / 2)`` under Brownian(t)."""
+    k_tot = sum(w.rep.spec.n * sum(w.signs) for w in flat)
+    coeff = math.prod(w.scale * math.prod(c[0, 0] for c, _ in w.factors) for w in flat)
+    if measure.kind == "haar":
+        return coeff if k_tot == 0 else 0.0 + 0.0j
+    return coeff * np.exp(-0.5 * measure.t * k_tot ** 2)
+
+
+def _expect_products(flats: Sequence[Sequence[Loop]], measure: MeasureSpec, budget: int) -> np.ndarray:
+    """Exact expectations of plain products of loops (Haar or Brownian), one per product.
+
+    Every product must pass `check_one_group`.  Products are grouped by
+    representation and shape, the slot signs of their loops; each group
+    takes one route and one contraction of its stacked ``(B, m, d, d)``
+    coefficients: `_block_contraction` on the Casimir route, `_contract`
+    and one product with ``Wg`` on a Weingarten route.
+    """
+    groups: dict = {}
+    for i, flat in enumerate(flats):
+        check_one_group(w.rep.spec for w in flat)
+        groups.setdefault((flat[0].rep, tuple(w.signs for w in flat)), []).append(i)
+    values = [0j] * len(flats)
+    for (rep, shape), idx in groups.items():
+        route, n, nprime = _shape_route(rep, shape, measure, budget)
+        members = [flats[i] for i in idx]
+        if route == "characters":
+            for i, flat in zip(idx, members):
+                values[i] = _character_value(flat, measure)
+        elif route != "zero":
+            cs = np.array([[c for w in flat for c, _ in w.factors] for flat in members])
+            if route == "casimir":  # Wg is diagonal on the orthonormal eigenvectors
+                v = _block_contraction(rep, n, nprime, measure, shape, cs)
+            else:
+                source = route.partition(":")[2]
+                forms = _forms(rep)
+                m_ab = _contract(_wiring(source, shape, len(forms) > 1), cs, forms)
+                v = _route_wg(rep, n, nprime, source).reshape(-1) @ m_ab
+            for i, flat, x in zip(idx, members, v.tolist()):
+                values[i] = x * math.prod(w.scale for w in flat)
+    return np.array(values, dtype=np.complex128)
+
+
+def _expect_terms(terms: Sequence[tuple[complex, Sequence[ProductItem]]], measure: MeasureSpec,
+                  budget: int = DEFAULT_BUDGET) -> np.ndarray:
+    """``coef * E[prod items]`` for each term of a loop polynomial (Haar or Brownian).
+
+    Every term is expanded once, and the plain products of all the terms
+    are contracted together by one `_expect_products` call.
+    """
+    flats, owner = [], []
+    for t, (_, items) in enumerate(terms):
+        expanded = _expand_items(items)
+        flats += expanded
+        owner += [t] * len(expanded)
+    sums = np.zeros(len(terms), dtype=np.complex128)
+    np.add.at(sums, np.array(owner, dtype=np.intp), _expect_products(flats, measure, budget))
+    return np.array([coef for coef, _ in terms]) * sums
 
 
 def expect_product(items: Sequence[ProductItem], measure: MeasureSpec,
                    budget: int = DEFAULT_BUDGET) -> complex:
     """Exact expectation of a product of loops (and loop sums) under Haar or Brownian.
 
-    Each plain product takes the route `_route` picks: Weingarten
-    contraction against permutations or pairings, an exact zero, the
-    character algebra for U(1) characters, or contraction against the
-    tensor-Casimir eigenvectors, weighted 1 on the null vectors (Haar) or
-    ``exp(t lambda_k / 2)`` (Brownian).  The Wilson action has no exact
-    route and is refused; ``sampling.mc_expect`` estimates it.
+    The product is expanded into plain products of loops, and products of
+    one shape are contracted together (`_expect_products`).  Each shape
+    takes the route `_route` picks: Weingarten contraction against
+    permutations or pairings, an exact zero, the character algebra for U(1)
+    characters, or contraction against the tensor-Casimir eigenvectors,
+    weighted 1 on the null vectors (Haar) or ``exp(t lambda_k / 2)``
+    (Brownian).  The Wilson action has no exact route and is refused;
+    ``sampling.mc_expect`` estimates it.
     """
     if measure.kind == "wilson":
         raise ValueError("no exact expectation under the Wilson action; estimate it with mc_expect")
     if not items:
         raise ValueError("need at least one loop")
-    return sum((_expect_flat(flat, measure, budget) for flat in _expand_items(items)), 0j)
+    return sum(_expect_products(_expand_items(items), measure, budget).tolist(), 0j)

@@ -60,7 +60,7 @@ import numpy as np
 
 from .catalog import RepData, check_one_group, octonion_psi
 from .loops import Loop, conjugate_loop, linear_loop, total_merge, total_twist
-from .moments import DEFAULT_BUDGET, MeasureSpec, _item_terms, expect_product
+from .moments import DEFAULT_BUDGET, MeasureSpec, _expect_terms, _item_terms, expect_product
 
 __all__ = [
     "RngSpec",
@@ -177,11 +177,13 @@ def haar_sample_batch(rep: RepData, rng: RngSpec, count: int) -> np.ndarray:
 def _orthonormal_column(v: np.ndarray, cols: list) -> np.ndarray:
     """Column ``v`` (one per draw, shape ``(d, B)``) made orthogonal to the
     orthonormal columns ``cols`` by modified Gram-Schmidt, re-orthogonalized
-    once for roundoff, and normalized."""
+    once for roundoff, and normalized.  The columns share the dtype of ``v``;
+    real ones (SO, G2) are not conjugated, which would only copy them."""
+    conj = np.conj if np.iscomplexobj(v) else np.asarray
     for _ in range(2):
         for c in cols:
-            v = v - np.sum(np.conj(c) * v, axis=0) * c
-    return v / np.sqrt(np.sum((np.conj(v) * v).real, axis=0))
+            v = v - np.sum(conj(c) * v, axis=0) * c
+    return v / np.sqrt(np.sum((conj(v) * v).real, axis=0))
 
 
 def _gram_schmidt(z: np.ndarray) -> np.ndarray:
@@ -412,10 +414,13 @@ def verify_theorem_a(loops: Sequence[Loop], measure: MeasureSpec,
 
     ``Delta(W_1...W_n)`` is built once as terms (`_laplacian_terms`).
     Haar: both sides exact, the first term against minus the rest; residual
-    must be tiny.
+    must be tiny.  Every term is expanded once and all their plain products
+    are contracted together, one contraction per product shape
+    (``moments._expect_terms``).
     Brownian: the identity becomes an ODE in t; the exact expectation is
     differentiated by central differences, step ``min(1e-4, t/2)``, and
-    compared with the expectation of all the terms at t.
+    compared with the expectation of all the terms at t: three calls, the
+    first term at ``t +- step`` and all the terms at t.
     Wilson: the terms plus the action's ``-beta lambda p`` and ``-beta^2
     merge(p, q)`` terms, for ``p, q`` the Hermitized plaquette loops, make
     one loop polynomial, estimated by `_mc_estimate` as `mc_expect` is;
@@ -430,17 +435,16 @@ def verify_theorem_a(loops: Sequence[Loop], measure: MeasureSpec,
         t = measure.t
         fd_step = min(1e-4, t / 2)  # keeps t - fd_step > 0
 
-        def f(time: float, items: list) -> complex:
-            return expect_product(items, MeasureSpec.brownian(time), budget)
+        def f(time: float) -> complex:
+            return expect_product(terms[0][1], MeasureSpec.brownian(time), budget)
 
-        deriv2 = (f(t + fd_step, terms[0][1]) - f(t - fd_step, terms[0][1])) / fd_step  # 2 f'(t)
-        rhs = sum(coef * f(t, items) for coef, items in terms)
+        deriv2 = (f(t + fd_step) - f(t - fd_step)) / fd_step  # 2 f'(t)
+        rhs = complex(np.sum(_expect_terms(terms, measure, budget)))
         return _exact_report("brownian", deriv2, rhs, 1e-6 * (1.0 + abs(rhs)))
 
     if measure.kind == "haar" or measure.beta == 0.0:  # Wilson at beta = 0 is Haar
-        haar = MeasureSpec.haar()
-        lhs = terms[0][0] * expect_product(terms[0][1], haar, budget)
-        rhs = -sum(coef * expect_product(items, haar, budget) for coef, items in terms[1:])
+        values = _expect_terms(terms, MeasureSpec.haar(), budget)
+        lhs, rhs = values[0], -np.sum(values[1:])
         return _exact_report(measure.kind, lhs, rhs, 1e-9 * (1.0 + abs(lhs)))
 
     # The sampler weights by exp(beta * Re(sum_p W_p)), i.e. the Hermitized

@@ -169,6 +169,22 @@ class TestHaarMoment:
         assert haar_moment(G2, 2, 0).rank == 1
         assert haar_moment(U2, 1, 0).rank == 0
 
+    @pytest.mark.parametrize("rep,n,nprime", [(U3, 2, 2), (SO3, 2, 2), (G2, 3, 0), (SU2, 3, 1)],
+                             ids=["u3-22", "so3-22", "g2-30", "su2-31"])
+    def test_matrix_reads_the_stored_null_space(self, rep, n, nprime, monkeypatch):
+        # the construction Brownian keeps: null rows mapped out of the weight basis again
+        (k, z, f), = moments._kept(rep, n, nprime, MeasureSpec.haar())
+        v = moments._from_weight_basis(rep, n + nprime, moments._weight_blocks(rep, n, nprime)[k], z)
+        v = v * np.sqrt(f)[:, None]
+        want = v.T @ v
+
+        def refuse(*args):
+            raise AssertionError("the Haar matrix left the weight basis again")
+
+        monkeypatch.setattr(moments, "_from_weight_basis", refuse)
+        got = haar_moment(rep, n, nprime).matrix
+        assert np.max(np.abs(got - want)) <= 1e-13
+
     def test_spectral_gap_guard(self, monkeypatch, capsys):
         # a synthetic 1-dim rep whose Casimir sits inside the guard band
         a = np.sqrt(5e-8)
@@ -637,21 +653,48 @@ def dense_spectrum(rep, n, nprime):
     return np.linalg.eigh(tensor_casimir(rep, n, nprime))
 
 
-def casimir_route_value(flat, measure):
-    """Oracle: the loop tensor contracted with the D x D moment matrix of the measure,
-    from the dense tensor Casimir: its null projector under Haar, ``exp(t/2 C)`` under
-    Brownian(t)."""
+def moment_value(flat, matrix):
+    """The loop tensor of a product contracted with a D x D moment matrix."""
     a, pattern = loops_to_tensor(flat)
-    n = pattern.count(1)
     m = len(pattern)
-    rep = flat[0].rep
-    w, v = dense_spectrum(rep, n, m - n)
-    f = (np.abs(w) < 1e-6).astype(float) if measure.kind == "haar" else np.exp(0.5 * measure.t * w)
-    t = ((v * f) @ v.T).reshape((rep.dim,) * (2 * m))
+    t = matrix.reshape((flat[0].rep.dim,) * (2 * m))
     subs: list[int] = []
     for s in range(m):
         subs.extend([s, m + s])
     return complex(np.einsum(a, subs, t, list(range(2 * m)), []))
+
+
+def casimir_route_value(flat, measure):
+    """Oracle: the loop tensor contracted with the D x D moment matrix of the measure,
+    from the dense tensor Casimir: its null projector under Haar, ``exp(t/2 C)`` under
+    Brownian(t)."""
+    pattern = [s for w in flat for s in w.signs]
+    n = pattern.count(1)
+    w, v = dense_spectrum(flat[0].rep, n, len(pattern) - n)
+    f = (np.abs(w) < 1e-6).astype(float) if measure.kind == "haar" else np.exp(0.5 * measure.t * w)
+    return moment_value(flat, (v * f) @ v.T)
+
+
+@lru_cache(maxsize=8)
+def dense_weingarten(rep, n, nprime, source):
+    """``tau o Wg o tau*`` of the dense `WeingartenMap` of a label set."""
+    return weingarten(spanning_set(rep, n, nprime, source)).moment_matrix()
+
+
+def route_oracle_value(flat, measure):
+    """Oracle of a product on its route: the dense Weingarten map on a Weingarten route,
+    the dense tensor Casimir on every other."""
+    route, n, nprime = moments._product_route(flat, measure, DEFAULT_BUDGET)
+    if route.startswith("weingarten:"):
+        return moment_value(flat, dense_weingarten(flat[0].rep, n, nprime, route.partition(":")[2]))
+    return casimir_route_value(flat, measure)
+
+
+def same_shape_product(rng, flat):
+    """A product of the shape of ``flat`` with fresh coefficients and scales, and its size bound."""
+    out = [loop(w.rep, [rng.standard_normal((w.rep.dim,) * 2) + 1j * rng.standard_normal((w.rep.dim,) * 2)
+                        for _ in w.signs], list(w.signs), complex(*rng.standard_normal(2))) for w in flat]
+    return out, np.prod([abs(w.scale) * np.prod([np.linalg.norm(c) for c, _ in w.factors]) for w in out])
 
 
 def random_product(rng, rep, n, nprime):
@@ -670,6 +713,7 @@ def random_product(rng, rep, n, nprime):
 
 HAAR = MeasureSpec.haar()
 MEASURES = st.just(HAAR) | st.floats(0.1, 2.0).map(MeasureSpec.brownian)
+BATCH_SHAPES = [s for s in ROUTE_SHAPES if s[0].dim ** (s[1] + s[2]) <= 256]  # small dense oracles
 
 
 class TestExpectationRoutes:
@@ -692,6 +736,28 @@ class TestExpectationRoutes:
         flat, bound = random_product(np.random.default_rng(seed), rep, n, nprime)
         got = expect_product(flat, measure)
         assert abs(got - casimir_route_value(flat, measure)) <= 1e-10 * max(1.0, bound)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(BATCH_SHAPES), st.integers(0, 2 ** 32 - 1), st.integers(1, 3)),
+                    min_size=1, max_size=4), MEASURES)
+    @example([((U3, 2, 2), 1, 3), ((SP2, 1, 1), 2, 2), ((SO3, 3, 0), 3, 2), ((U3, 2, 1), 4, 1),
+              ((U1_2, 2, 1), 5, 2), ((SO4, 2, 0), 6, 2)], HAAR)  # every route in one batch
+    @example([((SU2, 3, 1), 7, 3), ((U1_2, 1, 1), 8, 2), ((G2, 2, 0), 9, 2)], MeasureSpec.brownian(0.7))
+    def test_batch_matches_each_product_on_its_oracle(self, draws, measure):
+        # products of one shape are contracted together; each still equals its own oracle
+        flats, bounds = [], []
+        for shape, seed, copies in draws:
+            rng = np.random.default_rng(seed)
+            flat, bound = random_product(rng, *shape)
+            for _ in range(copies):
+                flats.append(flat)
+                bounds.append(bound)
+                flat, bound = same_shape_product(rng, flat)
+        order = np.random.default_rng(len(flats)).permutation(len(flats))  # groups interleaved
+        got = moments._expect_products([flats[i] for i in order], measure, DEFAULT_BUDGET)
+        assert got.shape == (len(flats),)
+        for value, i in zip(got, order):
+            assert abs(value - route_oracle_value(flats[i], measure)) <= 1e-10 * max(1.0, bounds[i])
 
     @pytest.mark.parametrize("rep,n,nprime,route", [
         (U3, 2, 2, "weingarten:permutations"), (U3, 2, 1, "zero"),

@@ -10,7 +10,7 @@ import itertools
 import numpy as np
 import pytest
 
-from lgm import sampling
+from lgm import moments, sampling
 from lgm.catalog import GroupSpec, build_representation, group_residual
 from lgm.loops import Loop, conjugate_loop, linear_loop, loop, merge_at, total_merge, total_twist
 from lgm.moments import MeasureSpec, expect_product
@@ -25,6 +25,7 @@ U3 = build_representation(GroupSpec("u", 3))
 SU2 = build_representation(GroupSpec("su", 2))
 SO3 = build_representation(GroupSpec("so", 3))
 SO4 = build_representation(GroupSpec("so", 4))
+SO7 = build_representation(GroupSpec("so", 7))
 SP1 = build_representation(GroupSpec("sp", 1))
 SP2 = build_representation(GroupSpec("sp", 2))
 U1 = build_representation(GroupSpec("u1power", 1))
@@ -154,6 +155,19 @@ class TestHaarSamplers:
         monkeypatch.setattr(sampling, "brownian_path_batch", refuse)
         haar_sample(G2, RngSpec(1))
         haar_sample_batch(G2, RngSpec(1), 8)
+
+    @pytest.mark.parametrize("rep", [SO3, SO7, G2], ids=lambda r: r.spec.label())
+    def test_real_draws_match_the_conjugating_gram_schmidt(self, rep, monkeypatch):
+        # real columns skip np.conj, which only copies them: the draws stay bit-identical
+        def conjugating(v, cols):
+            for _ in range(2):
+                for c in cols:
+                    v = v - np.sum(np.conj(c) * v, axis=0) * c
+            return v / np.sqrt(np.sum((np.conj(v) * v).real, axis=0))
+
+        got = haar_sample_batch(rep, RngSpec(17, 3), 64)
+        monkeypatch.setattr(sampling, "_orthonormal_column", conjugating)
+        assert np.array_equal(got, haar_sample_batch(rep, RngSpec(17, 3), 64))
 
     @pytest.mark.parametrize("rep", [U2, SU2, SO3, SP1, U1, G2], ids=lambda r: r.spec.label())
     def test_count_zero_and_negative(self, rep):
@@ -437,6 +451,19 @@ class TestTheoremA:
         for _ in range(3):
             report = verify_theorem_a(rand_loops(rep, rng), MeasureSpec.haar())
             assert report.passed, f"residual {report.residual} > {report.tolerance}"
+
+    def test_haar_contracts_each_shape_once(self, monkeypatch):
+        # G2 (+,+)(+): the Laplacian's terms expand into 37 plain products of 5 shapes,
+        # all on the Casimir route, and each shape is contracted by one call
+        calls = []
+        contraction = moments._block_contraction
+        monkeypatch.setattr(moments, "_block_contraction",
+                            lambda *args: calls.append(len(args[-1])) or contraction(*args))
+        rng = np.random.default_rng(41)
+        loops = [loop(G2, [rng.standard_normal((7, 7)) for _ in signs], signs) for signs in ([1, 1], [1])]
+        report = verify_theorem_a(loops, MeasureSpec.haar())
+        assert report.passed, f"residual {report.residual} > {report.tolerance}"
+        assert len(calls) == 5 and sum(calls) == 37
 
     def test_haar_single_linear_loop(self):
         report = verify_theorem_a([linear_loop(SU2, np.eye(2))], MeasureSpec.haar())
