@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -88,7 +89,7 @@ class Loop:
     def n_slots(self) -> int:
         return len(self.factors)
 
-    @property
+    @cached_property  # stored in __dict__, so it works on a frozen or `_derived` loop
     def signs(self) -> tuple[int, ...]:
         return tuple(s for _, s in self.factors)
 

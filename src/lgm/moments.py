@@ -8,12 +8,13 @@ The moment operator of a probability density ``nu`` is
     T[(i;i'), (j;j')] = E[ g_{i_1 j_1} ... g_{i_n j_n}
                            g^{-1}_{j'_1 i'_1} ... g^{-1}_{j'_{n'} i'_{n'}} ].
 
-Each exact measure is a weight on the orthonormal eigenvectors ``u_k`` of
-the tensor Casimir ``C``, ``T = sum_k w_k u_k u_k^T``: Haar keeps the null
-vectors with weight 1, the projector onto the invariants, which is also
-``tau o Wg o tau*`` (``tau`` a spanning set of invariant tensors, ``Wg``
-the pseudoinverse of its Gram matrix); Brownian(t) keeps all of them with
-weight ``exp(t lambda_k / 2)``, so ``T = exp(t/2 C)``.
+Each exact measure is a weight ``f`` on the eigenvalues ``c_k`` of the
+tensor Casimir ``C``, ``T = sum_k f(c_k) u_k u_k^T`` (`_weights`): Haar is
+``f = [c = 0]``, the projector onto the invariants, also ``tau o Wg o
+tau*`` (``tau`` a spanning set of invariant tensors, ``Wg`` the
+pseudoinverse of its Gram matrix); Brownian(t) is ``f = exp(t c / 2)``, so
+``T = exp(t/2 C)``.  Weighted ``c f(c)`` the ``u_k`` give the generator,
+``2 d/dt`` under Brownian and 0 under Haar; each exact contraction gives both.
 
 No ``D x D`` Casimir is formed or decomposed.  ``C`` commutes with
 ``rho(X)`` for a fixed real algebra element ``X`` (`_weight_basis`), so in
@@ -23,7 +24,7 @@ from the rotated completeness relation, made real symmetric, and
 decomposed by one real ``eigh`` (`_block_eigh`, cached per block).  Every
 invariant has weight zero, so Haar decomposes the zero-weight block alone
 (`_null_space`); Brownian reads every block.  `_kept` alone says which
-eigenvectors a measure keeps, and with what weights.
+eigenvectors a measure keeps, and gives their eigenvalues.
 
 An exact expectation of a product of loops takes one route, chosen by
 invariant theory (``_route``):
@@ -206,7 +207,7 @@ class MomentOperator:
     @cached_property
     def matrix(self) -> np.ndarray:
         """``T = v^T v``, a row of ``v`` for each eigenvector `_kept` keeps, scaled by the
-        root of its weight: under Haar ``u u^T`` from the null vectors `_null_space`
+        root of its weight (`_weights`): under Haar ``u u^T`` from the null vectors `_null_space`
         stores.  Under Brownian rows leave the weight basis ``D // 32`` at a time (at
         least 4096 entries), so a chunk's temporaries stay below ``T``."""
         rep, n, nprime = self.rep, self.n, self.nprime
@@ -215,12 +216,13 @@ class MomentOperator:
             return u @ u.T
         kept, flat = _kept(rep, n, nprime, self.measure), _weight_blocks(rep, n, nprime)
         dim = rep.dim ** (n + nprime)
-        v = np.empty((sum(len(f) for _, _, f in kept), dim))
+        v = np.empty((sum(len(c) for _, _, c in kept), dim))
         chunk, row = max(dim // 32, 4096 // dim), 0
-        for k, z, f in kept:
-            for lo in range(0, len(f), chunk):
+        for k, z, c in kept:
+            for lo in range(0, len(c), chunk):
                 rows = _from_weight_basis(rep, n + nprime, flat[k], z[:, lo:lo + chunk])
-                np.multiply(rows, np.sqrt(f[lo:lo + chunk])[:, None], out=v[row:row + len(rows)])
+                f = _weights(self.measure, c[lo:lo + chunk])[0]
+                np.multiply(rows, np.sqrt(f)[:, None], out=v[row:row + len(rows)])
                 row += len(rows)
         return v.T @ v
 
@@ -462,15 +464,22 @@ def _null_space(rep: RepData, n: int, nprime: int) -> np.ndarray:
 
 
 def _kept(rep: RepData, n: int, nprime: int, measure: MeasureSpec) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """The columns ``z`` of block ``k`` the measure keeps, and their weights ``f``: Haar keeps the
-    null columns of block 0 (weight 1) once `_null_space` has run its gap guard and residual
-    check, Brownian(t) every column of every block (weight ``exp(t w / 2)``)."""
+    """The columns ``z`` of block ``k`` the measure keeps, and their Casimir eigenvalues ``c``:
+    Haar keeps the null columns of block 0 (``c = 0`` exactly) once `_null_space` has run its
+    gap guard and residual check, Brownian every column of every block."""
     if measure.kind == "haar":
         r = _null_space(rep, n, nprime).shape[1]
         w, z, _ = _block_eigh(rep, n, nprime, 0)
-        return [(0, z[:, len(w) - r:], np.ones(r))]  # w ascends to 0: the null columns last
+        return [(0, z[:, len(w) - r:], np.zeros(r))]  # w ascends to 0: the null columns last
     eighs = (_block_eigh(rep, n, nprime, k) for k in range(len(_weight_blocks(rep, n, nprime))))
-    return [(k, z, np.exp(0.5 * measure.t * w)) for k, (w, z, _) in enumerate(eighs)]
+    return [(k, z, w) for k, (w, z, _) in enumerate(eighs)]
+
+
+def _weights(measure: MeasureSpec, c):
+    """Weight and generator ``(f(c), c f(c))`` of Casimir eigenvalues ``c``: Haar ``f = [c = 0]``,
+    Brownian(t) ``f = exp(t c / 2)``, whose generator ``c f`` is ``2 df/dt``."""
+    f = np.exp(0.5 * measure.t * c) if measure.kind == "brownian" else (c == 0) * 1.0
+    return f, c * f
 
 
 def moment_operator(rep: RepData, n: int, nprime: int, measure: MeasureSpec,
@@ -908,8 +917,8 @@ def _block_reads(rep: RepData, shape: tuple[tuple[int, ...], ...], k: int):
 
 def _block_contraction(rep: RepData, n: int, nprime: int, measure: MeasureSpec,
                        shape: tuple[tuple[int, ...], ...], cs: np.ndarray) -> np.ndarray:
-    """``sum_b sum_j f_j z_j^T M'_b conj(z_j)`` over the eigenvectors the measure keeps (`_kept`),
-    for each of the ``(B, m, d, d)`` coefficient sets: ``(B,)``.
+    """``sum_b sum_j (f, c f)(c_j) z_j^T M'_b conj(z_j)`` over the eigenvectors the measure keeps
+    (`_kept`, `_weights`), for each of the ``(B, m, d, d)`` coefficient sets: ``(B, 2)``.
 
     An eigenvector of ``C`` is real, ``U^{(x)m} z = conj(U)^{(x)m} conj(z)``,
     so ``M'_b[I, J]`` is the product of the rotated ``c'_k = A_e1^T c_k A_e2``
@@ -922,9 +931,10 @@ def _block_contraction(rep: RepData, n: int, nprime: int, measure: MeasureSpec,
     rotated = left @ cs.reshape(len(cs), -1).take(order, axis=1).reshape(cs.shape) @ right
     rows = np.concatenate([rotated, rotated.transpose(0, 1, 3, 2)], axis=1).reshape(len(cs), -1, rep.dim)
     flat = rows.reshape(len(cs), -1)
-    total = np.zeros(len(cs), dtype=np.complex128)
-    for k, z, f in _kept(rep, n, nprime, measure):  # a factor on I alone or J alone scales the rows of y
+    total = np.zeros((len(cs), 2), dtype=np.complex128)
+    for k, z, c in _kept(rep, n, nprime, measure):  # a factor on I alone or J alone scales the rows of y
         on_i, on_j, col, index, row = _block_reads(rep, shape, k)
+        weights = np.array(_weights(measure, c), dtype=np.complex128).T  # (r, 2): f(c) and c f(c)
         size = len(z)
         step = max(1, _BATCH_ENTRIES // max(1, size * (len(col) * size + z.shape[1])))
         for lo in range(0, len(cs), step):
@@ -938,7 +948,7 @@ def _block_contraction(rep: RepData, n: int, nprime: int, measure: MeasureSpec,
                 y = y.sum(axis=-2, keepdims=True)
             if len(on_i):
                 y = y * flat[lo:lo + step].take(on_i, axis=1).prod(axis=1)[:, :, None]
-            total[lo:lo + step] += np.sum(z * y, axis=-2) @ f
+            total[lo:lo + step] += np.sum(z * y, axis=-2) @ weights
     return total
 
 
@@ -956,30 +966,28 @@ def _product_route(flat: Sequence[Loop], measure: MeasureSpec, budget: int) -> t
     return _shape_route(flat[0].rep, tuple(w.signs for w in flat), measure, budget)
 
 
-def _character_value(flat: Sequence[Loop], measure: MeasureSpec) -> complex:
-    """A product of U(1) characters: ``E[z^k]`` is ``[k = 0]`` under Haar and
-    ``exp(-t k^2 / 2)`` under Brownian(t)."""
+def _character_value(flat: Sequence[Loop], measure: MeasureSpec) -> tuple[complex, complex]:
+    """A product of U(1) characters and its generator: ``z^k`` has Casimir eigenvalue ``-k^2``."""
     k_tot = sum(w.rep.spec.n * sum(w.signs) for w in flat)
     coeff = math.prod(w.scale * math.prod(c[0, 0] for c, _ in w.factors) for w in flat)
-    if measure.kind == "haar":
-        return coeff if k_tot == 0 else 0.0 + 0.0j
-    return coeff * np.exp(-0.5 * measure.t * k_tot ** 2)
+    return tuple(coeff * f for f in _weights(measure, -float(k_tot ** 2)))
 
 
 def _expect_products(flats: Sequence[Sequence[Loop]], measure: MeasureSpec, budget: int) -> np.ndarray:
-    """Exact expectations of plain products of loops (Haar or Brownian), one per product.
+    """Exact expectations of plain products of loops (Haar or Brownian), with their generators
+    (`_weights`): ``(len(flats), 2)``.
 
     Every product must pass `check_one_group`.  Products are grouped by
     representation and shape, the slot signs of their loops; each group
     takes one route and one contraction of its stacked ``(B, m, d, d)``
     coefficients: `_block_contraction` on the Casimir route, `_contract`
-    and one product with ``Wg`` on a Weingarten route.
+    and one product with ``Wg`` on a Weingarten route (Haar alone: generator 0).
     """
     groups: dict = {}
     for i, flat in enumerate(flats):
         check_one_group(w.rep.spec for w in flat)
         groups.setdefault((flat[0].rep, tuple(w.signs for w in flat)), []).append(i)
-    values = [0j] * len(flats)
+    values = [(0j, 0j)] * len(flats)
     for (rep, shape), idx in groups.items():
         route, n, nprime = _shape_route(rep, shape, measure, budget)
         members = [flats[i] for i in idx]
@@ -989,20 +997,22 @@ def _expect_products(flats: Sequence[Sequence[Loop]], measure: MeasureSpec, budg
         elif route != "zero":
             cs = np.array([[c for w in flat for c, _ in w.factors] for flat in members])
             if route == "casimir":  # Wg is diagonal on the orthonormal eigenvectors
-                v = _block_contraction(rep, n, nprime, measure, shape, cs)
+                v = _block_contraction(rep, n, nprime, measure, shape, cs).tolist()
             else:
                 source = route.partition(":")[2]
                 forms = _forms(rep)
                 m_ab = _contract(_wiring(source, shape, len(forms) > 1), cs, forms)
-                v = _route_wg(rep, n, nprime, source).reshape(-1) @ m_ab
-            for i, flat, x in zip(idx, members, v.tolist()):
-                values[i] = x * math.prod(w.scale for w in flat)
-    return np.array(values, dtype=np.complex128)
+                v = zip((_route_wg(rep, n, nprime, source).reshape(-1) @ m_ab).tolist(), itertools.repeat(0j))
+            for i, flat, (x, y) in zip(idx, members, v):
+                scale = math.prod(w.scale for w in flat)
+                values[i] = (x * scale, y * scale)
+    return np.array(values, dtype=np.complex128).reshape(len(flats), 2)
 
 
 def _expect_terms(terms: Sequence[tuple[complex, Sequence[ProductItem]]], measure: MeasureSpec,
                   budget: int = DEFAULT_BUDGET) -> np.ndarray:
-    """``coef * E[prod items]`` for each term of a loop polynomial (Haar or Brownian).
+    """``coef * E[prod items]``, and ``coef`` times its generator, for each term of a loop
+    polynomial (Haar or Brownian).
 
     Every term is expanded once, and the plain products of all the terms
     are contracted together by one `_expect_products` call.
@@ -1012,9 +1022,9 @@ def _expect_terms(terms: Sequence[tuple[complex, Sequence[ProductItem]]], measur
         expanded = _expand_items(items)
         flats += expanded
         owner += [t] * len(expanded)
-    sums = np.zeros(len(terms), dtype=np.complex128)
+    sums = np.zeros((len(terms), 2), dtype=np.complex128)
     np.add.at(sums, np.array(owner, dtype=np.intp), _expect_products(flats, measure, budget))
-    return np.array([coef for coef, _ in terms]) * sums
+    return np.array([coef for coef, _ in terms])[:, None] * sums
 
 
 def expect_product(items: Sequence[ProductItem], measure: MeasureSpec,
@@ -1026,12 +1036,12 @@ def expect_product(items: Sequence[ProductItem], measure: MeasureSpec,
     takes the route `_route` picks: Weingarten contraction against
     permutations or pairings, an exact zero, the character algebra for U(1)
     characters, or contraction against the tensor-Casimir eigenvectors,
-    weighted 1 on the null vectors (Haar) or ``exp(t lambda_k / 2)``
-    (Brownian).  The Wilson action has no exact route and is refused;
+    each weighted by the measure's ``f`` of its eigenvalue (`_weights`).
+    The Wilson action has no exact route and is refused;
     ``sampling.mc_expect`` estimates it.
     """
     if measure.kind == "wilson":
         raise ValueError("no exact expectation under the Wilson action; estimate it with mc_expect")
     if not items:
         raise ValueError("need at least one loop")
-    return sum(_expect_products(_expand_items(items), measure, budget).tolist(), 0j)
+    return sum(_expect_products(_expand_items(items), measure, budget)[:, 0].tolist(), 0j)

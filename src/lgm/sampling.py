@@ -60,7 +60,7 @@ import numpy as np
 
 from .catalog import RepData, check_one_group, octonion_psi
 from .loops import Loop, conjugate_loop, linear_loop, total_merge, total_twist
-from .moments import DEFAULT_BUDGET, MeasureSpec, _expect_terms, _item_terms, expect_product
+from .moments import DEFAULT_BUDGET, MeasureSpec, _expect_terms, _item_terms
 
 __all__ = [
     "RngSpec",
@@ -417,10 +417,10 @@ def verify_theorem_a(loops: Sequence[Loop], measure: MeasureSpec,
     must be tiny.  Every term is expanded once and all their plain products
     are contracted together, one contraction per product shape
     (``moments._expect_terms``).
-    Brownian: the identity becomes an ODE in t; the exact expectation is
-    differentiated by central differences, step ``min(1e-4, t/2)``, and
-    compared with the expectation of all the terms at t: three calls, the
-    first term at ``t +- step`` and all the terms at t.
+    Brownian: the heat equation ``2 d/dt E_t[F] = E_t[Delta F]``, both sides
+    from one ``_expect_terms`` call over ``[(1, F)] + terms``: F's generator
+    ``sum c e^{tc/2} v_c`` (``c`` the Casimir eigenvalues), exact in t,
+    against the sum of the terms; residual within ``1e-10 (1 + sum |term|)``.
     Wilson: the terms plus the action's ``-beta lambda p`` and ``-beta^2
     merge(p, q)`` terms, for ``p, q`` the Hermitized plaquette loops, make
     one loop polynomial, estimated by `_mc_estimate` as `mc_expect` is;
@@ -432,18 +432,12 @@ def verify_theorem_a(loops: Sequence[Loop], measure: MeasureSpec,
         raise ValueError("need at least one loop")
     terms = _laplacian_terms(loops)
     if measure.kind == "brownian":
-        t = measure.t
-        fd_step = min(1e-4, t / 2)  # keeps t - fd_step > 0
-
-        def f(time: float) -> complex:
-            return expect_product(terms[0][1], MeasureSpec.brownian(time), budget)
-
-        deriv2 = (f(t + fd_step) - f(t - fd_step)) / fd_step  # 2 f'(t)
-        rhs = complex(np.sum(_expect_terms(terms, measure, budget)))
-        return _exact_report("brownian", deriv2, rhs, 1e-6 * (1.0 + abs(rhs)))
+        values = _expect_terms([(1.0, terms[0][1])] + terms, measure, budget)
+        rhs = complex(np.sum(values[1:, 0]))  # rounded to the size of its terms, which may cancel
+        return _exact_report("brownian", values[0, 1], rhs, 1e-10 * (1.0 + np.sum(np.abs(values[1:, 0]))))
 
     if measure.kind == "haar" or measure.beta == 0.0:  # Wilson at beta = 0 is Haar
-        values = _expect_terms(terms, MeasureSpec.haar(), budget)
+        values = _expect_terms(terms, MeasureSpec.haar(), budget)[:, 0]
         lhs, rhs = values[0], -np.sum(values[1:])
         return _exact_report(measure.kind, lhs, rhs, 1e-9 * (1.0 + abs(lhs)))
 

@@ -458,6 +458,14 @@ class TestSlotBookkeeping:
         want = np.trace(a @ g @ b @ xi @ np.conj(g).T)
         assert abs(got - want) <= 1e-13
 
+    def test_signs_are_cached_and_follow_the_factors(self):
+        # a checked loop and loops `_derived` from it: the stored tuple is read, not rebuilt
+        rng = np.random.default_rng(42)
+        w = loop(REP["su2"], [rand_coeff(rng, 2) for _ in range(3)], [1, -1, -1])
+        for v in (w, w.rotated(1), conjugate_loop(w), w.scaled(2j), total_merge(w, w).terms[0]):
+            assert v.signs == tuple(s for _, s in v.factors)
+            assert v.signs is v.signs
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("j", [1, 2])
     def test_insert_generator_checks_its_element(self, bad, j):

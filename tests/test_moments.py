@@ -173,9 +173,9 @@ class TestHaarMoment:
                              ids=["u3-22", "so3-22", "g2-30", "su2-31"])
     def test_matrix_reads_the_stored_null_space(self, rep, n, nprime, monkeypatch):
         # the construction Brownian keeps: null rows mapped out of the weight basis again
-        (k, z, f), = moments._kept(rep, n, nprime, MeasureSpec.haar())
+        (k, z, c), = moments._kept(rep, n, nprime, MeasureSpec.haar())
         v = moments._from_weight_basis(rep, n + nprime, moments._weight_blocks(rep, n, nprime)[k], z)
-        v = v * np.sqrt(f)[:, None]
+        v = v * np.sqrt(moments._weights(MeasureSpec.haar(), c)[0])[:, None]
         want = v.T @ v
 
         def refuse(*args):
@@ -755,9 +755,22 @@ class TestExpectationRoutes:
                 flat, bound = same_shape_product(rng, flat)
         order = np.random.default_rng(len(flats)).permutation(len(flats))  # groups interleaved
         got = moments._expect_products([flats[i] for i in order], measure, DEFAULT_BUDGET)
-        assert got.shape == (len(flats),)
-        for value, i in zip(got, order):
+        assert got.shape == (len(flats), 2)
+        for value, i in zip(got[:, 0], order):
             assert abs(value - route_oracle_value(flats[i], measure)) <= 1e-10 * max(1.0, bounds[i])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(BATCH_SHAPES), st.integers(0, 2 ** 32 - 1), st.floats(0.05, 3.0))
+    @example((U1_2, 2, 1), 1, 0.4)  # the character route
+    @example((SO4, 2, 2), 2, 1.7)
+    def test_generator_is_the_casimir_weighted_sum(self, shape, seed, t):
+        # Brownian: sum c e^{tc/2} v_c against the dense tensor Casimir; Haar: exactly 0 on every route
+        rep, n, nprime = shape
+        flat, bound = random_product(np.random.default_rng(seed), rep, n, nprime)
+        c, v = dense_spectrum(rep, n, nprime)
+        got = moments._expect_products([flat], MeasureSpec.brownian(t), DEFAULT_BUDGET)[0, 1]
+        assert abs(got - moment_value(flat, (v * c * np.exp(0.5 * t * c)) @ v.T)) <= 1e-10 * max(1.0, bound)
+        assert moments._expect_products([flat], HAAR, DEFAULT_BUDGET)[0, 1] == 0
 
     @pytest.mark.parametrize("rep,n,nprime,route", [
         (U3, 2, 2, "weingarten:permutations"), (U3, 2, 1, "zero"),

@@ -18,6 +18,7 @@ from lgm.sampling import (BrownianPathSpec, RngSpec, _action_loops, brownian_pat
                           brownian_path_batch, haar_sample, haar_sample_batch,
                           mc_expect, verify_theorem_a)
 from lgm.tensor import _real_form, expm_skew_batch
+from test_moments import dense_spectrum, moment_value
 from test_tensor import expm_skew_eigh
 
 U2 = build_representation(GroupSpec("u", 2))
@@ -478,22 +479,49 @@ class TestTheoremA:
 
     @pytest.mark.parametrize("t", [0.3, 1.0])
     def test_brownian_lhs_is_the_time_derivative(self, t):
-        # 2 d/dt E_t, not the Haar left-hand side
+        # 2 d/dt E_t = sum c e^{tc/2} v_c over the dense tensor Casimir, not the Haar left-hand side
         w = linear_loop(U2, haar_sample(U2, RngSpec(34)) + np.diag([0.5, -1j]))
         loops = [w, conjugate_loop(w)]
         report = verify_theorem_a(loops, MeasureSpec.brownian(t))
-        h = 1e-4
+        c, v = dense_spectrum(U2, 1, 1)
+        exact = moment_value(loops, (v * c * np.exp(0.5 * t * c)) @ v.T)
+        assert abs(report.lhs - exact) <= 1e-12 * max(1.0, abs(exact))
+        h = 1e-4  # a central difference agrees to its O(h^2) error
         fd = (expect_product(loops, MeasureSpec.brownian(t + h))
               - expect_product(loops, MeasureSpec.brownian(t - h))) / h
-        assert abs(report.lhs - fd) <= 1e-12 * max(1.0, abs(fd))
+        assert abs(report.lhs - fd) <= 1e-7 * max(1.0, abs(fd))
         haar_lhs = verify_theorem_a(loops, MeasureSpec.haar()).lhs
         assert abs(report.lhs - haar_lhs) > 0.1 * max(1.0, abs(haar_lhs))
         assert report.passed, f"residual {report.residual} > {report.tolerance}"
 
     def test_brownian_ode_below_the_default_step(self):
-        # t = 5e-5 < 1e-4: the central-difference step shrinks to t/2
+        # t = 5e-5, below the 1e-4 step a central difference would take: the exact generator needs no step
         w = linear_loop(SU2, haar_sample(SU2, RngSpec(32)))
         report = verify_theorem_a([w, conjugate_loop(w)], MeasureSpec.brownian(5e-5))
+        assert report.passed, f"residual {report.residual} > {report.tolerance}"
+
+    @pytest.mark.parametrize("t", [5e-5, 0.7, 2.0])
+    def test_brownian_is_one_contraction(self, t, monkeypatch):
+        # SU(2) (+,-,+)(-): both sides of the heat equation come from one call, at t alone
+        calls = []
+        products = moments._expect_products
+        monkeypatch.setattr(moments, "_expect_products",
+                            lambda *args: calls.append(args[1]) or products(*args))
+        rng = np.random.default_rng(7)
+        loops = [loop(SU2, [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in s], s)
+                 for s in ([1, -1, 1], [-1])]
+        report = verify_theorem_a(loops, MeasureSpec.brownian(t))
+        assert calls == [MeasureSpec.brownian(t)]
+        assert report.residual <= 1e-12 * (1.0 + abs(report.rhs))
+
+    def test_brownian_tolerance_follows_the_terms(self):
+        # Sp(2) at t = 20: the Laplacian's terms, about 1e6 in size, cancel to a rhs of about 1e-7,
+        # which carries their rounding; a tolerance on |rhs| alone would refuse a correct identity
+        rng = np.random.default_rng(4)
+        loops = [loop(SP2, [10 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) for _ in s], s)
+                 for s in ([1, -1], [1, 1])]
+        report = verify_theorem_a(loops, MeasureSpec.brownian(20.0))
+        assert report.residual > 1e-10 * (1.0 + abs(report.rhs))
         assert report.passed, f"residual {report.residual} > {report.tolerance}"
 
     def test_wilson_z_score(self):
