@@ -29,10 +29,16 @@ Euler scheme ``g <- g expm(sqrt(h) z_a xi^a)``, which stays on the group to
 roundoff; its weak error in moments is O(h).  Steps run in blocks: one
 normal draw of shape ``(k, count, dim_g)`` per block, which is the stream
 ``k`` per-step draws would read, so a seed fixes the same path at any block
-size; one GEMM forms the block's increments and one call of the real Taylor
-kernel ``expm_skew_batch`` exponentiates them.  Complex generators are taken
-in their real ``2d x 2d`` form, so the walk runs in real arithmetic and is
-read back as complex once at the end; SO and G2 draws come out exactly real.
+size.  On a rank-one algebra (U(1), SU(2), SO(3), Sp(1)), where every
+increment has ``X^3 = -theta^2 X``, the block's exponentials are the
+closed form ``I + sinc(theta) X + sinc(theta/2)^2 X^2 / 2``, exact at any
+step size and formed by one GEMM against the products of the generators;
+the algebra is recognized from its generators, not its family name.  On the
+others one GEMM forms the block's increments and one call of the real
+Taylor kernel ``expm_skew_batch`` exponentiates them.  Complex generators
+are taken in their real ``2d x 2d`` form, so the walk runs in real
+arithmetic and is read back as complex once at the end; SO and G2 draws
+come out exactly real.
 
 Estimators are deterministic functions of an RngSpec, and one pipeline,
 `_mc_estimate`, makes every one: it takes a loop polynomial ``sum coef *
@@ -54,10 +60,12 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
+from . import tensor
 from .catalog import RepData, check_one_group, octonion_psi
 from .loops import Loop, conjugate_loop, linear_loop, total_merge, total_twist
 from .moments import DEFAULT_BUDGET, MeasureSpec, _expect_terms, _item_terms
@@ -123,10 +131,17 @@ class BrownianPathSpec:
         _check_path(self.t, self.steps)
 
 
+def _check_integer(name: str, value) -> None:
+    """Refuse a float or bool count by name; Python and numpy integers pass."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {name}={value!r}")
+
+
 def _check_path(t: float, steps: int) -> None:
     """The finiteness rule of ``MeasureSpec``, plus a positive time and step count."""
     if not (math.isfinite(t) and t > 0):
         raise ValueError(f"path time must be finite and positive, got t={t}")
+    _check_integer("steps", steps)
     if steps < 1:
         raise ValueError("need at least one step")
 
@@ -136,11 +151,14 @@ class EffectiveSampleError(RuntimeError):
 
 
 def _check_samples(samples: int | None) -> None:
+    if samples is not None:
+        _check_integer("samples", samples)
     if samples is None or samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {samples}")
 
 
 def _check_count(count: int) -> None:
+    _check_integer("count", count)
     if count < 0:
         raise ValueError(f"sample count must be non-negative, got count={count}")
 
@@ -246,27 +264,103 @@ def haar_sample(rep: RepData, rng: RngSpec) -> np.ndarray:
     return haar_sample_batch(rep, rng, 1)[0]
 
 
+@lru_cache(maxsize=64)
+def _walk_generators(rep: RepData) -> np.ndarray:
+    """The algebra basis the walk exponentiates, in the arithmetic it runs in:
+    real for SO and G2, the real ``2d x 2d`` form for the other complex
+    bases, and the complex ``1 x 1`` basis as it is."""
+    xis = rep.sampling_generators
+    if not np.any(xis.imag):
+        xis = xis.real
+    elif xis.shape[-1] > 1:
+        xis = tensor._real_form(xis)
+    xis = np.array(xis)  # an own copy, read-only: the cache hands it to every path on the rep
+    xis.flags.writeable = False
+    return xis
+
+
+@lru_cache(maxsize=64)
+def _rank_one_table(rep: RepData) -> tuple[np.ndarray, float] | None:
+    """``(table, lam)`` when every ``X = c_a xi^a`` of the walk has
+    ``X^3 = -lam |c|^2 X``, else None.
+
+    That cubic holds exactly when its polarization does,
+    ``sum_perm xi^a xi^b xi^c = -2 lam (delta_ab xi^c + delta_bc xi^a +
+    delta_ca xi^b)``, which is checked on the walk's own generators, with
+    ``lam`` read from ``xi^0 xi^0 xi^0 = -lam xi^0``.  With ``R_ab = {xi^a,
+    xi^b} + 2 lam delta_ab I`` the difference of its sides is ``R_ab xi^c +
+    R_bc xi^a + R_ca xi^b``.  Its slice ``a = b = 0`` is checked first: it
+    needs one row of R, and it refuses every algebra of higher rank in the
+    catalog (residuals about lam), so their ``dim_g^3`` products are never
+    formed.  The table's rows are ``I``, ``xi^a`` and ``xi^a xi^b``.
+    """
+    xis = _walk_generators(rep)
+    dim_g, d = xis.shape[0], xis.shape[-1]
+    x0, eye = xis[0], np.eye(d)
+    lam = -float(np.vdot(x0, x0 @ x0 @ x0).real / np.vdot(x0, x0).real)
+    tol = 1e-10 * abs(lam)
+    r0 = x0 @ xis + xis @ x0
+    r0[0] += 2.0 * lam * eye
+    if not (lam > 0.0 and np.max(np.abs(r0[0] @ xis + 2.0 * r0 @ x0)) <= tol):
+        return None
+    pairs = xis[:, None] @ xis  # xi^a xi^b
+    r = pairs + pairs.swapaxes(0, 1) + 2.0 * lam * np.eye(dim_g)[:, :, None, None] * eye
+    t = r[:, :, None] @ xis  # t[a, b, c] = R_ab xi^c
+    if np.max(np.abs(t + t.transpose(1, 2, 0, 3, 4) + t.transpose(2, 0, 1, 3, 4))) > tol:
+        return None
+    table = np.concatenate([eye[None], xis, pairs.reshape(-1, d, d)]).reshape(-1, d * d)
+    table.flags.writeable = False
+    return table, lam
+
+
+def _walk_steps(rep: RepData, z: np.ndarray, scale: float) -> np.ndarray:
+    """The step matrices ``exp(scale z_a xi^a)`` of the walk, one per row of ``z``.
+
+    On a rank-one algebra (`_rank_one_table`) ``X = c_a xi^a``, ``c = scale
+    z``, has ``X^3 = -theta^2 X`` with ``theta^2 = lam |c|^2``, so ``exp X =
+    I + sinc(theta) X + sinc(theta/2)^2 X^2 / 2`` (Rodrigues) exactly, at any
+    step size.  That is linear in the table ``[I; xi^a; xi^a xi^b]``: the
+    rows ``[1, sinc(theta) c, sinc(theta/2)^2 c c^T / 2]`` times the table
+    form every step in one GEMM.  Other algebras run their increments
+    through `tensor.expm_skew_batch`.
+    """
+    xis = _walk_generators(rep)
+    dim_g, d = xis.shape[0], xis.shape[-1]
+    closed = _rank_one_table(rep)
+    if closed is None:
+        return tensor.expm_skew_batch((z @ (scale * xis.reshape(dim_g, d * d))).reshape(-1, d, d))
+    table, lam = closed
+    c = np.multiply(scale, z.T, order="C")  # (dim_g, m): coordinate rows, so the products run along the steps
+    theta = np.sqrt(lam * np.einsum("am,am->m", c, c))
+    sinc_half = np.sinc(theta / (2.0 * np.pi))  # sin(theta/2) / (theta/2): np.sinc(x) is sin(pi x) / (pi x)
+    w = 0.5 * sinc_half ** 2 * c
+    # sinc(theta) = sinc(theta/2) cos(theta/2)
+    rows = np.concatenate([np.ones((1, len(theta))), sinc_half * np.cos(0.5 * theta) * c,
+                           (w[:, None] * c).reshape(dim_g * dim_g, -1)])
+    return (rows.T @ table).reshape(-1, d, d)
+
+
 def brownian_path_batch(rep: RepData, t: float, steps: int, rng: RngSpec,
                         count: int) -> np.ndarray:
-    """Endpoints of ``count`` independent Brownian paths started at identity."""
-    from . import tensor
+    """Endpoints of ``count`` independent Brownian paths started at identity.
 
+    Each block of steps draws its normals at once and forms its step
+    matrices with one `_walk_steps` call: the closed form, one GEMM, on
+    rank-one algebras (U(1), SU(2), SO(3), Sp(1)), and the Taylor kernel
+    on the others.
+    """
     _check_path(t, steps)
     _check_count(count)
     gen = rng.generator()
-    xis = rep.sampling_generators
-    if not np.any(xis.imag):  # SO, G2: real draws
-        xis = np.ascontiguousarray(xis.real)
-    elif xis.shape[-1] > 1:  # 1 x 1 stays complex, where the exponential is np.exp
-        xis = tensor._real_form(xis)
+    xis = _walk_generators(rep)
     dim_g, d_r = xis.shape[0], xis.shape[-1]
-    flat = np.sqrt(t / steps) * xis.reshape(dim_g, d_r * d_r)
+    scale = np.sqrt(t / steps)
     block = max(1, _PATH_BLOCK_ENTRIES // (max(count, 1) * d_r * d_r))
     g = np.broadcast_to(np.eye(d_r, dtype=xis.dtype), (count, d_r, d_r)).copy()
     for start in range(0, steps, block):
         k = min(block, steps - start)
         z = gen.standard_normal((k, count, dim_g))
-        for e in tensor.expm_skew_batch((z.reshape(k * count, dim_g) @ flat).reshape(k, count, d_r, d_r)):
+        for e in _walk_steps(rep, z.reshape(k * count, dim_g), scale).reshape(k, count, d_r, d_r):
             g = g @ e
     if d_r > rep.group_matrix_dim:
         return tensor._complex_form(g)

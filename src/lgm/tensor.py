@@ -7,7 +7,8 @@ for group elements and loop coefficients.  The spectral routine symmetrizes
 its input, ``(M + M*) / 2``, which absorbs Hermiticity roundoff.  Both
 kernels keep a real input real: the skew exponential is a real Taylor
 polynomial with scaling and squaring, and runs a complex input through its
-real 2n x 2n form.
+real 2n x 2n form.  The Brownian walk uses it for the algebras of rank two
+and more; rank-one steps take a closed form in ``sampling``.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ def expm_skew_batch(x: np.ndarray) -> np.ndarray:
     """Exponentials of a stack ``(..., n, n)`` of skew-Hermitian matrices.
 
     The Brownian-motion integrator calls it once per block of steps, on
-    thousands of small matrices at a time.  A real (antisymmetric) stack
+    thousands of small matrices at a time, for every algebra that is not
+    rank one (rank-one steps have a closed form there).  A real (antisymmetric) stack
     gives a real stack.  A complex stack is exponentiated in its real form
     ``[[Re, -Im], [Im, Re]]``, which multiplies like the complex matrices,
     and read back from the left block column; a 1 x 1 stack is ``np.exp``.

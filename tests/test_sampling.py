@@ -17,7 +17,6 @@ from lgm.moments import MeasureSpec, expect_product
 from lgm.sampling import (BrownianPathSpec, RngSpec, _action_loops, brownian_path,
                           brownian_path_batch, haar_sample, haar_sample_batch,
                           mc_expect, verify_theorem_a)
-from lgm.tensor import _real_form, expm_skew_batch
 from test_moments import dense_spectrum, moment_value
 from test_tensor import expm_skew_eigh
 
@@ -177,6 +176,15 @@ class TestHaarSamplers:
         with pytest.raises(ValueError, match="count must be non-negative, got count=-1"):
             haar_sample_batch(rep, RngSpec(0), -1)
 
+    @pytest.mark.parametrize("count", [2.5, 2.0, True], ids=repr)
+    def test_non_integer_count_refused(self, count):
+        with pytest.raises(ValueError, match="count must be an integer, got count="):
+            haar_sample_batch(SU2, RngSpec(0), count)
+
+    def test_numpy_integer_count_accepted(self):
+        assert np.array_equal(haar_sample_batch(SU2, RngSpec(6), np.int64(3)),
+                              haar_sample_batch(SU2, RngSpec(6), 3))
+
 
 class TestG2HaarLaw:
     """1e5 G2 draws against exact Haar moments: ``E[g_ij g_kl] = delta_ik delta_jl / 7``,
@@ -231,7 +239,7 @@ def brownian_path_eigh(rep, t, steps, rng, count):
 
 
 class TestBrownianPath:
-    @pytest.mark.parametrize("rep", [SU2, SO3, U3, SP2, G2, U1_2], ids=lambda r: r.spec.label())
+    @pytest.mark.parametrize("rep", [SU2, SO3, SP1, U2, U3, SP2, G2, U1_2], ids=lambda r: r.spec.label())
     @pytest.mark.parametrize("count", [0, 1, 100])
     def test_matches_per_step_eigh_integrator(self, rep, count):
         # 37 steps is prime: a part block is left over wherever blocks hold
@@ -243,6 +251,58 @@ class TestBrownianPath:
         assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
         if rep.spec.family in ("so", "g2"):
             assert not np.any(got.imag)
+
+    @pytest.mark.parametrize("rep", [SU2, SO3, SP1], ids=lambda r: r.spec.label())
+    def test_large_steps_match_per_step_eigh_integrator(self, rep):
+        # t = 50 in 10 steps: increments of norm 2 to 4, where the closed
+        # form is as exact as at small ones and no squaring is needed
+        got = brownian_path_batch(rep, 50.0, 10, RngSpec(8), 100)
+        want = brownian_path_eigh(rep, 50.0, 10, RngSpec(8), 100)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("rep,lam", [(SU2, 0.5), (SO3, 1.0), (SP1, 1.0)], ids=["SU(2)", "SO(3)", "Sp(1)"])
+    def test_rank_one_algebras_have_a_table(self, rep, lam):
+        table, got = sampling._rank_one_table(rep)
+        xis = sampling._walk_generators(rep)
+        g, d = xis.shape[0], xis.shape[-1]
+        assert got == pytest.approx(lam, rel=1e-12)
+        assert table.shape == (1 + g + g * g, d * d)
+        # the cubic X^3 = -lam |c|^2 X the closed form rests on, at a random c
+        c = np.random.default_rng(3).standard_normal(g)
+        x = np.einsum("a,aij->ij", c, xis)
+        assert np.max(np.abs(x @ x @ x + lam * (c @ c) * x)) <= 1e-12
+
+    @pytest.mark.parametrize("rep", [U2, SU3, SO4, SP2, G2], ids=lambda r: r.spec.label())
+    def test_higher_rank_algebras_have_no_table(self, rep):
+        assert sampling._rank_one_table(rep) is None
+
+    def test_rank_one_paths_take_no_taylor_kernel(self, monkeypatch):
+        def refuse(x):
+            raise AssertionError("the path ran the Taylor kernel")
+
+        monkeypatch.setattr(sampling.tensor, "expm_skew_batch", refuse)
+        for rep in (SU2, SO3, SP1):
+            brownian_path_batch(rep, 1.0, 20, RngSpec(0), 10)
+        with pytest.raises(AssertionError, match="Taylor kernel"):
+            brownian_path_batch(U3, 1.0, 20, RngSpec(0), 10)
+
+    @pytest.mark.parametrize("steps", [2.5, 3.0, np.float64(2.0), True], ids=repr)
+    def test_non_integer_steps_refused(self, steps):
+        with pytest.raises(ValueError, match="steps must be an integer, got steps="):
+            BrownianPathSpec(t=1.0, steps=steps, rng=RngSpec(0))
+        with pytest.raises(ValueError, match="steps must be an integer, got steps="):
+            brownian_path_batch(SU2, 1.0, steps, RngSpec(0), 2)
+
+    @pytest.mark.parametrize("count", [2.5, 2.0, True], ids=repr)
+    def test_non_integer_count_refused(self, count):
+        with pytest.raises(ValueError, match="count must be an integer, got count="):
+            brownian_path_batch(SU2, 1.0, 3, RngSpec(0), count)
+
+    def test_numpy_integers_accepted(self):
+        got = brownian_path_batch(SU2, 1.0, np.int64(3), RngSpec(5), np.int32(2))
+        assert np.array_equal(got, brownian_path_batch(SU2, 1.0, 3, RngSpec(5), 2))
+        spec = BrownianPathSpec(t=1.0, steps=np.int64(3), rng=RngSpec(5))
+        assert np.array_equal(brownian_path(SU2, spec), brownian_path_batch(SU2, 1.0, 3, RngSpec(5), 1)[0])
 
     @pytest.mark.parametrize("rep", [SU2, U1], ids=lambda r: r.spec.label())
     def test_negative_count_refused(self, rep):
@@ -294,20 +354,20 @@ class TestBrownianPath:
     def test_su2_weak_error_decreases_linearly(self):
         # couple coarse and fine paths through one increment stream, so the
         # discretization biases separate cleanly from the shared noise: a
-        # coarse increment sums its fine ones.  Paths run in the real 4 x 4
-        # form, as brownian_path_batch runs them, a chunk of paths at a time;
-        # the chunks read the same stream as one draw for all 40,000 paths.
+        # coarse increment sums its fine ones.  Steps are formed by the
+        # walk's own step function, as brownian_path_batch forms them, a
+        # chunk of paths at a time; the chunks read the same stream as one
+        # draw for all 40,000 paths.
         b, fine, t, chunk = 40_000, 128, 1.0, 512
         gen = np.random.default_rng((21, 0))
-        flat = np.sqrt(t / fine) * _real_form(SU2.generators).reshape(3, 16)
         sums = dict.fromkeys((8, 16, 32, 128), 0.0)
         for start in range(0, b, chunk):
             c = min(chunk, b - start)
             z = np.ascontiguousarray(gen.standard_normal((c, fine, 3)).transpose(1, 0, 2))  # (fine, c, 3)
             for steps in sums:
-                inc = z.reshape(steps, fine // steps, c, 3).sum(axis=1) @ flat
+                inc = z.reshape(steps, fine // steps, c, 3).sum(axis=1).reshape(steps * c, 3)
                 g = np.broadcast_to(np.eye(4), (c, 4, 4)).copy()
-                for e in expm_skew_batch(inc.reshape(steps, c, 4, 4)):
+                for e in sampling._walk_steps(SU2, inc, np.sqrt(t / fine)).reshape(steps, c, 4, 4):
                     g = g @ e
                 sums[steps] += 0.5 * np.trace(g, axis1=1, axis2=2).sum()  # Re tr of the complex g
         vals = {steps: total / b for steps, total in sums.items()}
@@ -394,6 +454,19 @@ class TestMcExpect:
     def test_sample_count_guard(self):
         with pytest.raises(ValueError, match="100"):
             mc_expect([linear_loop(U2, np.eye(2))], MeasureSpec.haar(), 10, RngSpec(0))
+
+    @pytest.mark.parametrize("samples", [200.0, 150.5, True], ids=repr)
+    def test_non_integer_samples_refused(self, samples):
+        w = linear_loop(U2, np.eye(2))
+        with pytest.raises(ValueError, match="samples must be an integer, got samples="):
+            mc_expect([w], MeasureSpec.haar(), samples, RngSpec(0))
+        with pytest.raises(ValueError, match="samples must be an integer, got samples="):
+            verify_theorem_a([w], MeasureSpec.wilson(0.5, [w]), samples=samples)
+
+    def test_numpy_integer_samples_accepted(self):
+        w = linear_loop(U2, np.eye(2))
+        got = mc_expect([w], MeasureSpec.haar(), np.int64(200), RngSpec(3))
+        assert got == mc_expect([w], MeasureSpec.haar(), 200, RngSpec(3))
 
     def test_one_sample_floor_for_every_estimate(self):
         # a missing count and too few Wilson draws meet the same floor

@@ -111,7 +111,7 @@ def skew_stack(rng, count, n, norms, complex_=True):
 
 
 class TestExpm:
-    """``expm_skew_batch``, the exponential the Brownian integrator uses."""
+    """``expm_skew_batch``, the exponential the Brownian integrator uses on algebras of rank two and more."""
 
     def test_zero(self):
         assert np.array_equal(expm_skew_batch(np.zeros((3, 3))), np.eye(3))
