@@ -103,7 +103,8 @@ class RepData:
     ----------
     spec : GroupSpec
     dim : int
-        Dimension of the representation space.
+        Dimension of the representation space, which is also the matrix
+        size of group elements (1 for the U(1) characters).
     generators : ``(dim_g, d, d)`` complex ndarray
         Images ``rho(xi^a)`` of an orthonormal Lie-algebra basis.
     casimir : ``(d, d)`` complex ndarray
@@ -125,11 +126,6 @@ class RepData:
     def algebra_dim(self) -> int:
         return self.generators.shape[0]
 
-    @property
-    def group_matrix_dim(self) -> int:
-        """Matrix size of group elements (1 for u1power, else ``dim``)."""
-        return 1 if self.spec.family == "u1power" else self.dim
-
     def rho(self, g: np.ndarray, sign: int = 1) -> np.ndarray:
         """Apply the representation to a group element (or stack of them).
 
@@ -137,11 +133,7 @@ class RepData:
         the inverse is the conjugate transpose, written out C-contiguous.
         """
         g = np.asarray(g, dtype=np.complex128)
-        if self.spec.family == "u1power":
-            z = g[..., 0, 0] ** self.spec.n
-            out = z[..., None, None]
-        else:
-            out = g
+        out = g ** self.spec.n if self.spec.family == "u1power" else g  # z -> z^n on 1 x 1 elements
         if sign == -1:
             out = np.conjugate(np.swapaxes(out, -1, -2), out=np.empty(out.shape, out.dtype))
         return out
@@ -159,7 +151,7 @@ class RepData:
         return self.generators
 
     def identity(self) -> np.ndarray:
-        return np.eye(self.group_matrix_dim, dtype=np.complex128)
+        return np.eye(self.dim, dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -179,6 +171,11 @@ def algebra_dimension(spec: GroupSpec) -> int:
         "g2": 14,
         "u1power": 1,
     }[spec.family]
+
+
+def _rep_dim(spec: GroupSpec) -> int:
+    """Size of the defining matrices: 2N for Sp(N), 7 for G2, 1 for a U(1) character, else N."""
+    return {"sp": 2 * spec.n, "g2": 7, "u1power": 1}.get(spec.family, spec.n)
 
 
 def kappa_coefficient(family: str) -> float:
@@ -260,7 +257,7 @@ def build_representation(spec: GroupSpec) -> RepData:
         ein = partial(np.einsum, optimize=True)
         conditions = (real, lambda x: ein("ijk,blk->bijl", psi, x) - ein("bmi,mjl->bijl", x, psi)
                       - ein("bmj,iml->bijl", x, psi))
-    dim = {"sp": 2 * n, "g2": 7, "u1power": 1}.get(fam, n)
+    dim = _rep_dim(spec)
     if fam == "u1power":
         gens = np.array([[[1j * n]]], dtype=np.complex128)
     else:
@@ -337,9 +334,8 @@ def closed_form_completeness(spec: GroupSpec) -> SplitCasimir:
     Built from the term table alone, with no generator sums; the generator-sum
     K is checked against it.  K is real (the U(1) term is ``(i n)^2``).
     """
-    d = {"sp": 2 * spec.n, "g2": 7, "u1power": 1}.get(spec.family, spec.n)
-    eye = np.eye(d)
-    k = np.zeros((d,) * 4, dtype=np.complex128)
+    eye = np.eye(_rep_dim(spec))
+    k = np.zeros(eye.shape * 2, dtype=np.complex128)
     for coef, kind, mat in _completeness_terms(spec):
         subscripts, m = {"swap": ("il,jk", eye), "trace": ("ij,kl", eye),
                          "transpose": ("ik,jl", mat), "insert": ("ij,kl", mat)}[kind]
@@ -372,8 +368,7 @@ def group_residual(rep: RepData, g: np.ndarray) -> float:
     symplectic relation for Sp, and the algebra-automorphism property for G2.
     """
     g = np.asarray(g, dtype=np.complex128)
-    d = rep.group_matrix_dim
-    res = np.linalg.norm(g.conj().T @ g - np.eye(d))
+    res = np.linalg.norm(g.conj().T @ g - np.eye(rep.dim))
     fam = rep.spec.family
     if fam == "so":
         res = max(res, np.linalg.norm(g.imag), abs(np.linalg.det(g) - 1.0))

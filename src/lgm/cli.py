@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 from functools import lru_cache
+from typing import Iterable
 
 import numpy as np
 
@@ -77,13 +78,13 @@ def _config(args) -> dict:
     return {k: v for k, v in vars(args).items() if k not in skip and v is not None}
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
+def _emit(args, payload: dict, text_lines: Iterable[str]) -> None:
+    """``json`` prints the document, ``text`` the lines unless ``--quiet``, ``jsonl`` the lines always."""
     if args.out == "json":
         print(json.dumps({"config": _config(args), **payload}))
-    else:
-        if not args.quiet:
-            for line in text_lines:
-                print(line)
+    elif args.out == "jsonl" or not args.quiet:
+        for line in text_lines:
+            print(line)
 
 
 # ---------------------------------------------------------------------------
@@ -187,29 +188,19 @@ def _cmd_expect(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    spec = _group_spec(args)
-    rep = build_representation(spec)
-    gs = haar_sample_batch(rep, RngSpec(args.seed, args.stream), args.count)
-    return _emit_matrices(args, gs)
+    rep = build_representation(_group_spec(args))
+    return _emit_matrices(args, haar_sample_batch(rep, RngSpec(args.seed, args.stream), args.count))
 
 
 def _cmd_brownian_path(args) -> int:
-    spec = _group_spec(args)
-    rep = build_representation(spec)
-    gs = brownian_path_batch(rep, args.t, args.steps, RngSpec(args.seed, args.stream), args.count)
-    return _emit_matrices(args, gs)
+    rep = build_representation(_group_spec(args))
+    rng = RngSpec(args.seed, args.stream)
+    return _emit_matrices(args, brownian_path_batch(rep, args.t, args.steps, rng, args.count))
 
 
 def _emit_matrices(args, gs: np.ndarray) -> int:
-    if args.out == "jsonl":
-        for g in gs:
-            print(json.dumps(_matrix_to_json(g)))
-    elif args.out == "json":
-        print(json.dumps({"config": _config(args), "matrices": [_matrix_to_json(g) for g in gs]}))
-    else:
-        if not args.quiet:
-            for g in gs:
-                print(json.dumps(_matrix_to_json(g)))
+    mats = [_matrix_to_json(g) for g in gs]
+    _emit(args, {"matrices": mats}, map(json.dumps, mats))  # one matrix per line
     return 0
 
 
@@ -244,10 +235,14 @@ def _cmd_verify_theorem_a(args) -> int:
 
 @lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parsing leaves it unchanged."""
+    """The argument parser, built once per process: parsing leaves it unchanged.
+    Each option is declared once, in a parent parser its subcommands share."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", choices=("json", "jsonl", "text"), default="text")
-    common.add_argument("--quiet", action="store_true")
+    common.add_argument("--quiet", action="store_true", help="no text lines (jsonl ignores it)")
+    family = argparse.ArgumentParser(add_help=False)
+    family.add_argument("--family", required=True)
+    family.add_argument("--n", type=int, default=0)
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, default=0, help="rng seed")
     stream = argparse.ArgumentParser(add_help=False)
@@ -256,6 +251,12 @@ def _build_parser() -> argparse.ArgumentParser:
     budget.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="max tensor-power dimension (Casimir route) or squared "
                              "label count (Weingarten routes)")
+    measure = argparse.ArgumentParser(add_help=False)
+    measure.add_argument("--measure", default="haar")
+    loops = argparse.ArgumentParser(add_help=False)
+    loops.add_argument("--loops", required=True, help="JSON file with a list of loop records")
+    loops.add_argument("--plaquettes", default=None, help="JSON loop list for the Wilson action")
+    loops.add_argument("--samples", type=int, default=None)
 
     parser = argparse.ArgumentParser(prog="lgm",
                                      description="moments and Wilson-loop calculus on compact Lie groups")
@@ -263,22 +264,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     group = sub.add_parser("group", help="group catalog queries")
     group_sub = group.add_subparsers(dest="group_command", required=True)
-    info = group_sub.add_parser("info", parents=[common], help="dimensions, lambda, completeness residual")
-    info.add_argument("--family", required=True)
-    info.add_argument("--n", type=int, default=0)
+    info = group_sub.add_parser("info", parents=[common, family],
+                                help="dimensions, lambda, completeness residual")
     info.add_argument("--json", action="store_true", help="shorthand for --out json")
     info.set_defaults(func=_cmd_group_info)
 
-    moment = sub.add_parser("moment", parents=[common, budget], help="exact moment operator")
-    moment.add_argument("--family", required=True)
-    moment.add_argument("--n", type=int, default=0)
+    moment = sub.add_parser("moment", parents=[common, family, budget, measure], help="exact moment operator")
     moment.add_argument("--tensor", required=True, help="tensor powers 'n,nprime'")
-    moment.add_argument("--measure", default="haar")
     moment.set_defaults(func=_cmd_moment)
 
-    wg = sub.add_parser("weingarten", parents=[common, budget], help="Gram matrix and Weingarten map")
-    wg.add_argument("--family", required=True)
-    wg.add_argument("--n", type=int, default=0)
+    wg = sub.add_parser("weingarten", parents=[common, family, budget], help="Gram matrix and Weingarten map")
     wg.add_argument("--order", type=int, required=True, help="tensor power n")
     wg.add_argument("--dual-order", type=int, default=None,
                     help="dual power n' (defaults to --order)")
@@ -287,22 +282,16 @@ def _build_parser() -> argparse.ArgumentParser:
     wg.add_argument("--tol", type=float, default=1e-8, help="relative pseudoinverse cutoff")
     wg.set_defaults(func=_cmd_weingarten)
 
-    expect = sub.add_parser("expect", parents=[common, seed, budget], help="expectation of a loop product")
-    expect.add_argument("--loops", required=True, help="JSON file with a list of loop records")
-    expect.add_argument("--measure", default="haar")
-    expect.add_argument("--plaquettes", default=None, help="JSON loop list for the Wilson action")
-    expect.add_argument("--samples", type=int, default=None)
+    expect = sub.add_parser("expect", parents=[common, seed, budget, loops, measure],
+                            help="expectation of a loop product")
     expect.set_defaults(func=_cmd_expect)
 
-    sample = sub.add_parser("sample", parents=[common, seed, stream], help="Haar samples")
-    sample.add_argument("--family", required=True)
-    sample.add_argument("--n", type=int, default=0)
+    sample = sub.add_parser("sample", parents=[common, family, seed, stream], help="Haar samples")
     sample.add_argument("--count", type=int, default=1)
     sample.set_defaults(func=_cmd_sample)
 
-    path = sub.add_parser("brownian-path", parents=[common, seed, stream], help="Brownian path endpoints")
-    path.add_argument("--family", required=True)
-    path.add_argument("--n", type=int, default=0)
+    path = sub.add_parser("brownian-path", parents=[common, family, seed, stream],
+                          help="Brownian path endpoints")
     path.add_argument("--t", type=float, required=True)
     path.add_argument("--steps", type=int, default=200)
     path.add_argument("--count", type=int, default=1)
@@ -310,12 +299,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="identity checks")
     verify_sub = verify.add_subparsers(dest="verify_command", required=True)
-    thma = verify_sub.add_parser("theorem-a", parents=[common, seed, budget],
+    thma = verify_sub.add_parser("theorem-a", parents=[common, seed, budget, loops, measure],
                                  help="integration-by-parts identity for a loop family")
-    thma.add_argument("--loops", required=True)
-    thma.add_argument("--measure", default="haar")
-    thma.add_argument("--plaquettes", default=None)
-    thma.add_argument("--samples", type=int, default=None)
     thma.set_defaults(func=_cmd_verify_theorem_a)
 
     return parser

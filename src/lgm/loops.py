@@ -55,8 +55,15 @@ __all__ = [
 ]
 
 
+class _Batched:
+    """One group element evaluated as a stack of one, through ``evaluate_batch``."""
+
+    def evaluate(self, g: np.ndarray) -> complex:
+        return complex(self.evaluate_batch(np.asarray(g, dtype=np.complex128)[None])[0])
+
+
 @dataclass(frozen=True)
-class Loop:
+class Loop(_Batched):
     """A generalized Wilson loop ``scale * tr(prod_i c_i rho(g^{s_i}))``."""
 
     rep: RepData
@@ -101,9 +108,6 @@ class Loop:
         k %= self.n_slots
         return Loop._derived(self.rep, self.factors[k:] + self.factors[:k], self.scale)
 
-    def evaluate(self, g: np.ndarray) -> complex:
-        return complex(self.evaluate_batch(np.asarray(g, dtype=np.complex128)[None])[0])
-
     def evaluate_batch(self, gs: np.ndarray) -> np.ndarray:
         """Evaluate on a stack ``(B, m, m)`` of group elements; returns ``(B,)``.
 
@@ -127,14 +131,11 @@ class Loop:
 
 
 @dataclass(frozen=True)
-class LoopPair:
+class LoopPair(_Batched):
     """A product of two loops, kept split: ``g -> left(g) * right(g)``."""
 
     left: Loop
     right: Loop
-
-    def evaluate(self, g: np.ndarray) -> complex:
-        return self.left.evaluate(g) * self.right.evaluate(g)
 
     def evaluate_batch(self, gs: np.ndarray) -> np.ndarray:
         return self.left.evaluate_batch(gs) * self.right.evaluate_batch(gs)
@@ -144,13 +145,10 @@ Term = Union[Loop, LoopPair]
 
 
 @dataclass(frozen=True)
-class LoopSum:
+class LoopSum(_Batched):
     """A formal finite sum of loops and split loop products."""
 
     terms: tuple[Term, ...] = ()
-
-    def evaluate(self, g: np.ndarray) -> complex:
-        return complex(sum((t.evaluate(g) for t in self.terms), 0.0 + 0.0j))
 
     def evaluate_batch(self, gs: np.ndarray) -> np.ndarray:
         gs = np.asarray(gs, dtype=np.complex128)

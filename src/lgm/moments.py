@@ -68,7 +68,7 @@ the tensor-power dimension ``D = d**(n+n')`` on the Casimir route, which
 forms no matrix larger than its largest weight block, and no vector of
 length ``D`` but the Haar null vectors, once per shape, to check them.
 A Weingarten shape over the budget falls back to the Casimir route when
-``D`` fits.
+``D`` fits.  The dense label sets of `spanning_set` are capped by both.
 
 The Wilson action admits no exact closed form: `expect_product` refuses
 it, and its expectations are estimated by ``sampling.mc_expect``.
@@ -108,13 +108,10 @@ DEFAULT_BUDGET = 4096
 
 
 class BudgetError(RuntimeError):
-    """Tensor-power dimension exceeds the configured memory budget."""
+    """A tensor-power dimension D, or a label set's squared size L**2, exceeds the budget."""
 
-    def __init__(self, required: int, budget: int):
-        super().__init__(
-            f"tensor representation needs dimension {required}, over the budget {budget}; "
-            f"raise the budget to proceed"
-        )
+    def __init__(self, required: int, budget: int, what: str = "tensor representation needs dimension"):
+        super().__init__(f"{what} {required}, over the budget {budget}; raise the budget to proceed")
         self.required = required
         self.budget = budget
 
@@ -164,8 +161,8 @@ class MeasureSpec:
 
     @classmethod
     def parse(cls, text: str, plaquettes: Sequence[Loop] | None = None) -> "MeasureSpec":
-        """Parse CLI measure strings: ``haar``, ``brownian:t=1.5``, ``wilson:beta=0.1``.  A key the
-        measure does not read, a key without a number, and plaquettes outside Wilson are refused."""
+        """Parse CLI measure strings: ``haar``, ``brownian:t=1.5``, ``wilson:beta=0.1``.  Unread or
+        repeated keys, a key without a number, and plaquettes outside Wilson are refused."""
         head, _, tail = text.partition(":")
         head = head.strip().lower()
         keys = {"haar": (), "brownian": ("t",), "wilson": ("beta",)}
@@ -176,6 +173,8 @@ class MeasureSpec:
             key, _, val = (part.strip() for part in item.partition("="))
             if key not in keys[head]:
                 raise ValueError(f"the {head} measure has no parameter {key!r}")
+            if key in params:
+                raise ValueError(f"measure parameter {key!r} is given twice")
             try:
                 params[key] = float(val)
             except ValueError:
@@ -539,6 +538,11 @@ def _perfect_matchings(items: tuple[int, ...]):
             yield ((first, partner),) + tail
 
 
+def _label_count(source: str, n: int, nprime: int) -> int:
+    """``L``: the n! permutations, or the (n + n' - 1)!! pairings of an even slot count."""
+    return math.factorial(n) if source == "permutations" else math.prod(range(n + nprime - 1, 0, -2))
+
+
 def _labels(source: str, n: int, nprime: int) -> tuple:
     """Permutations of the n + slots, or perfect matchings of all slots."""
     if source == "permutations":
@@ -570,8 +574,6 @@ def _label_table(source: str, n: int, nprime: int) -> np.ndarray:
 def _label_vectors(rep: RepData, n: int, nprime: int, source: str) -> tuple[tuple, np.ndarray]:
     """tau(label) for every label: delta across mixed slot pairs, the form on like ones."""
     m = n + nprime
-    if source == "pairings" and m % 2:
-        raise ValueError("pairings need an even total number of slots")
     eye = np.eye(rep.dim)
     form = rep.constants["J"] if rep.spec.family == "sp" else eye
     vecs = []
@@ -594,13 +596,14 @@ def spanning_set(rep: RepData, n: int, nprime: int, source: str,
     """
     source = source.lower()
     _check_budget(rep, n, nprime, budget)
-    if source == "permutations":
-        if rep.spec.family not in ("u", "su") or n != nprime or n < 1:
-            raise ValueError("permutations source needs the U or SU family and n = n' >= 1")
-        labels, vecs = _label_vectors(rep, n, nprime, source)
-    elif source == "pairings":
-        if rep.spec.family not in ("so", "sp"):
-            raise ValueError("pairings source supports the SO and Sp families")
+    if source == "permutations" and (rep.spec.family not in ("u", "su") or n != nprime or n < 1):
+        raise ValueError("permutations source needs the U or SU family and n = n' >= 1")
+    if source == "pairings" and (rep.spec.family not in ("so", "sp") or (n + nprime) % 2):
+        raise ValueError("pairings source needs the SO or Sp family and an even total number of slots")
+    if source in ("permutations", "pairings"):
+        n_labels = _label_count(source, n, nprime)
+        if n_labels ** 2 > budget:  # Gram and Wg are L x L: refused before any vector is formed
+            raise BudgetError(n_labels ** 2, budget, f"the {n_labels} {source} need L**2 =")
         labels, vecs = _label_vectors(rep, n, nprime, source)
     elif source == "g2u":
         if rep.spec.family != "g2" or (n, nprime) != (2, 0):
@@ -700,8 +703,7 @@ def _route(rep: RepData, n: int, nprime: int, measure: MeasureSpec,
         elif fam == "sp" or fam == "so" and (m < big_n or (m - big_n) % 2):
             route = "zero" if m % 2 else _PAIRINGS  # no epsilon-type invariant here
     if route in (_PERMUTATIONS, _PAIRINGS):
-        labels = math.factorial(n) if route == _PERMUTATIONS else math.prod(range(m - 1, 0, -2))
-        if labels ** 2 <= budget:
+        if _label_count(route.partition(":")[2], n, nprime) ** 2 <= budget:
             return route
         route = "casimir"
     if route == "casimir":

@@ -35,10 +35,10 @@ closed form ``I + sinc(theta) X + sinc(theta/2)^2 X^2 / 2``, exact at any
 step size and formed by one GEMM against the products of the generators;
 the algebra is recognized from its generators, not its family name.  On the
 others one GEMM forms the block's increments and one call of the real
-Taylor kernel ``expm_skew_batch`` exponentiates them.  Complex generators
-are taken in their real ``2d x 2d`` form, so the walk runs in real
-arithmetic and is read back as complex once at the end; SO and G2 draws
-come out exactly real.
+Taylor kernel ``expm_skew_batch`` exponentiates them.  Every walk runs in
+real arithmetic: complex generators, a U(1) character's ``i`` included,
+are taken in their real ``2d x 2d`` form and read back as complex once at
+the end; SO and G2 draws come out exactly real.
 
 Estimators are deterministic functions of an RngSpec, and one pipeline,
 `_mc_estimate`, makes every one: it takes a loop polynomial ``sum coef *
@@ -266,15 +266,12 @@ def haar_sample(rep: RepData, rng: RngSpec) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _walk_generators(rep: RepData) -> np.ndarray:
-    """The algebra basis the walk exponentiates, in the arithmetic it runs in:
-    real for SO and G2, the real ``2d x 2d`` form for the other complex
-    bases, and the complex ``1 x 1`` basis as it is."""
+    """The algebra basis the walk exponentiates, in real arithmetic: real
+    bases (SO, G2) as they are, complex ones in their real ``2d x 2d`` form,
+    so a U(1) character's ``[[i]]`` walks as the rotation generator."""
     xis = rep.sampling_generators
-    if not np.any(xis.imag):
-        xis = xis.real
-    elif xis.shape[-1] > 1:
-        xis = tensor._real_form(xis)
-    xis = np.array(xis)  # an own copy, read-only: the cache hands it to every path on the rep
+    # an own copy, read-only: the cache hands it to every path on the rep
+    xis = np.array(tensor._real_form(xis) if np.any(xis.imag) else xis.real)
     xis.flags.writeable = False
     return xis
 
@@ -362,7 +359,7 @@ def brownian_path_batch(rep: RepData, t: float, steps: int, rng: RngSpec,
         z = gen.standard_normal((k, count, dim_g))
         for e in _walk_steps(rep, z.reshape(k * count, dim_g), scale).reshape(k, count, d_r, d_r):
             g = g @ e
-    if d_r > rep.group_matrix_dim:
+    if d_r > rep.dim:
         return tensor._complex_form(g)
     return g.astype(np.complex128, copy=False)
 

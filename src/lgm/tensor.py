@@ -61,13 +61,11 @@ def expm_skew_batch(x: np.ndarray) -> np.ndarray:
     The Brownian-motion integrator calls it once per block of steps, on
     thousands of small matrices at a time, for every algebra that is not
     rank one (rank-one steps have a closed form there).  A real (antisymmetric) stack
-    gives a real stack.  A complex stack is exponentiated in its real form
-    ``[[Re, -Im], [Im, Re]]``, which multiplies like the complex matrices,
-    and read back from the left block column; a 1 x 1 stack is ``np.exp``.
+    gives a real stack.  A complex stack, 1 x 1 included, is exponentiated
+    in its real form ``[[Re, -Im], [Im, Re]]``, which multiplies like the
+    complex matrices, and read back from the left block column.
     """
     x = np.asarray(x)
-    if x.shape[-1] == 1:
-        return np.exp(x)
     if not np.iscomplexobj(x):
         return _expm_real(x.astype(np.float64, copy=False))
     return _complex_form(_expm_real(_real_form(x)))

@@ -83,6 +83,20 @@ class TestMoment:
         assert doc["error"]["kind"] == "BudgetError"
         assert "16384" in doc["error"]["detail"]
 
+    def test_label_set_over_budget_is_guard_error(self, capsys):
+        # D = 4096 fits the default budget, the 10395 pairings' L**2 does not
+        code, out = run(capsys, "weingarten", "--family", "sp", "--n", "1", "--order", "12",
+                        "--dual-order", "0", "--source", "pairings", "--out", "json")
+        assert code == 1
+        doc = json.loads(out)["error"]
+        assert doc["kind"] == "BudgetError" and str(10395 ** 2) in doc["detail"]
+
+    def test_repeated_measure_key_is_usage_error(self, capsys):
+        code, out = run(capsys, "moment", "--family", "su", "--n", "2", "--tensor", "1,1",
+                        "--measure", "brownian:t=1,t=2", "--out", "json")
+        assert code == 2
+        assert json.loads(out)["error"] == {"kind": "usage", "detail": "measure parameter 't' is given twice"}
+
     def test_wilson_has_no_exact_moment(self, capsys):
         code, out = run(capsys, "moment", "--family", "su", "--n", "2", "--tensor", "1,1",
                         "--measure", "wilson:beta=0.1", "--out", "json")
@@ -133,6 +147,12 @@ FLAG_READERS = {
     "--seed": {"expect", "verify", "sample", "brownian-path"},
     "--stream": {"sample", "brownian-path"},
     "--budget": {"moment", "weingarten", "expect", "verify"},
+    "--family": {"group", "moment", "weingarten", "sample", "brownian-path"},
+    "--n": {"group", "moment", "weingarten", "sample", "brownian-path"},
+    "--loops": {"expect", "verify"},
+    "--measure": {"moment", "expect", "verify"},
+    "--plaquettes": {"expect", "verify"},
+    "--samples": {"expect", "verify"},
 }
 SUBCOMMAND_ARGV = {
     "group": ["group", "info", "--family", "u", "--n", "2"],
@@ -150,7 +170,7 @@ def test_flags_only_where_read(capsys, flag):
     parser = _build_parser()
     for command, argv in SUBCOMMAND_ARGV.items():
         if command in FLAG_READERS[flag]:
-            assert getattr(parser.parse_args(argv + [flag, "3"]), flag[2:]) == 3
+            assert str(getattr(parser.parse_args(argv + [flag, "3"]), flag[2:])) == "3"
         else:
             with pytest.raises(SystemExit) as exc:
                 parser.parse_args(argv + [flag, "3"])
@@ -328,6 +348,15 @@ class TestSample:
         assert code == 0
         lines = [l for l in out.splitlines() if l.strip()]
         assert len(lines) == 2
+
+    def test_quiet_silences_text_only(self, capsys, u3_pair_file):
+        # jsonl prints its lines with or without --quiet; text prints none under it
+        for argv in (("sample", "--family", "u", "--n", "2", "--count", "2"),
+                     ("expect", "--loops", u3_pair_file),
+                     ("group", "info", "--family", "su", "--n", "2")):
+            _, text = run(capsys, *argv)
+            assert text and run(capsys, *argv, "--quiet") == (0, "")
+            assert run(capsys, *argv, "--out", "jsonl", "--quiet") == (0, text)
 
     @pytest.mark.parametrize("command", [("sample", "--family", "so", "--n", "3"),
                                          ("brownian-path", "--family", "su", "--n", "2", "--t", "1")],

@@ -162,6 +162,18 @@ def test_evaluate_batch_matches_explicit_trace(key, count):
             assert np.max(np.abs(got - _explicit_values(w, gs))) <= 1e-12 * bound, (key, signs)
 
 
+@pytest.mark.parametrize("key", ["u3", "sp2", "u1"])
+def test_pair_and_sum_evaluate_through_the_batch(key):
+    # one element is a stack of one: the same operations, so the same bits
+    rng = np.random.default_rng(9)
+    reps = [BATCH_REPS[k] for k in ("u1^-2", "u1^1", "u1^3")] if key == "u1" else [BATCH_REPS[key]] * 3
+    a, b, c = (rand_loop(rng, rep) for rep in reps)
+    g = _draws(reps[0], 1)[0]
+    for item in (LoopPair(a, b), LoopSum((a, LoopPair(b, c), c)), LoopSum()):
+        assert item.evaluate(g) == item.evaluate_batch(g[None])[0]
+    assert LoopSum().evaluate(g) == 0
+
+
 class TestMergeTables:
     """Printed closed-form merge rules for linear loops with group coefficients."""
 

@@ -319,6 +319,21 @@ class TestSpanningSetsAndWeingarten:
         with pytest.raises(ValueError):
             spanning_set(SO3, 2, 1, "pairings")  # odd slot count
 
+    @pytest.mark.parametrize("rep,n,nprime,source,labels", [
+        (SP1, 12, 0, "pairings", 10395), (SP1, 6, 6, "pairings", 10395), (U2, 5, 5, "permutations", 120),
+        (build_representation(GroupSpec("so", 2)), 12, 0, "pairings", 10395),
+    ], ids=["sp1-12-0", "sp1-6-6", "u2-5-5", "so2-12-0"])
+    def test_label_sets_capped_by_l_squared(self, rep, n, nprime, source, labels, monkeypatch):
+        # D fits the default budget, L**2 does not: refused before any label vector is formed
+        monkeypatch.setattr(moments, "_label_vectors", None)
+        with pytest.raises(BudgetError, match="L\\*\\*2") as err:
+            spanning_set(rep, n, nprime, source)
+        assert err.value.required == labels ** 2 and str(labels ** 2) in str(err.value)
+
+    def test_label_set_at_its_l_squared(self):
+        ss = spanning_set(U2, 5, 5, "permutations", budget=120 ** 2)
+        assert len(ss.labels) == 120
+
     def test_g2_weingarten_is_one_seventh(self):
         wm = weingarten(spanning_set(G2, 2, 0, "g2u"))
         assert wm.gram.shape == (1, 1)
@@ -484,6 +499,13 @@ class TestMeasureSpec:
     def test_parse_refuses_what_the_measure_does_not_read(self, text, match):
         plaquettes = [linear_loop(U2, np.eye(2))] if text.startswith("wilson") else []
         with pytest.raises(ValueError, match=match):
+            MeasureSpec.parse(text, plaquettes)
+
+    @pytest.mark.parametrize("text,key", [("brownian:t=1,t=2", "t"), ("brownian:t=1, t=1", "t"),
+                                          ("wilson:beta=0.5,beta=0.5", "beta")])
+    def test_parse_refuses_repeated_keys(self, text, key):
+        plaquettes = [linear_loop(U2, np.eye(2))] if text.startswith("wilson") else None
+        with pytest.raises(ValueError, match=f"parameter '{key}' is given twice"):
             MeasureSpec.parse(text, plaquettes)
 
     @pytest.mark.parametrize("text", ["haar", "brownian:t=0.5"])

@@ -171,7 +171,7 @@ class TestHaarSamplers:
 
     @pytest.mark.parametrize("rep", [U2, SU2, SO3, SP1, U1, G2], ids=lambda r: r.spec.label())
     def test_count_zero_and_negative(self, rep):
-        d = rep.group_matrix_dim
+        d = rep.dim
         assert haar_sample_batch(rep, RngSpec(0), 0).shape == (0, d, d)
         with pytest.raises(ValueError, match="count must be non-negative, got count=-1"):
             haar_sample_batch(rep, RngSpec(0), -1)
@@ -246,7 +246,7 @@ class TestBrownianPath:
         # several steps, and one part block is all there is where they hold more
         got = brownian_path_batch(rep, 1.3, 37, RngSpec(4, 1), count)
         want = brownian_path_eigh(rep, 1.3, 37, RngSpec(4, 1), count)
-        d = rep.group_matrix_dim
+        d = rep.dim
         assert got.shape == (count, d, d) and got.dtype == np.complex128
         assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
         if rep.spec.family in ("so", "g2"):
@@ -285,6 +285,20 @@ class TestBrownianPath:
             brownian_path_batch(rep, 1.0, 20, RngSpec(0), 10)
         with pytest.raises(AssertionError, match="Taylor kernel"):
             brownian_path_batch(U3, 1.0, 20, RngSpec(0), 10)
+
+    def test_u1_characters_walk_as_the_real_rotation_generator(self, monkeypatch):
+        u1_3 = build_representation(GroupSpec("u1power", 3))
+        xis = sampling._walk_generators(u1_3)
+        assert xis.dtype == np.float64 and xis.shape == (1, 2, 2)
+        assert np.array_equal(xis[0], [[0.0, -1.0], [1.0, 0.0]])
+
+        def refuse(x):
+            raise AssertionError("the path ran the Taylor kernel")
+
+        monkeypatch.setattr(sampling.tensor, "expm_skew_batch", refuse)
+        got = brownian_path_batch(u1_3, 1.3, 37, RngSpec(4, 1), 100)
+        assert got.shape == (100, 1, 1) and got.dtype == np.complex128
+        assert np.max(np.abs(np.abs(got) - 1.0)) <= 1e-14
 
     @pytest.mark.parametrize("steps", [2.5, 3.0, np.float64(2.0), True], ids=repr)
     def test_non_integer_steps_refused(self, steps):
