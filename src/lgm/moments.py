@@ -110,8 +110,9 @@ DEFAULT_BUDGET = 4096
 class BudgetError(RuntimeError):
     """A tensor-power dimension D, or a label set's squared size L**2, exceeds the budget."""
 
-    def __init__(self, required: int, budget: int, what: str = "tensor representation needs dimension"):
-        super().__init__(f"{what} {required}, over the budget {budget}; raise the budget to proceed")
+    def __init__(self, required: int, budget: int):
+        super().__init__(f"tensor representation needs dimension {required}, over the budget {budget}; "
+                         "raise the budget to proceed")
         self.required = required
         self.budget = budget
 
@@ -601,9 +602,11 @@ def spanning_set(rep: RepData, n: int, nprime: int, source: str,
     if source == "pairings" and (rep.spec.family not in ("so", "sp") or (n + nprime) % 2):
         raise ValueError("pairings source needs the SO or Sp family and an even total number of slots")
     if source in ("permutations", "pairings"):
-        n_labels = _label_count(source, n, nprime)
-        if n_labels ** 2 > budget:  # Gram and Wg are L x L: refused before any vector is formed
-            raise BudgetError(n_labels ** 2, budget, f"the {n_labels} {source} need L**2 =")
+        if (n_labels := _label_count(source, n, nprime)) ** 2 > budget:  # Gram and Wg are L x L
+            error = BudgetError(n_labels ** 2, budget)  # refused before any vector is formed
+            error.args = (f"the {n_labels} {source} need L**2 = {n_labels ** 2}, over the budget {budget}; "
+                          "raise the budget to proceed",)
+            raise error
         labels, vecs = _label_vectors(rep, n, nprime, source)
     elif source == "g2u":
         if rep.spec.family != "g2" or (n, nprime) != (2, 0):

@@ -154,6 +154,7 @@ FLAG_READERS = {
     "--plaquettes": {"expect", "verify"},
     "--samples": {"expect", "verify"},
 }
+STRING_FLAGS = {"--family", "--loops", "--measure", "--plaquettes"}
 SUBCOMMAND_ARGV = {
     "group": ["group", "info", "--family", "u", "--n", "2"],
     "moment": ["moment", "--family", "u", "--n", "2", "--tensor", "1,1"],
@@ -170,7 +171,8 @@ def test_flags_only_where_read(capsys, flag):
     parser = _build_parser()
     for command, argv in SUBCOMMAND_ARGV.items():
         if command in FLAG_READERS[flag]:
-            assert str(getattr(parser.parse_args(argv + [flag, "3"]), flag[2:])) == "3"
+            expected = "3" if flag in STRING_FLAGS else 3  # the int flags must parse as int
+            assert getattr(parser.parse_args(argv + [flag, "3"]), flag[2:]) == expected
         else:
             with pytest.raises(SystemExit) as exc:
                 parser.parse_args(argv + [flag, "3"])
@@ -350,13 +352,15 @@ class TestSample:
         assert len(lines) == 2
 
     def test_quiet_silences_text_only(self, capsys, u3_pair_file):
-        # jsonl prints its lines with or without --quiet; text prints none under it
+        # text prints nothing under --quiet; jsonl prints the same with or without it
         for argv in (("sample", "--family", "u", "--n", "2", "--count", "2"),
                      ("expect", "--loops", u3_pair_file),
                      ("group", "info", "--family", "su", "--n", "2")):
             _, text = run(capsys, *argv)
             assert text and run(capsys, *argv, "--quiet") == (0, "")
-            assert run(capsys, *argv, "--out", "jsonl", "--quiet") == (0, text)
+            code, jsonl = run(capsys, *argv, "--out", "jsonl")
+            assert code == 0 and jsonl
+            assert run(capsys, *argv, "--out", "jsonl", "--quiet") == (0, jsonl)
 
     @pytest.mark.parametrize("command", [("sample", "--family", "so", "--n", "3"),
                                          ("brownian-path", "--family", "su", "--n", "2", "--t", "1")],
