@@ -74,17 +74,23 @@ def _measure(args) -> MeasureSpec:
 
 
 def _config(args) -> dict:
-    skip = {"func"}
+    skip = {"func", "quiet"}  # --quiet shapes no document
     return {k: v for k, v in vars(args).items() if k not in skip and v is not None}
 
 
-def _emit(args, payload: dict, text_lines: Iterable[str]) -> None:
-    """``json`` prints the document, ``text`` the lines unless ``--quiet``, ``jsonl`` the lines always."""
-    if args.out == "json":
-        print(json.dumps({"config": _config(args), **payload}))
-    elif args.out == "jsonl" or not args.quiet:
-        for line in text_lines:
-            print(line)
+def _emit(args, payload: dict, text_lines: Iterable[str], records: list | None = None) -> None:
+    """``json`` prints the document on one line; ``jsonl`` prints one line
+    per record (the matrices of ``sample`` and ``brownian-path``), or the
+    document where a subcommand has no records; ``text`` prints the lines
+    unless ``--quiet``."""
+    if args.out == "jsonl" and records is not None:
+        text_lines = map(json.dumps, records)
+    elif args.out != "text":
+        text_lines = [json.dumps({"config": _config(args), **payload})]
+    elif args.quiet:
+        return
+    for line in text_lines:
+        print(line)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +206,7 @@ def _cmd_brownian_path(args) -> int:
 
 def _emit_matrices(args, gs: np.ndarray) -> int:
     mats = [_matrix_to_json(g) for g in gs]
-    _emit(args, {"matrices": mats}, map(json.dumps, mats))  # one matrix per line
+    _emit(args, {"matrices": mats}, map(json.dumps, mats), mats)  # one matrix per line
     return 0
 
 

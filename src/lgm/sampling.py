@@ -6,10 +6,21 @@ Haar sampling:
   which makes the decomposition unique and the law exactly Haar (Mezzadri,
   Notices AMS 54, 2007).  It is computed for the whole batch at once by
   column Gram-Schmidt, re-orthogonalized once, which builds exactly that Q.
-* SU(N): a U(N) draw Q times ``diag(conj det Q, 1, ..., 1)``, Haar on SU(N).
-* SO(N): the same Q factor of a real Ginibre, then draws landing in the
-  wrong component are right-translated into SO(N) by negating the last
-  column (right translation by a fixed reflection preserves Haar).
+* SU(N): the first N - 1 columns of that Q, from the same Ginibre matrix,
+  and a last column that makes the determinant one.  For N = 2 it is
+  ``conj(-q1[1], q1[0])``, for N = 3 ``conj(q1 x q2)``, with no
+  determinant formed.  For N >= 4 it is Q's N-th column times
+  ``conj(det Q)``.
+* SO(N): the same for a real Ginibre matrix: ``(-q1[1], q1[0])`` for
+  N = 2, ``q1 x q2`` for N = 3, and for N >= 4 Q's N-th column, negated
+  where ``det Q = -1``.
+  These draws are Haar.  For N <= 3 the first N - 1 columns are a
+  Haar-random orthonormal frame, the completion maps frames one-to-one onto
+  the group, and it commutes with left multiplication by the group, because
+  ``(V a) x (V b) = det(V) conj(V) (a x b)`` for unitary V.  For N >= 4
+  the whole map from Ginibre matrix to draw commutes with it, because
+  ``det(V Q) = det Q``.  So the law of the draw is left-invariant, which
+  makes it Haar.
 * Sp(N): quaternionic Gram-Schmidt in the complex 2N x 2N model.  Columns
   are built in pairs (q_k, -J conj(q_k)); the whole procedure commutes with
   left multiplication by symplectic-unitary matrices, so the output law is
@@ -164,25 +175,32 @@ def _check_count(count: int) -> None:
 
 
 def _complex_ginibre(gen: np.random.Generator, count: int, n: int) -> np.ndarray:
-    z = gen.standard_normal((count, n, n)) + 1j * gen.standard_normal((count, n, n))
-    return z / np.sqrt(2.0)
+    """``count`` complex Ginibre matrices as their columns, shape ``(n, n, count)``:
+    entry ``[k, i, b]`` is row ``i`` of column ``k`` of draw ``b``.  One normal
+    call reads the real parts, then the imaginary ones, the stream of two
+    ``(count, n, n)`` calls; they are written straight into the complex array.
+    The entries have variance 2, not 1: Gram-Schmidt does not see the scale."""
+    x = gen.standard_normal((2, count, n, n))
+    z = np.empty((n, n, count), dtype=np.complex128)
+    z.real = x[0].T
+    z.imag = x[1].T
+    return z
 
 
 def haar_sample_batch(rep: RepData, rng: RngSpec, count: int) -> np.ndarray:
-    """A stack of ``count`` Haar draws in the group's matrix realization."""
+    """A stack of ``count`` Haar draws in the group's matrix realization.
+
+    U(N), SU(N) and SO(N) draw the full ``N x N`` Ginibre matrix, so one
+    RngSpec fixes the same matrix for all three, and an SU(N) draw's first
+    ``N - 1`` columns are the U(N) draw's.
+    """
     _check_count(count)
     gen = rng.generator()
     fam, n = rep.spec.family, rep.spec.n
-    if fam == "u" or fam == "su":
-        q = _gram_schmidt(_complex_ginibre(gen, count, n))
-        if fam == "su":  # Q diag(conj det Q, 1, ..., 1): left-SU(N)-equivariant, so Haar on SU(N)
-            q[:, :, 0] *= np.conj(np.linalg.det(q))[:, None]
-        return q
-    if fam == "so":
-        q = _gram_schmidt(gen.standard_normal((count, n, n)))
-        flip = np.linalg.det(q) < 0
-        q[flip, :, -1] *= -1.0
-        return q.astype(np.complex128)
+    if fam in ("u", "su"):
+        return _gram_schmidt(_complex_ginibre(gen, count, n), special=fam == "su")
+    if fam == "so":  # contiguous columns: on the strided view SO(4) took about 40% longer
+        return _gram_schmidt(np.ascontiguousarray(gen.standard_normal((count, n, n)).T), special=True)
     if fam == "sp":
         return _haar_sp(gen, count, n, rep.constants["J"])
     if fam == "u1power":
@@ -204,13 +222,48 @@ def _orthonormal_column(v: np.ndarray, cols: list) -> np.ndarray:
     return v / np.sqrt(np.sum((conj(v) * v).real, axis=0))
 
 
-def _gram_schmidt(z: np.ndarray) -> np.ndarray:
-    """The Q factor of each ``z = QR`` in a stack ``(B, n, n)``, with R's
-    diagonal positive: the unique QR factor that makes Ginibre draws Haar."""
+def _last_column(cols: list) -> np.ndarray:
+    """The column that completes ``N - 1`` orthonormal columns ``(N, B)``, for
+    N = 2 or 3, to a matrix of determinant one: ``(-a[1], a[0])`` and the
+    cross product ``a x b``, conjugated when complex.  It commutes with left
+    multiplication by SU(N) and SO(N) (see the module docstring)."""
+    conj = np.conj if np.iscomplexobj(cols[0]) else np.asarray
+    if len(cols) == 1:
+        (a,) = cols
+        return conj(np.stack([-a[1], a[0]]))
+    a, b = cols
+    return conj(a[[1, 2, 0]] * b[[2, 0, 1]] - a[[2, 0, 1]] * b[[1, 2, 0]])
+
+
+def _gram_schmidt(z: np.ndarray, special: bool) -> np.ndarray:
+    """The Q factor of each ``z = QR`` in a stack, with R's diagonal
+    positive: the unique QR factor that makes Ginibre draws Haar.  ``z`` is
+    given by its columns, shape ``(n, n, B)`` (column, row, draw), and Q is
+    returned as complex ``(B, n, n)``.
+
+    ``special`` puts Q in SU(n) or SO(n) through its last column.  For
+    n <= 3 only the first n - 1 columns are orthonormalized, and
+    `_last_column` computes the last with no determinant.  For n >= 4 the
+    n-th column is orthonormalized too, and one determinant fixes it:
+    complex Q scales it by ``conj(det Q)``, real Q negates it where
+    ``det Q = -1``.
+    """
+    n = len(z)
+    closed = special and n <= 3
     cols: list = []
-    for v in np.ascontiguousarray(z.transpose(2, 1, 0)):  # column k of every draw, as (n, B)
+    for v in z[:n - 1] if closed else z:
         cols.append(_orthonormal_column(v, cols))
-    return np.ascontiguousarray(np.stack(cols).transpose(2, 1, 0))
+    if closed:
+        cols.append(_last_column(cols))
+    q = np.empty(z.shape[::-1], dtype=np.complex128)  # (draw, row, column)
+    for k, c in enumerate(cols):
+        q[:, :, k] = c.T
+    if special and not closed:
+        if np.iscomplexobj(z):
+            q[:, :, -1] *= np.conj(np.linalg.det(q))[:, None]
+        else:
+            q.real[np.linalg.det(q.real) < 0, :, -1] *= -1.0
+    return q
 
 
 def _haar_sp(gen: np.random.Generator, count: int, n: int, j: np.ndarray) -> np.ndarray:

@@ -198,6 +198,30 @@ def test_cached_parser_matches_fresh_parsers(capsys, u3_pair_file):
     assert cached[0][1] != cached[1][1]
 
 
+@pytest.mark.parametrize("argv", [
+    ("group", "info", "--family", "su", "--n", "2"),
+    ("moment", "--family", "su", "--n", "2", "--tensor", "1,1"),
+    ("weingarten", "--family", "u", "--n", "2", "--order", "2", "--source", "permutations"),
+    ("expect", "--loops", "LOOPS"),
+    ("verify", "theorem-a", "--loops", "LOOPS"),
+    ("sample", "--family", "su", "--n", "3", "--count", "3"),
+    ("brownian-path", "--family", "su", "--n", "2", "--t", "0.5", "--steps", "10", "--count", "3"),
+], ids=lambda argv: " ".join(argv[:2]) if argv[0] in ("group", "verify") else argv[0])
+def test_jsonl_lines_parse_on_every_subcommand(capsys, u3_pair_file, argv):
+    # sample and brownian-path print one matrix per line; the others their json document
+    argv = [u3_pair_file if a == "LOOPS" else a for a in argv]
+    code, out = run(capsys, *argv, "--out", "jsonl")
+    assert code == 0
+    docs = [json.loads(line) for line in out.splitlines()]
+    _, document = run(capsys, *argv, "--out", "json")
+    document = json.loads(document)
+    if argv[0] in ("sample", "brownian-path"):
+        assert docs == document["matrices"] and len(docs) == 3
+    else:
+        document["config"]["out"] = "jsonl"
+        assert docs == [document]
+
+
 class TestExpect:
     def test_haar_product(self, capsys, u3_pair_file):
         code, out = run(capsys, "expect", "--loops", u3_pair_file, "--out", "json")

@@ -23,6 +23,8 @@ from test_tensor import expm_skew_eigh
 U2 = build_representation(GroupSpec("u", 2))
 U3 = build_representation(GroupSpec("u", 3))
 SU2 = build_representation(GroupSpec("su", 2))
+SU4 = build_representation(GroupSpec("su", 4))
+SO2 = build_representation(GroupSpec("so", 2))
 SO3 = build_representation(GroupSpec("so", 3))
 SO4 = build_representation(GroupSpec("so", 4))
 SO7 = build_representation(GroupSpec("so", 7))
@@ -55,6 +57,17 @@ def test_one_group_rule(rep_a, rep_b, same):
                 call()
 
 
+class _Patched:
+    """``module`` with some names replaced: set on one module, it patches
+    those names there and nowhere else."""
+
+    def __init__(self, module, **names):
+        self._module, self._names = module, names
+
+    def __getattr__(self, name):
+        return self._names[name] if name in self._names else getattr(self._module, name)
+
+
 class TestHaarSamplers:
     @pytest.mark.parametrize("rep", [U2, U3, SU2, SO3, SO4, SP1, SP2, U1],
                              ids=lambda r: r.spec.label())
@@ -83,11 +96,58 @@ class TestHaarSamplers:
         d = np.diagonal(r, axis1=1, axis2=2)
         q = q * (d / np.abs(d))[:, None, :]
         if family == "su":
-            q[:, :, 0] *= np.conj(np.linalg.det(q))[:, None]
+            q[:, :, -1] *= np.conj(np.linalg.det(q))[:, None]
         if family == "so":
             q[np.linalg.det(q) < 0, :, -1] *= -1.0
         got = haar_sample_batch(build_representation(GroupSpec(family, n)), rng, 500)
         assert np.max(np.abs(got - q)) <= 1e-12
+
+    @pytest.mark.parametrize("rep", [SU2, SU3, SO2, SO3], ids=lambda r: r.spec.label())
+    def test_closed_form_draws_take_no_determinant(self, rep, monkeypatch):
+        # N <= 3: Gram-Schmidt runs on N - 1 columns and the last is computed, with no det
+        def refuse(*args, **kwargs):
+            raise AssertionError("a closed-form draw formed a determinant")
+
+        columns, orthonormal_column = [], sampling._orthonormal_column
+
+        def counting(v, cols):
+            columns.append(len(cols))
+            return orthonormal_column(v, cols)
+
+        monkeypatch.setattr(sampling, "np", _Patched(np, linalg=_Patched(np.linalg, det=refuse)))
+        monkeypatch.setattr(sampling, "_orthonormal_column", counting)
+        gs = haar_sample_batch(rep, RngSpec(4), 64)
+        assert columns == list(range(rep.dim - 1))
+        assert max(group_residual(rep, g) for g in gs) <= 1e-12
+        with pytest.raises(AssertionError, match="formed a determinant"):  # the patch reaches the N >= 4 path
+            haar_sample_batch(SU4, RngSpec(4), 4)
+
+    @pytest.mark.parametrize("rep,power,target", [(SO2, 2, 2.0), (SO3, 3, 1.0), (SU2, 2, 1.0)],
+                             ids=["so2", "so3", "su2"])
+    def test_epsilon_invariants(self, rep, power, target):
+        # E[(tr g)^k] that O(N) or U(N) lack: a completion with the wrong sign or conjugation fails
+        exact = expect_product([linear_loop(rep, np.eye(rep.dim))] * power, MeasureSpec.haar())
+        assert abs(exact - target) <= 1e-10
+        vals = np.trace(haar_sample_batch(rep, RngSpec(21), 100_000), axis1=1, axis2=2) ** power
+        stderr = np.std(vals) / np.sqrt(vals.size)
+        assert abs(vals.mean() - exact) <= 3.0 * stderr
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_su_first_columns_are_the_u_draw(self, n):
+        # one Ginibre matrix per RngSpec: SU(N) changes only the last column of the U(N) draw
+        rng = RngSpec(19, n)
+        u = haar_sample_batch(build_representation(GroupSpec("u", n)), rng, 500)
+        su = haar_sample_batch(build_representation(GroupSpec("su", n)), rng, 500)
+        assert np.max(np.abs(su[:, :, :-1] - u[:, :, :-1])) <= 1e-13
+
+    @pytest.mark.parametrize("rep", [SU2, SU3, SO2, SO3], ids=lambda r: r.spec.label())
+    def test_completion_commutes_with_left_multiplication(self, rep):
+        # complete(V q) = V complete(q): the completed law is left-invariant, hence Haar
+        vq = haar_sample(rep, RngSpec(8)) @ haar_sample_batch(rep, RngSpec(9), 256)
+        if rep.spec.family == "so":
+            vq = vq.real
+        cols = [np.ascontiguousarray(vq[:, :, k].T) for k in range(rep.dim - 1)]
+        assert np.max(np.abs(sampling._last_column(cols).T - vq[:, :, -1])) <= 1e-14
 
     def test_su3_trace_cubed(self):
         # the epsilon invariant gives SU(3) E[(tr g)^3] = 1; under U(3) it is 0
