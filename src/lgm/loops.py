@@ -20,6 +20,15 @@ table in ``lgm.catalog`` and apply each term to the loop words directly:
 Every term carries the product of the two slot signs.  The sum over
 generator insertions gives the same values and serves as the test oracle.
 
+There is one surgery, with two letter kinds.  On numeric letters (complex
+``d x d`` coefficients) it returns loops to evaluate or contract.  On
+symbolic letters (`_Letters`: products of input letters ``c_k``, ``c_k^T``
+and constant matrices ``F``, ``F^T``, ``psi_r`` of the completeness table)
+it returns loops whose coefficients are recipes, and a word without a slot
+closes to a symbolic trace (`_Scale`).  ``sampling._theorem_a_plan`` runs
+it so once per loop shape and evaluates the recipes on stacked numeric
+coefficients.
+
 Group elements are unitary matrices in the group's own realization (1x1 for
 the U(1) characters); the inverse is taken as the conjugate transpose.
 """
@@ -27,8 +36,7 @@ the U(1) characters); the inverse is taken as the conjugate transpose.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
@@ -69,6 +77,7 @@ class Loop(_Batched):
     rep: RepData
     factors: tuple[tuple[np.ndarray, int], ...]
     scale: complex = 1.0 + 0.0j
+    signs: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.factors:
@@ -80,25 +89,23 @@ class Loop(_Batched):
             c = _checked_coeff(np.array(coeff, dtype=np.complex128), self.rep.dim)
             c.setflags(write=False)
             frozen.append((c, int(sign)))
-        self.__dict__.update(factors=tuple(frozen), scale=_finite_scale(self.scale))
+        self.__dict__.update(factors=tuple(frozen), scale=_finite_scale(self.scale),
+                             signs=tuple([s for _, s in frozen]))
 
     @classmethod
     def _derived(cls, rep: RepData, factors: tuple, scale: complex) -> "Loop":
-        """A loop on complex coefficients made from checked loops and the completeness
-        table, frozen in place: no copy, and only the scale is checked."""
+        """A loop made by the surgery from checked loops and the completeness table, on
+        numeric or symbolic letters, frozen in place: no copy, and only the scale is checked."""
         for c, _ in factors:
             c.setflags(write=False)
         w = object.__new__(cls)
-        w.__dict__.update(rep=rep, factors=factors, scale=_finite_scale(scale))
+        w.__dict__.update(rep=rep, factors=factors, scale=_finite_scale(scale),
+                          signs=tuple([s for _, s in factors]))
         return w
 
     @property
     def n_slots(self) -> int:
         return len(self.factors)
-
-    @cached_property  # stored in __dict__, so it works on a frozen or `_derived` loop
-    def signs(self) -> tuple[int, ...]:
-        return tuple(s for _, s in self.factors)
 
     def scaled(self, c: complex) -> "Loop":
         return Loop._derived(self.rep, self.factors, self.scale * c)
@@ -162,6 +169,8 @@ class LoopSum(_Batched):
 
 
 def _checked_coeff(c: np.ndarray, d: int) -> np.ndarray:
+    if isinstance(c, _Letters):  # a product of checked letters, with no number yet
+        return c
     if c.shape != (d, d):
         raise ValueError(f"coefficient shape {c.shape} does not match rep dim {d}")
     if not np.isfinite(c).all():
@@ -170,10 +179,71 @@ def _checked_coeff(c: np.ndarray, d: int) -> np.ndarray:
 
 
 def _finite_scale(scale: complex) -> complex:
+    if isinstance(scale, _Scale):  # table coefficients and traces of checked letters
+        return scale
     scale = complex(scale)
     if not cmath.isfinite(scale):
         raise ValueError(f"loop scale must be finite, got {scale}")
     return scale
+
+
+class _Letters:
+    """A symbolic coefficient: the product of its ``atoms``, in order.
+
+    An atom is an input letter, ``2k`` for ``c_k`` and ``2k + 1`` for
+    ``c_k^T``, or a constant matrix from the completeness table; constants
+    that meet are multiplied out.  It has the part of the ndarray interface
+    the surgery uses: ``@`` on either side, ``.T``, ``.trace()`` and
+    ``.setflags()``.
+    """
+
+    __slots__ = ("atoms",)
+    __array_ufunc__ = None  # so ``matrix @ letters`` falls through to ``__rmatmul__``
+
+    def __init__(self, atoms: tuple):
+        self.atoms = atoms
+
+    def __matmul__(self, other) -> "_Letters":
+        return _Letters(_joined(self.atoms, _atoms(other)))
+
+    def __rmatmul__(self, other) -> "_Letters":
+        return _Letters(_joined(_atoms(other), self.atoms))
+
+    @property
+    def T(self) -> "_Letters":
+        return _Letters(tuple(a ^ 1 if isinstance(a, int) else a.T for a in reversed(self.atoms)))
+
+    def trace(self) -> "_Scale":
+        return _Scale(1.0, (self,))
+
+    def setflags(self, write: bool) -> None:
+        """Nothing to freeze: atoms are never written."""
+
+
+def _atoms(x) -> tuple:
+    return x.atoms if isinstance(x, _Letters) else (x,)
+
+
+def _joined(left: tuple, right: tuple) -> tuple:
+    """The atoms of ``left @ right``, the two constants where they meet multiplied out."""
+    if isinstance(left[-1], np.ndarray) and isinstance(right[0], np.ndarray):
+        return left[:-1] + (left[-1] @ right[0],) + right[1:]
+    return left + right
+
+
+@dataclass(frozen=True)
+class _Scale:
+    """A symbolic scale: ``number`` times the traces of the `_Letters` in ``traces``."""
+
+    number: complex
+    traces: tuple = ()
+
+    def __mul__(self, other) -> "_Scale":
+        if isinstance(other, _Scale):
+            return _Scale(self.number * other.number, self.traces + other.traces)
+        return _Scale(self.number * other, self.traces)
+
+    __rmul__ = __mul__
 
 
 def loop(rep: RepData, coeffs: Sequence[np.ndarray], signs: Sequence[int],
@@ -227,7 +297,8 @@ def _word(w: Loop, j: int) -> list:
 
 
 def _close(rep: RepData, letters: list, scale: complex) -> Loop | complex:
-    """``scale * tr(word)`` as a loop, or as a number if the word has no slot."""
+    """``scale * tr(word)`` as a loop, or as a number if the word has no slot (a `_Scale`
+    on symbolic letters)."""
     factors: list = []
     acc = None
     for x in letters:
@@ -237,7 +308,7 @@ def _close(rep: RepData, letters: list, scale: complex) -> Loop | complex:
         else:
             acc = x if acc is None else acc @ x
     if not factors:
-        return scale * complex(np.trace(acc))
+        return scale * acc.trace()
     if acc is not None:  # the word's tail wraps round to its head
         factors[0] = (acc @ factors[0][0], factors[0][1])
     return Loop._derived(rep, tuple(factors), scale)
@@ -279,11 +350,8 @@ def merge_at(w1: Loop, j: int, w2: Loop, j2: int) -> LoopSum:
 
 def total_merge(w1: Loop, w2: Loop) -> LoopSum:
     """Merging summed over all slot pairs; equals ``<dW1, dW2>`` pointwise."""
-    out = LoopSum()
-    for j in range(1, w1.n_slots + 1):
-        for j2 in range(1, w2.n_slots + 1):
-            out = out + merge_at(w1, j, w2, j2)
-    return out
+    return LoopSum(tuple([t for j in range(1, w1.n_slots + 1) for j2 in range(1, w2.n_slots + 1)
+                          for t in merge_at(w1, j, w2, j2).terms]))
 
 
 def twist_at(w: Loop, j: int, j2: int) -> LoopSum:
@@ -321,18 +389,13 @@ def twist_at(w: Loop, j: int, j2: int) -> LoopSum:
 
 def total_twist(w: Loop) -> LoopSum:
     """Twisting summed over ordered pairs of distinct slots."""
-    out = LoopSum()
-    for j in range(1, w.n_slots + 1):
-        for j2 in range(1, w.n_slots + 1):
-            if j != j2:
-                out = out + twist_at(w, j, j2)
-    return out
+    slots = range(1, w.n_slots + 1)
+    return LoopSum(tuple([t for j in slots for j2 in slots if j != j2 for t in twist_at(w, j, j2).terms]))
 
 
 def laplacian(w: Loop) -> LoopSum:
     """Laplace-Beltrami operator on a loop: ``lambda * n * w`` plus the total twist."""
-    head = LoopSum((w.scaled(w.rep.lam * w.n_slots),))
-    return head + total_twist(w)
+    return LoopSum((w.scaled(w.rep.lam * w.n_slots),) + total_twist(w).terms)
 
 
 def conjugate_loop(w: Loop) -> Loop:

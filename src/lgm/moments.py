@@ -56,11 +56,13 @@ conj(z_k)`` in weight coordinates, ``M'_b`` gathered from the rotated
 coefficients on block ``b`` (`_block_contraction`).
 
 A loop polynomial is contracted shape by shape (`_expect_products`): its
-plain products are grouped by representation and shape, the slot signs of
-their loops, and each group takes one route and one contraction of its
-stacked ``(B, m, d, d)`` coefficients, which gathers every weight block or
-wiring once for all B products, `_BATCH_ENTRIES` at a time.  A single
-product is a group of one.
+plain products are grouped by shape, each loop's representation and slot
+signs, and each group takes one route and one contraction of its stacked
+``(B, m, d, d)`` coefficients (`_contract_group`), which gathers every
+weight block or wiring once for all B products, `_BATCH_ENTRIES` at a time.
+A single product is a group of one.  A Theorem-A plan
+(``sampling._theorem_a_plan``) forms its groups' stacks itself and hands
+them to `_contract_group` too.
 
 The budget caps a different size on each route: the squared number of
 labels ``L**2`` on the Weingarten routes (Gram and Wg are ``L x L``), and
@@ -971,11 +973,30 @@ def _product_route(flat: Sequence[Loop], measure: MeasureSpec, budget: int) -> t
     return _shape_route(flat[0].rep, tuple(w.signs for w in flat), measure, budget)
 
 
-def _character_value(flat: Sequence[Loop], measure: MeasureSpec) -> tuple[complex, complex]:
-    """A product of U(1) characters and its generator: ``z^k`` has Casimir eigenvalue ``-k^2``."""
-    k_tot = sum(w.rep.spec.n * sum(w.signs) for w in flat)
-    coeff = math.prod(w.scale * math.prod(c[0, 0] for c, _ in w.factors) for w in flat)
-    return tuple(coeff * f for f in _weights(measure, -float(k_tot ** 2)))
+def _contract_group(key: tuple, cs: np.ndarray, measure: MeasureSpec, budget: int) -> np.ndarray:
+    """Exact expectations of B products of one shape, with their generators (`_weights`), loop
+    scales left out: ``(B, 2)``.
+
+    ``key`` holds each loop's ``(rep, slot signs)`` and ``cs`` the products' stacked
+    ``(B, m, d, d)`` coefficients in slot order.  The shape takes one route and one
+    contraction: `_block_contraction` on the Casimir route, `_contract` and one product with
+    ``Wg`` on a Weingarten route (Haar alone: generator 0), and on U(1) characters the
+    product of the coefficients, weighted at the Casimir eigenvalue ``-k^2`` of ``z^k``.
+    """
+    rep, shape = key[0][0], tuple(signs for _, signs in key)
+    route, n, nprime = _shape_route(rep, shape, measure, budget)
+    if route == "characters":
+        k_tot = sum(r.spec.n * sum(signs) for r, signs in key)
+        return np.multiply.outer(cs.reshape(len(cs), -1).prod(axis=1), _weights(measure, -float(k_tot ** 2)))
+    if route == "casimir":  # Wg is diagonal on the orthonormal eigenvectors
+        return _block_contraction(rep, n, nprime, measure, shape, cs)
+    out = np.zeros((len(cs), 2), dtype=np.complex128)
+    if route != "zero":
+        source = route.partition(":")[2]
+        forms = _forms(rep)
+        m_ab = _contract(_wiring(source, shape, len(forms) > 1), cs, forms)
+        out[:, 0] = _route_wg(rep, n, nprime, source).reshape(-1) @ m_ab
+    return out
 
 
 def _expect_products(flats: Sequence[Sequence[Loop]], measure: MeasureSpec, budget: int) -> np.ndarray:
@@ -983,34 +1004,20 @@ def _expect_products(flats: Sequence[Sequence[Loop]], measure: MeasureSpec, budg
     (`_weights`): ``(len(flats), 2)``.
 
     Every product must pass `check_one_group`.  Products are grouped by
-    representation and shape, the slot signs of their loops; each group
-    takes one route and one contraction of its stacked ``(B, m, d, d)``
-    coefficients: `_block_contraction` on the Casimir route, `_contract`
-    and one product with ``Wg`` on a Weingarten route (Haar alone: generator 0).
+    shape, each loop's representation and slot signs, and each group's
+    stacked coefficients are contracted at once (`_contract_group`).
     """
     groups: dict = {}
     for i, flat in enumerate(flats):
         check_one_group(w.rep.spec for w in flat)
-        groups.setdefault((flat[0].rep, tuple(w.signs for w in flat)), []).append(i)
+        groups.setdefault(tuple((w.rep, w.signs) for w in flat), []).append(i)
     values = [(0j, 0j)] * len(flats)
-    for (rep, shape), idx in groups.items():
-        route, n, nprime = _shape_route(rep, shape, measure, budget)
+    for key, idx in groups.items():
         members = [flats[i] for i in idx]
-        if route == "characters":
-            for i, flat in zip(idx, members):
-                values[i] = _character_value(flat, measure)
-        elif route != "zero":
-            cs = np.array([[c for w in flat for c, _ in w.factors] for flat in members])
-            if route == "casimir":  # Wg is diagonal on the orthonormal eigenvectors
-                v = _block_contraction(rep, n, nprime, measure, shape, cs).tolist()
-            else:
-                source = route.partition(":")[2]
-                forms = _forms(rep)
-                m_ab = _contract(_wiring(source, shape, len(forms) > 1), cs, forms)
-                v = zip((_route_wg(rep, n, nprime, source).reshape(-1) @ m_ab).tolist(), itertools.repeat(0j))
-            for i, flat, (x, y) in zip(idx, members, v):
-                scale = math.prod(w.scale for w in flat)
-                values[i] = (x * scale, y * scale)
+        cs = np.array([[c for w in flat for c, _ in w.factors] for flat in members])
+        for i, flat, (x, y) in zip(idx, members, _contract_group(key, cs, measure, budget).tolist()):
+            scale = math.prod(w.scale for w in flat)
+            values[i] = (x * scale, y * scale)
     return np.array(values, dtype=np.complex128).reshape(len(flats), 2)
 
 
@@ -1020,7 +1027,9 @@ def _expect_terms(terms: Sequence[tuple[complex, Sequence[ProductItem]]], measur
     polynomial (Haar or Brownian).
 
     Every term is expanded once, and the plain products of all the terms
-    are contracted together by one `_expect_products` call.
+    are contracted together by one `_expect_products` call.  On the terms of
+    ``sampling._laplacian_terms`` this is the Loop-level oracle of the
+    Theorem-A plans.
     """
     flats, owner = [], []
     for t, (_, items) in enumerate(terms):

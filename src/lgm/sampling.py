@@ -78,8 +78,8 @@ import numpy as np
 
 from . import tensor
 from .catalog import RepData, check_one_group, octonion_psi
-from .loops import Loop, conjugate_loop, linear_loop, total_merge, total_twist
-from .moments import DEFAULT_BUDGET, MeasureSpec, _expect_terms, _item_terms
+from .loops import Loop, _atoms, _Letters, _Scale, conjugate_loop, linear_loop, total_merge, total_twist
+from .moments import DEFAULT_BUDGET, MeasureSpec, _contract_group, _expand_items, _item_terms
 
 __all__ = [
     "RngSpec",
@@ -545,6 +545,99 @@ def _laplacian_terms(loops: Sequence[Loop]) -> list[tuple[float, list]]:
     return terms
 
 
+@dataclass(frozen=True)
+class _TheoremAPlan:
+    """``E[F]`` and the expectations of the terms of ``Delta F`` for one shape of ``F``, as
+    recipes on its coefficients (`_theorem_a_plan`).
+
+    An atom is an input letter (``2k``: ``c_k``, ``2k + 1``: ``c_k^T``, in slot order) or
+    one of ``constants``.  A recipe is a product of atoms; ``steps[t]`` holds the t-th atom
+    of every recipe longer than t, the recipes sorted longest first.  Each output product
+    has a recipe per coefficient and is scaled by the traces of the recipes in
+    ``trace_of`` (index ``R``, past the last recipe, reads 1).
+    """
+
+    constants: np.ndarray  # (C, d, d)
+    steps: tuple           # (R_t,) atom ids for t = 0, 1, ...
+    groups: tuple          # (key, recipes): each loop's (rep, slot signs), the (B, m) recipe ids
+    scales: np.ndarray     # (P,) completeness coefficients times slot signs, products in group order
+    trace_of: np.ndarray   # (P, k) recipe ids
+    weights: np.ndarray    # (T, P) term coefficients: row 0 is F, then the Laplacian's terms
+
+    def values(self, loops: Sequence[Loop], measure: MeasureSpec, budget: int) -> np.ndarray:
+        """``(T, 2)``: expectation and generator of ``F``, then of each term of ``Delta F``,
+        as ``moments._expect_terms`` gives them for ``[(1, F)] + _laplacian_terms(F)``."""
+        cs = np.array([c for w in loops for c, _ in w.factors])
+        d = cs.shape[-1]
+        atoms = np.concatenate([np.stack([cs, cs.transpose(0, 2, 1)], axis=1).reshape(-1, d, d), self.constants])
+        acc = atoms.take(self.steps[0], axis=0)
+        for idx in self.steps[1:]:  # the recipes still open are a prefix
+            acc[:len(idx)] = acc[:len(idx)] @ atoms.take(idx, axis=0)
+        traces = np.append(np.einsum("kii->k", acc), 1.0)
+        scales = self.scales * traces[self.trace_of].prod(axis=1) * math.prod(w.scale for w in loops)
+        products = np.concatenate([_contract_group(key, acc[recipes], measure, budget)
+                                   for key, recipes in self.groups])
+        return self.weights @ (products * scales[:, None])
+
+
+@lru_cache(maxsize=64)
+def _theorem_a_plan(shape: tuple[tuple[RepData, tuple[int, ...]], ...]) -> _TheoremAPlan:
+    """The `_TheoremAPlan` of loops of ``shape``, each loop's ``(rep, slot signs)``.
+
+    `_laplacian_terms` runs once, on loops of scale 1 whose coefficients are
+    input letters (`loops._Letters`).  Every term is multilinear in the input
+    loops, so their scales multiply every product.  ``F`` itself is contracted
+    once, for row 0 and for the Laplacian's first term ``lambda n F``.
+    """
+    n_letters = 2 * sum(len(signs) for _, signs in shape)
+    letters = iter(range(0, n_letters, 2))
+    symbolic = [Loop._derived(rep, tuple((_Letters((next(letters),)), s) for s in signs), 1.0)
+                for rep, signs in shape]
+    terms = _laplacian_terms(symbolic)
+    eye = np.eye(shape[0][0].dim)
+    constants: dict = {}  # bytes -> (atom id, matrix)
+    recipes: dict = {}    # atom ids -> recipe id
+
+    def recipe(c) -> int:
+        atoms = _atoms(c)
+        if len(atoms) > 1:  # an identity between letters multiplies by nothing
+            atoms = [a for a in atoms if isinstance(a, int) or not np.array_equal(a, eye)]
+        ids = tuple(a if isinstance(a, int) else constants.setdefault(a.tobytes(), (n_letters + len(constants), a))[0]
+                    for a in atoms)
+        return recipes.setdefault(ids, len(recipes))
+
+    columns = [({0: 1.0, 1: terms[0][0]}, symbolic)]  # each product's term coefficients, by row
+    columns += [({t + 1: coef}, flat) for t, (coef, items) in enumerate(terms[1:], 1) for flat in _expand_items(items)]
+    groups: dict = {}  # output shape -> (column, scale, trace recipes, coefficient recipes) per product
+    for column, flat in columns:
+        scales = [w.scale if isinstance(w.scale, _Scale) else _Scale(w.scale) for w in flat]
+        groups.setdefault(tuple((w.rep, w.signs) for w in flat), []).append(
+            (column, math.prod(x.number for x in scales), [recipe(c) for x in scales for c in x.traces],
+             [recipe(c) for w in flat for c, _ in w.factors]))
+    members = [product for products in groups.values() for product in products]
+
+    by_length = sorted(recipes, key=len, reverse=True)
+    rank = np.empty(len(recipes) + 1, dtype=np.intp)  # recipe id -> place in by_length; R -> R
+    rank[[recipes[r] for r in by_length] + [len(recipes)]] = np.arange(len(recipes) + 1)
+    width = max(len(traced) for _, _, traced, _ in members)
+    weights = np.zeros((len(terms) + 1, len(members)))
+    for col, (column, *_) in enumerate(members):
+        weights[list(column), col] = list(column.values())
+    plan = _TheoremAPlan(
+        constants=np.array([a for _, a in constants.values()], dtype=np.complex128).reshape(-1, *eye.shape),
+        steps=tuple(np.array([r[k] for r in by_length if len(r) > k], dtype=np.intp)
+                    for k in range(len(by_length[0]))),
+        groups=tuple((key, rank[[p[3] for p in products]]) for key, products in groups.items()),
+        scales=np.array([p[1] for p in members], dtype=np.complex128),
+        trace_of=rank[np.array([p[2] + [len(recipes)] * (width - len(p[2])) for p in members],
+                               dtype=np.intp).reshape(len(members), width)],
+        weights=weights,
+    )
+    for a in (plan.constants, plan.scales, plan.trace_of, plan.weights, *plan.steps, *(r for _, r in plan.groups)):
+        a.setflags(write=False)  # cached: every check reads the same arrays
+    return plan
+
+
 def _exact_report(kind: str, lhs: complex, rhs: complex, tol: float) -> TheoremAReport:
     lhs, rhs, tol = complex(lhs), complex(rhs), float(tol)
     residual = abs(lhs - rhs)
@@ -556,15 +649,18 @@ def verify_theorem_a(loops: Sequence[Loop], measure: MeasureSpec,
                      budget: int = DEFAULT_BUDGET) -> TheoremAReport:
     """Check the integration-by-parts identity for a family of loops.
 
-    ``Delta(W_1...W_n)`` is built once as terms (`_laplacian_terms`).
-    Haar: both sides exact, the first term against minus the rest; residual
-    must be tiny.  Every term is expanded once and all their plain products
-    are contracted together, one contraction per product shape
-    (``moments._expect_terms``).
-    Brownian: the heat equation ``2 d/dt E_t[F] = E_t[Delta F]``, both sides
-    from one ``_expect_terms`` call over ``[(1, F)] + terms``: F's generator
-    ``sum c e^{tc/2} v_c`` (``c`` the Casimir eigenvalues), exact in t,
-    against the sum of the terms; residual within ``1e-10 (1 + sum |term|)``.
+    ``Delta(W_1...W_n)`` is the terms of `_laplacian_terms`.  Under Haar and
+    Brownian they come from the shape's cached plan (`_theorem_a_plan`): the
+    word surgery ran once on symbolic letters, so a check forms every output
+    coefficient from the call's coefficients in a few batched products and
+    contracts each output shape once (``moments._contract_group``), with no
+    Loop built.  The plan also gives ``F = W_1...W_n`` itself.
+    Haar: both sides exact, the first term ``lambda n F`` against minus the
+    rest; residual must be tiny.
+    Brownian: the heat equation ``2 d/dt E_t[F] = E_t[Delta F]``, F's
+    generator ``sum c e^{tc/2} v_c`` (``c`` the Casimir eigenvalues), exact
+    in t, against the sum of the terms; residual within
+    ``1e-10 (1 + sum |term|)``.
     Wilson: the terms plus the action's ``-beta lambda p`` and ``-beta^2
     merge(p, q)`` terms, for ``p, q`` the Hermitized plaquette loops, make
     one loop polynomial, estimated by `_mc_estimate` as `mc_expect` is;
@@ -574,15 +670,14 @@ def verify_theorem_a(loops: Sequence[Loop], measure: MeasureSpec,
     loops = list(loops)
     if not loops:  # before the action terms, whose plaquettes are no loops of the product
         raise ValueError("need at least one loop")
-    terms = _laplacian_terms(loops)
-    if measure.kind == "brownian":
-        values = _expect_terms([(1.0, terms[0][1])] + terms, measure, budget)
+    if measure.kind == "brownian":  # row 0 is F, then the Laplacian's terms
+        values = _theorem_a_plan(tuple((w.rep, w.signs) for w in loops)).values(loops, measure, budget)
         rhs = complex(np.sum(values[1:, 0]))  # rounded to the size of its terms, which may cancel
         return _exact_report("brownian", values[0, 1], rhs, 1e-10 * (1.0 + np.sum(np.abs(values[1:, 0]))))
 
     if measure.kind == "haar" or measure.beta == 0.0:  # Wilson at beta = 0 is Haar
-        values = _expect_terms(terms, MeasureSpec.haar(), budget)[:, 0]
-        lhs, rhs = values[0], -np.sum(values[1:])
+        values = _theorem_a_plan(tuple((w.rep, w.signs) for w in loops)).values(loops, MeasureSpec.haar(), budget)
+        lhs, rhs = values[1, 0], -np.sum(values[2:, 0])
         return _exact_report(measure.kind, lhs, rhs, 1e-9 * (1.0 + abs(lhs)))
 
     # The sampler weights by exp(beta * Re(sum_p W_p)), i.e. the Hermitized
@@ -599,6 +694,7 @@ def verify_theorem_a(loops: Sequence[Loop], measure: MeasureSpec,
         e = linear_loop(rep, half)
         effective += [e, conjugate_loop(e)]
     beta = measure.beta
+    terms = _laplacian_terms(loops)
     terms += [(-beta * p.rep.lam, [p] + loops) for p in effective]
     terms += [(-beta ** 2, [total_merge(p, q)] + loops) for p, q in itertools.product(effective, repeat=2)]
     est = _mc_estimate(terms, measure, samples, rng)

@@ -187,11 +187,12 @@ def test_criterion_10_theorem_a_brownian_ode():
         rng = np.random.default_rng(seed)
         for _ in range(2):
             r = verify_theorem_a(rand_loops(rep, rng, 2), MeasureSpec.brownian(1.0))
-            worst_rel = max(worst_rel, r.residual / (1.0 + abs(r.rhs)))
+            # the check's tolerance is 1e-10 (1 + sum |term|), so this is residual / (1 + sum |term|)
+            worst_rel = max(worst_rel, 1e-10 * r.residual / r.tolerance)
             assert r.passed
-    report(10, worst_rel <= 1e-6,
-           f"Brownian ODE form of Theorem A at t=1 (central differences, step 1e-4), "
-           f"worst scaled residual {worst_rel:.2e} <= 1e-6")
+    report(10, worst_rel <= 1e-10,
+           f"Brownian ODE form of Theorem A at t=1 (exact in t: the generator sum c e^(tc/2) v_c), "
+           f"worst residual / (1 + sum |term|) {worst_rel:.2e} <= 1e-10")
 
 
 def test_criterion_11_wilson_action_identity():

@@ -9,13 +9,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lgm import moments, sampling
 from lgm.catalog import GroupSpec, build_representation, group_residual
 from lgm.loops import Loop, conjugate_loop, linear_loop, loop, merge_at, total_merge, total_twist
 from lgm.moments import MeasureSpec, expect_product
-from lgm.sampling import (BrownianPathSpec, RngSpec, _action_loops, brownian_path,
-                          brownian_path_batch, haar_sample, haar_sample_batch,
+from lgm.sampling import (BrownianPathSpec, RngSpec, _action_loops, _laplacian_terms, _theorem_a_plan,
+                          brownian_path, brownian_path_batch, haar_sample, haar_sample_batch,
                           mc_expect, verify_theorem_a)
 from test_moments import dense_spectrum, moment_value
 from test_tensor import expm_skew_eigh
@@ -649,16 +651,19 @@ class TestTheoremA:
 
     @pytest.mark.parametrize("t", [5e-5, 0.7, 2.0])
     def test_brownian_is_one_contraction(self, t, monkeypatch):
-        # SU(2) (+,-,+)(-): both sides of the heat equation come from one call, at t alone
+        # SU(2) (+,-,+)(-): both sides of the heat equation come from one contraction per
+        # product shape, at t alone
         calls = []
-        products = moments._expect_products
-        monkeypatch.setattr(moments, "_expect_products",
-                            lambda *args: calls.append(args[1]) or products(*args))
+        contraction = moments._block_contraction
+        monkeypatch.setattr(moments, "_block_contraction",
+                            lambda *args: calls.append(args[3]) or contraction(*args))
         rng = np.random.default_rng(7)
         loops = [loop(SU2, [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in s], s)
                  for s in ([1, -1, 1], [-1])]
+        shapes = {tuple(w.signs for w in flat)
+                  for _, items in _laplacian_terms(loops) for flat in moments._expand_items(items)}
         report = verify_theorem_a(loops, MeasureSpec.brownian(t))
-        assert calls == [MeasureSpec.brownian(t)]
+        assert calls == [MeasureSpec.brownian(t)] * len(shapes)
         assert report.residual <= 1e-12 * (1.0 + abs(report.rhs))
 
     def test_brownian_tolerance_follows_the_terms(self):
@@ -693,6 +698,64 @@ class TestTheoremA:
         report = verify_theorem_a([wa, wb], MeasureSpec.haar())
         assert report.passed
         assert abs(report.lhs) > 1e-3  # nonvanishing product expectation
+
+
+#: each family with the most slots a product of its loops may carry here (D = d**m stays small)
+PLAN_FAMILIES = {"u2": ([U2], 6), "su2": ([SU2], 6), "su3": ([SU3], 5), "so3": ([SO3], 5), "so4": ([SO4], 4),
+                 "sp1": ([SP1], 6), "sp2": ([SP2], 4), "g2": ([G2], 3), "u1-mixed": ([U1, U1_2, U1_INV], 9)}
+
+
+def plan_loops(key, sizes, seed):
+    """Loops of up to three slots, at most the family's slot count in all, with random slot
+    signs, complex coefficients and scales; U(1) loops each in a random character."""
+    reps, most = PLAN_FAMILIES[key]
+    rng = np.random.default_rng(seed)
+    loops, room = [], most
+    for size in sizes:
+        size = min(size, room)
+        if size < 1:
+            break
+        room -= size
+        rep = reps[int(rng.integers(len(reps)))]
+        d = rep.dim
+        loops.append(loop(rep, [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(size)],
+                          [int(x) for x in rng.choice([1, -1], size=size)], complex(*rng.standard_normal(2))))
+    return loops
+
+
+class TestTheoremAPlan:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(PLAN_FAMILIES)), st.lists(st.integers(1, 3), min_size=1, max_size=3),
+           st.integers(0, 2 ** 32 - 1), st.just(MeasureSpec.haar()) | st.floats(0.05, 3.0).map(MeasureSpec.brownian))
+    @example("g2", [2, 1], 1, MeasureSpec.haar())  # seven insert terms
+    @example("u1-mixed", [3, 1, 2], 2, MeasureSpec.brownian(0.8))
+    @example("sp2", [2, 2], 3, MeasureSpec.haar())
+    @example("so4", [1, 1, 2], 4, MeasureSpec.brownian(1.3))
+    @example("su2", [3, 3], 5, MeasureSpec.brownian(0.2))  # twists with a slot-free piece
+    def test_plan_matches_loop_surgery(self, key, sizes, seed, measure):
+        # the plan's values against the Loop-level surgery and expansion, term by term
+        loops = plan_loops(key, sizes, seed)
+        got = _theorem_a_plan(tuple((w.rep, w.signs) for w in loops)).values(loops, measure, moments.DEFAULT_BUDGET)
+        want = moments._expect_terms([(1.0, loops)] + _laplacian_terms(loops), measure)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("measure", [MeasureSpec.haar(), MeasureSpec.brownian(0.6)], ids=["haar", "brownian"])
+    def test_cached_shape_builds_no_loop(self, measure, monkeypatch):
+        # G2 (+,+)(+): once its plan is cached, a check on new coefficients builds no Loop
+        rng = np.random.default_rng(43)
+        first, fresh = ([loop(G2, [rng.standard_normal((7, 7)) for _ in s], s, complex(*rng.standard_normal(2)))
+                         for s in ([1, 1], [1])] for _ in range(2))
+        assert verify_theorem_a(first, measure).passed
+        built = []
+        derived, post_init = Loop._derived.__func__, Loop.__post_init__
+        monkeypatch.setattr(Loop, "_derived", classmethod(lambda cls, *args: built.append(args) or derived(cls, *args)))
+        monkeypatch.setattr(Loop, "__post_init__", lambda self: built.append(self) or post_init(self))
+        report = verify_theorem_a(fresh, measure)
+        assert report.passed, f"residual {report.residual} > {report.tolerance}"
+        assert built == []
+        total_merge(*fresh)  # the Loop-level surgery is counted
+        assert built
 
 
 def _mixed_plaquettes(reps, rng, count):
