@@ -54,7 +54,8 @@ the end; SO and G2 draws come out exactly real.
 Estimators are deterministic functions of an RngSpec, and one pipeline,
 `_mc_estimate`, makes every one: it takes a loop polynomial ``sum coef *
 prod items``, draws once (Brownian path endpoints, Haar for the rest),
-evaluates each distinct item once, and gives every draw the log-weight
+prepares the draws once for all its loops (`loops._Draws`), evaluates each
+distinct item once, and gives every draw the log-weight
 ``beta * Re sum_p W_p``, zero for Haar and Brownian, which have no
 plaquettes.  One self-normalized estimator reads it and refuses when fewer
 than ``WILSON_MIN_ESS`` effective draws remain, which only Wilson weights
@@ -78,7 +79,7 @@ import numpy as np
 
 from . import tensor
 from .catalog import RepData, check_one_group, octonion_psi
-from .loops import Loop, _atoms, _Letters, _Scale, conjugate_loop, linear_loop, total_merge, total_twist
+from .loops import Loop, _atoms, _Draws, _Letters, _Scale, conjugate_loop, linear_loop, total_merge, total_twist
 from .moments import DEFAULT_BUDGET, MeasureSpec, _contract_group, _expand_items, _item_terms
 
 __all__ = [
@@ -475,11 +476,14 @@ def _mc_estimate(terms: Sequence[tuple[complex, Sequence]], measure: MeasureSpec
                  rng: RngSpec, steps: int = 200) -> MCEstimate:
     """The estimate of a loop polynomial ``sum coef * prod items`` under a measure.
 
-    Brownian draws are path endpoints; every other measure draws Haar.  Each
-    draw carries the log-weight ``beta * Re sum_p W_p``, zero for Haar and
-    Brownian (no plaquettes), and one self-normalized estimator reads them.
-    Each distinct item (by ``id``: ``terms`` keeps it alive) is evaluated
-    once, and its values are held until its last use.
+    Brownian draws are path endpoints; every other measure draws Haar.  The
+    draws are prepared once (`loops._Draws`): every loop of the estimate
+    reads the same ``rho(g^{+-1})`` stacks, and the real forms that loops of
+    3 or more slots multiply by are built once per (rep, sign) and freed on
+    return.  Each draw carries the log-weight ``beta * Re sum_p W_p``, zero
+    for Haar and Brownian (no plaquettes), and one self-normalized estimator
+    reads them.  Each distinct item (by ``id``: ``terms`` keeps it alive) is
+    evaluated once, and its values are held until its last use.
     """
     _check_samples(samples)
     rep = _common_rep([item for _, items in terms for item in items], measure.plaquettes)
@@ -487,14 +491,15 @@ def _mc_estimate(terms: Sequence[tuple[complex, Sequence]], measure: MeasureSpec
         gs = brownian_path_batch(rep, measure.t, steps, rng, samples)
     else:
         gs = haar_sample_batch(rep, rng, samples)
-    action = sum((w.evaluate_batch(gs) for w in _action_loops(measure.plaquettes)), np.zeros(samples))
+    draws = _Draws(gs)
+    action = sum((w.evaluate_batch(draws) for w in _action_loops(measure.plaquettes)), np.zeros(samples))
     uses, memo = Counter(id(item) for _, items in terms for item in items), {}
     y = 0.0
     for coef, items in terms:
         prod = np.ones(samples, dtype=np.complex128)
         for item in items:
             uses[id(item)] -= 1
-            values = memo.pop(id(item)) if id(item) in memo else item.evaluate_batch(gs)
+            values = memo.pop(id(item)) if id(item) in memo else item.evaluate_batch(draws)
             if uses[id(item)]:
                 memo[id(item)] = values
             prod = prod * values

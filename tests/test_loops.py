@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from lgm.catalog import (GroupSpec, build_representation, check_one_group, closed_form_completeness,
                          octonion_psi, split_casimir)
-from lgm.loops import (LoopPair, LoopSum, conjugate_loop, insert_generator, laplacian,
+from lgm.loops import (LoopPair, LoopSum, _Draws, conjugate_loop, insert_generator, laplacian,
                        linear_loop, loop, loop_from_json, loop_to_json,
                        loopsum_from_json, loopsum_to_json, merge_at, total_merge, twist_at)
 from lgm.moments import MeasureSpec, expect_product
@@ -139,27 +139,60 @@ def _explicit_values(w, gs):
         mats = gs[:, :1, :1] ** w.rep.spec.n
     else:
         mats = gs
+    inv = np.linalg.inv(mats)
     acc = np.broadcast_to(np.eye(w.rep.dim), mats.shape)
     for c, s in w.factors:
-        acc = acc @ c @ (mats if s == 1 else np.linalg.inv(mats))
+        acc = acc @ c @ (mats if s == 1 else inv)
     return w.scale * np.trace(acc, axis1=1, axis2=2)
+
+
+def _sign_patterns(rng):
+    """Every sign pattern of 1-4 slots, and four each of 5 and 6 slots (alternating, then random)."""
+    yield from (signs for r in range(1, 5) for signs in itertools.product((1, -1), repeat=r))
+    for r in (5, 6):
+        yield tuple((-1) ** k for k in range(r))
+        for _ in range(3):
+            yield tuple(int(s) for s in rng.choice([1, -1], size=r))
 
 
 @pytest.mark.parametrize("key", list(BATCH_REPS))
 @pytest.mark.parametrize("count", [1, 4000])
 def test_evaluate_batch_matches_explicit_trace(key, count):
-    # every sign pattern of 1-4 slots, against the trace written out per draw
+    # words of 1-6 slots against the trace written out per draw; each word also as its
+    # conjugate, whose coefficients are transposed views, and with Fortran-order coefficients.
+    # Prepared draws, shared by all the words, give the same bits as the bare stack.
     rep = BATCH_REPS[key]
     rng = np.random.default_rng(count)
     gs = _draws(rep, count)
-    for r in range(1, 5):
-        for signs in itertools.product((1, -1), repeat=r):
-            coeffs = [rand_coeff(rng, rep.dim) for _ in range(r)]
-            w = loop(rep, coeffs, signs, complex(*rng.standard_normal(2)))
-            got = w.evaluate_batch(gs)
-            bound = abs(w.scale) * rep.dim * np.prod([np.linalg.norm(c, 2) for c in coeffs])
+    draws = _Draws(gs)
+    for signs in _sign_patterns(rng):
+        coeffs = [rand_coeff(rng, rep.dim) for _ in signs]
+        w = loop(rep, coeffs, signs, complex(*rng.standard_normal(2)))
+        bound = abs(w.scale) * rep.dim * np.prod([np.linalg.norm(c, 2) for c in coeffs])
+        want = _explicit_values(w, gs)
+        fortran = loop(rep, [np.asfortranarray(c) for c in coeffs], signs, w.scale)
+        conj = conjugate_loop(w)
+        assert rep.dim == 1 or not any(c.flags.c_contiguous for c, _ in fortran.factors + conj.factors)
+        for v, target in ((w, want), (fortran, want), (conj, want.conj())):
+            got = v.evaluate_batch(gs)
             assert got.shape == (count,)
-            assert np.max(np.abs(got - _explicit_values(w, gs))) <= 1e-12 * bound, (key, signs)
+            assert np.max(np.abs(got - target)) <= 1e-12 * bound, (key, signs)
+            assert np.array_equal(v.evaluate_batch(draws), got), (key, signs)
+
+
+@pytest.mark.parametrize("rep,shape", [(REP["u2"], (5, 3, 3)), (BATCH_REPS["u1^3"], (5, 3, 3)),
+                                       (REP["u3"], (3, 3)), (REP["u3"], (5, 9))],
+                         ids=["u2-on-u3", "u1-on-3x3", "one-matrix", "flat"])
+def test_evaluate_batch_refuses_draws_of_another_shape(rep, shape):
+    # the draw stack must be (B, d, d) for the loop's rep; the message gives both shapes
+    draws = np.zeros(shape, dtype=complex)
+    d = rep.dim
+    for w in (linear_loop(rep, np.eye(d)), loop(rep, [np.eye(d)] * 3, [1, -1, 1])):
+        for item in (w, LoopSum((w,)), LoopPair(w, w)):
+            with pytest.raises(ValueError) as err:
+                item.evaluate_batch(draws)
+            msg = str(err.value)
+            assert msg.startswith("evaluate_batch: draws") and str(shape) in msg and f"(B, {d}, {d})" in msg
 
 
 @pytest.mark.parametrize("key", ["u3", "sp2", "u1"])

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lgm import moments, sampling
+from lgm import loops, moments, sampling
 from lgm.catalog import GroupSpec, build_representation, group_residual
 from lgm.loops import Loop, conjugate_loop, linear_loop, loop, merge_at, total_merge, total_twist
 from lgm.moments import MeasureSpec, expect_product
@@ -683,6 +683,34 @@ class TestTheoremA:
                                   samples=40_000, rng=RngSpec(41))
         assert report.kind == "wilson"
         assert report.z_score is not None and report.z_score <= 3.0
+
+    def test_wilson_builds_each_draw_real_form_once(self, monkeypatch):
+        # SU(3) (+,-,+)(-): loops of 3 or more slots multiply by the real form of rho(g^{+-1});
+        # the estimate builds it once for each sign, and an estimate whose loops all have at
+        # most 2 slots builds none
+        samples, built = 2000, []
+        real_form = loops._interleaved_form
+
+        def recording(x):
+            if len(x) == samples:  # a draw stack, not a loop's few coefficients
+                built.append(x)
+            return real_form(x)
+
+        monkeypatch.setattr(loops, "_interleaved_form", recording)
+        rng = np.random.default_rng(7)
+        coeff = lambda: rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        words = [loop(SU3, [coeff() for _ in s], s) for s in ([1, -1, 1], [-1])]
+        wilson = MeasureSpec.wilson(0.5, [linear_loop(SU3, np.eye(3))])
+        report = verify_theorem_a(words, wilson, samples=samples, rng=RngSpec(21))
+        assert report.z_score <= 3.0
+        gs = haar_sample_batch(SU3, RngSpec(21), samples)
+        signs = [1 if np.array_equal(x, gs) else -1 if np.array_equal(x, np.conj(gs.transpose(0, 2, 1))) else 0
+                 for x in built]
+        assert sorted(signs) == [-1, 1]
+        built.clear()
+        two = loop(SU3, [coeff(), coeff()], [1, -1])
+        mc_expect([words[1], two, total_merge(words[1], words[1])], wilson, samples, RngSpec(22))
+        assert built == []
 
     def test_wilson_beta_zero_is_exact(self):
         plaq = [linear_loop(U2, np.eye(2))]
