@@ -1,20 +1,20 @@
-"""Concrete orthonormal Lie-algebra bases and split-Casimir data.
+"""Closed-form group data, and orthonormal Lie-algebra bases built on demand.
 
-For each supported family the module builds, in the defining (fundamental)
+For each supported family the module gives, in the defining (fundamental)
 representation:
 
-* an orthonormal basis ``xi^a`` of the Lie algebra with respect to the
-  family's invariant form ``kappa(X, Y) = -c * tr(XY)`` (equal to
-  ``c * tr(X^dagger Y)`` since all generators are skew-Hermitian), where
-  ``c = 1/2`` for SO(N) and Sp(N) and ``c = 1`` for U(N), SU(N) and G2.
-  This is the normalization under which the classical completeness
-  relations below hold on the nose (for so(N) it makes the plain
-  antisymmetric matrices ``E_ij - E_ji`` orthonormal);
-* the Casimir matrix ``rho(C) = sum_a xi^a xi^a = lambda * I`` and its
-  eigenvalue ``lambda``;
+* in closed form, all that `build_representation` evaluates: the
+  dimension, the Casimir eigenvalue ``lambda`` and the constants (``J``,
+  ``psi``);
 * the split Casimir ``K_{ijkl} = sum_a xi^a_{ij} xi^a_{kl}`` as the family's
   completeness relation, a table of real terms that the rest of the package
-  reads; the generator sum ``split_casimir`` only checks it.
+  reads;
+* on first read of ``RepData.generators`` (by the Brownian walk, or the
+  check ``split_casimir``), an orthonormal basis ``xi^a`` of the Lie algebra
+  under the family's invariant form ``kappa(X, Y) = -c * tr(XY)`` (equal to
+  ``c * tr(X^dagger Y)`` since all generators are skew-Hermitian), where
+  ``c = 1/2`` for SO(N) and Sp(N) and ``c = 1`` for U(N), SU(N) and G2, the
+  normalization under which the completeness relations hold on the nose.
 
 Families: SO(N), Sp(N) (compact symplectic, 2N x 2N), U(N), SU(N), G2 in its
 7-dimensional representation, and the U(1) characters ``z -> z^n``
@@ -26,14 +26,14 @@ matrices that the family's defining conditions map to zero (SO real, U none,
 SU traceless, Sp ``X^T J + J X = 0``, G2 real and a derivation of the
 octonion product), orthonormalized under kappa from the projections of the
 matrix units.  No basis element or normalization is transcribed from the
-literature; each basis is validated against the closed completeness
-relations.
+literature; each is checked against its count, ``sum_a xi^a xi^a =
+lambda I`` and orthonormality.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from typing import Iterable
 
 import numpy as np
@@ -105,22 +105,44 @@ class RepData:
     dim : int
         Dimension of the representation space, which is also the matrix
         size of group elements (1 for the U(1) characters).
-    generators : ``(dim_g, d, d)`` complex ndarray
-        Images ``rho(xi^a)`` of an orthonormal Lie-algebra basis.
-    casimir : ``(d, d)`` complex ndarray
-        ``sum_a xi^a xi^a``, equal to ``lam * I``.
     lam : float
-        Casimir eigenvalue.
+        Casimir eigenvalue, in closed form (`casimir_eigenvalue`).
     constants : dict
         Family-specific data: ``psi`` for G2, ``J`` for Sp(N).
+    generators : ``(dim_g, d, d)`` complex ndarray, read-only, built on first read
+        Images ``rho(xi^a)`` of an orthonormal Lie-algebra basis.
     """
 
     spec: GroupSpec
     dim: int
-    generators: np.ndarray
-    casimir: np.ndarray
     lam: float
     constants: dict = field(default_factory=dict)
+
+    @cached_property
+    def generators(self) -> np.ndarray:
+        """The basis from `_algebra`, refused unless it has ``algebra_dimension`` elements,
+        ``sum_a xi^a xi^a = lam I`` and (but on U(1) characters) is orthonormal under kappa.
+        A G2 generator derives the octonion product: ``psi_ijk X_lk = X_mi psi_mjl + X_mj psi_iml``."""
+        fam, d, label, ein = self.spec.family, self.dim, self.spec.label(), partial(np.einsum, optimize=True)
+        real, j, psi = (lambda x: x.imag), self.constants.get("J"), self.constants.get("psi")
+        conditions = {"so": (real,), "u": (), "su": (lambda x: np.trace(x, axis1=1, axis2=2),),
+                      "sp": (lambda x: np.swapaxes(x, 1, 2) @ j + j @ x,),
+                      "g2": (real, lambda x: ein("ijk,blk->bijl", psi, x) - ein("bmi,mjl->bijl", x, psi)
+                             - ein("bmj,iml->bijl", x, psi))}.get(fam, ())
+        gens = (np.array([[[1j * self.spec.n]]], dtype=np.complex128) if fam == "u1power"
+                else _algebra(d, kappa_coefficient(fam), *conditions))
+        expected = algebra_dimension(self.spec)
+        if gens.shape[0] != expected:
+            raise RuntimeError(f"{label}: got {gens.shape[0]} generators, expected {expected}")
+        casimir = np.einsum("aij,ajk->ik", gens, gens)
+        if np.linalg.norm(casimir - self.lam * np.eye(d)) > 1e-12 * max(1.0, abs(self.lam)) * d:
+            raise RuntimeError(f"{label}: sum_a xi^a xi^a is not lambda I for lambda = {self.lam!r}")
+        if fam != "u1power":
+            gram = kappa_coefficient(fam) * np.einsum("aij,bij->ab", np.conj(gens), gens)
+            if np.linalg.norm(gram - np.eye(expected)) > 1e-12 * expected:
+                raise RuntimeError(f"{label}: generator basis is not orthonormal")
+        gens.setflags(write=False)
+        return gens
 
     @property
     def algebra_dim(self) -> int:
@@ -241,42 +263,13 @@ def _algebra(d: int, kappa_coef: float, *conditions) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def build_representation(spec: GroupSpec) -> RepData:
-    """Construct RepData for a group spec (cached; RepData is immutable).
+    """RepData for a group spec from closed forms alone (cached; RepData is immutable).
 
-    A G2 generator derives the octonion product: ``psi_ijk X_lk = X_mi psi_mjl + X_mj psi_iml``.
+    The generator basis is built on first read of ``RepData.generators``.
     """
-    fam, n = spec.family, spec.n
-    constants: dict = {}
-    real = lambda x: x.imag
-    conditions = {"so": (real,), "u": (), "su": (lambda x: np.trace(x, axis1=1, axis2=2),)}.get(fam)
-    if fam == "sp":
-        j = constants["J"] = symplectic_form(n)
-        conditions = (lambda x: np.swapaxes(x, 1, 2) @ j + j @ x,)
-    elif fam == "g2":
-        psi = constants["psi"] = octonion_psi()
-        ein = partial(np.einsum, optimize=True)
-        conditions = (real, lambda x: ein("ijk,blk->bijl", psi, x) - ein("bmi,mjl->bijl", x, psi)
-                      - ein("bmj,iml->bijl", x, psi))
-    dim = _rep_dim(spec)
-    if fam == "u1power":
-        gens = np.array([[[1j * n]]], dtype=np.complex128)
-    else:
-        gens = _algebra(dim, kappa_coefficient(fam), *conditions)
-
-    expected = algebra_dimension(spec)
-    if gens.shape[0] != expected:
-        raise RuntimeError(f"{spec.label()}: got {gens.shape[0]} generators, expected {expected}")
-
-    casimir = np.einsum("aij,ajk->ik", gens, gens)
-    lam = float(np.real(np.trace(casimir)) / dim)
-    if np.linalg.norm(casimir - lam * np.eye(dim)) > 1e-12 * max(1.0, abs(lam)) * dim:
-        raise RuntimeError(f"{spec.label()}: Casimir is not a multiple of the identity")
-    if fam != "u1power":
-        gram = kappa_coefficient(fam) * np.einsum("aij,bij->ab", np.conj(gens), gens)
-        if np.linalg.norm(gram - np.eye(gens.shape[0])) > 1e-12 * gens.shape[0]:
-            raise RuntimeError(f"{spec.label()}: generator basis is not orthonormal")
-    return RepData(spec=spec, dim=dim, generators=gens, casimir=casimir, lam=lam,
-                   constants=constants)
+    constants = ({"J": symplectic_form(spec.n)} if spec.family == "sp"
+                 else {"psi": octonion_psi()} if spec.family == "g2" else {})
+    return RepData(spec=spec, dim=_rep_dim(spec), lam=casimir_eigenvalue(spec), constants=constants)
 
 
 def split_casimir(rep: RepData) -> SplitCasimir:

@@ -17,8 +17,8 @@ pseudoinverse of its Gram matrix); Brownian(t) is ``f = exp(t c / 2)``, so
 ``2 d/dt`` under Brownian and 0 under Haar; each exact contraction gives both.
 
 No ``D x D`` Casimir is formed or decomposed.  ``C`` commutes with
-``rho(X)`` for a fixed real algebra element ``X`` (`_weight_basis`), so in
-the eigenbasis of ``X`` on every slot it is block-diagonal by weight
+``rho(X)`` for a fixed real algebra element ``X`` (`_weight_element`), so
+in the eigenbasis of ``X`` on every slot it is block-diagonal by weight
 (`_weight_blocks`, ``w`` and ``-w`` in one block).  Each block is gathered
 from the rotated completeness relation, made real symmetric, and
 decomposed by one real ``eigh`` (`_block_eigh`, cached per block).  Every
@@ -66,11 +66,13 @@ them to `_contract_group` too.
 
 The budget caps a different size on each route: the squared number of
 labels ``L**2`` on the Weingarten routes (Gram and Wg are ``L x L``), and
-the tensor-power dimension ``D = d**(n+n')`` on the Casimir route, which
-forms no matrix larger than its largest weight block, and no vector of
-length ``D`` but the Haar null vectors, once per shape, to check them.
-A Weingarten shape over the budget falls back to the Casimir route when
-``D`` fits.  The dense label sets of `spanning_set` are capped by both.
+on the Casimir route ``max(D, d**2)``, ``D = d**(n+n')`` the tensor-power
+dimension and ``d**2`` the side of the completeness kernels.  That route
+forms no matrix larger than its largest weight block or a kernel, and no
+vector of length ``D`` but the Haar null vectors, once per shape, to check
+them.  A Weingarten shape over the budget falls back to the Casimir route
+when ``max(D, d**2)`` fits.  The dense label sets of `spanning_set` are
+capped by both.
 
 The Wilson action admits no exact closed form: `expect_product` refuses
 it, and its expectations are estimated by ``sampling.mc_expect``.
@@ -110,7 +112,7 @@ DEFAULT_BUDGET = 4096
 
 
 class BudgetError(RuntimeError):
-    """A tensor-power dimension D, or a label set's squared size L**2, exceeds the budget."""
+    """A tensor-power dimension D, a kernel side ``d**2`` or a label set's ``L**2`` exceeds the budget."""
 
     def __init__(self, required: int, budget: int):
         super().__init__(f"tensor representation needs dimension {required}, over the budget {budget}; "
@@ -243,7 +245,12 @@ class MomentOperator:
 def _check_budget(rep: RepData, n: int, nprime: int, budget: int) -> int:
     if n + nprime < 1:
         raise ValueError("need n + n' >= 1")
-    required = rep.dim ** (n + nprime)
+    required, square = rep.dim ** (n + nprime), rep.dim ** 2
+    if square > max(required, budget):  # one slot: D = d, but the kernels are d**2 x d**2
+        error = BudgetError(square, budget)
+        error.args = (f"the completeness kernels need d**2 = {square}, over the budget {budget}; "
+                      "raise the budget to proceed",)
+        raise error
     if required > budget:
         raise BudgetError(required, budget)
     return required
@@ -293,29 +300,28 @@ def _apply_casimir(rep: RepData, n: int, nprime: int, vecs: np.ndarray) -> np.nd
     return out.reshape(vecs.shape)
 
 
+def _weight_element(rep: RepData) -> np.ndarray:
+    """``X_ij = sum_kl K_ijkl M_kl`` for a fixed generic real antisymmetric M: as ``Im xi^a`` is
+    symmetric, ``X = sum_a Re(xi^a) <Re xi^a, M>`` is a real antisymmetric algebra element
+    (0 on U(1) characters)."""
+    d = rep.dim
+    m = np.cos(np.arange(1.0, d * d + 1) ** 2).reshape(d, d)  # full rank; cos(a k) would give rank 2
+    return (_kernels(rep)[0].reshape(d * d, d * d) @ (m - m.T).reshape(-1)).reshape(d, d)
+
+
 @lru_cache(maxsize=64)
 def _weight_basis(rep: RepData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The eigenbasis of one fixed real algebra element: ``(U, h, pair)``.
+    """The eigenbasis of `_weight_element` X, refused unless real antisymmetric: ``(U, h, pair)``.
 
-    ``X = sum_a cos(1.2345 a) Re(xi_a)``, refused unless every ``Re(xi_a)``
-    lies in the real span of the generators.  ``iX`` is Hermitian:
-    ``iX U = U diag(h)``.  X is real, so a V* slot, which carries
-    ``conj(g)`` and the algebra element ``conj(X) = X``, has the same
-    weights as a V slot.  The columns of U are the kernel of X (real), the
-    eigenvectors of weight ``h > 0``, then their conjugates, of weight
-    ``-h``: ``U[:, pair[j]] = conj(U[:, j])`` and ``h[pair[j]] = -h[j]``.
-    U(1) characters give ``X = 0``, all kernel.
+    ``iX`` is Hermitian: ``iX U = U diag(h)``.  X is real, so a V* slot,
+    which carries ``conj(g)`` and the algebra element ``conj(X) = X``, has
+    the same weights as a V slot.  The columns of U are the kernel of X
+    (real), the eigenvectors of weight ``h > 0``, then their conjugates, of
+    weight ``-h``: ``U[:, pair[j]] = conj(U[:, j])`` and ``h[pair[j]] = -h[j]``.
     """
-    gens = rep.generators
-    coords = np.concatenate([gens.real, gens.imag], axis=1).reshape(len(gens), -1).T
-    target = np.concatenate([gens.real, 0.0 * gens.imag], axis=1).reshape(len(gens), -1).T
-    fit = np.linalg.solve(coords.T @ coords, coords.T @ target)  # the generators are independent
-    defect = float(np.max(np.abs(coords @ fit - target), initial=0.0))
-    if defect > 1e-10 * max(1.0, float(np.max(np.abs(coords), initial=0.0))):
-        raise RuntimeError(
-            f"{rep.spec.label()}: the real part of a generator is not in the Lie algebra "
-            f"(defect {defect:.1e}); the tensor Casimir cannot be blocked by weights")
-    x = np.tensordot(np.cos(1.2345 * np.arange(1, len(gens) + 1)), gens.real, axes=1)
+    x = _weight_element(rep)
+    if np.iscomplexobj(x) or np.max(np.abs(x + x.T)) > 1e-12 * max(1.0, float(np.max(np.abs(x)))):
+        raise RuntimeError(f"{rep.spec.label()}: the weight element X is not real antisymmetric")
     h, v = np.linalg.eigh(1j * x)
     tol = 1e-9 * max(1.0, float(np.max(np.abs(h), initial=0.0)))
     up = h > tol

@@ -1,12 +1,17 @@
 """Catalog tests: bases, completeness relations, Casimir data, G2 construction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from lgm.catalog import (GroupSpec, _algebra, algebra_dimension, build_representation,
+from lgm import catalog
+from lgm.catalog import (GroupSpec, RepData, _algebra, algebra_dimension, build_representation,
                          casimir_eigenvalue, closed_form_completeness, group_residual,
                          kappa_coefficient, octonion_psi, split_casimir, symplectic_form)
-from lgm.sampling import RngSpec, brownian_path_batch, haar_sample
+from lgm.loops import linear_loop, loop
+from lgm.moments import MeasureSpec, expect_product, moment_operator, spanning_set
+from lgm.sampling import RngSpec, brownian_path_batch, haar_sample, mc_expect, verify_theorem_a
 
 ALL_SPECS = (
     [GroupSpec("so", n) for n in range(2, 7)]
@@ -32,8 +37,8 @@ def test_generator_count_and_casimir(spec):
     assert rep.algebra_dim == algebra_dimension(spec)
     lam = casimir_eigenvalue(spec)
     assert abs(rep.lam - lam) <= 1e-12
-    eye = np.eye(rep.dim)
-    assert np.max(np.abs(rep.casimir - lam * eye)) <= 1e-12 * max(1.0, abs(lam))
+    casimir = np.einsum("aij,ajk->ik", rep.generators, rep.generators)
+    assert np.max(np.abs(casimir - lam * np.eye(rep.dim))) <= 1e-12 * max(1.0, abs(lam))
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label())
@@ -209,7 +214,7 @@ def test_u1power_data():
     rep = build_representation(GroupSpec("u1power", 3))
     assert rep.dim == 1
     assert rep.generators[0, 0, 0] == 3j
-    assert rep.casimir[0, 0] == pytest.approx(-9.0)
+    assert np.einsum("aij,ajk->ik", rep.generators, rep.generators)[0, 0] == pytest.approx(-9.0)
     assert rep.sampling_generators[0, 0, 0] == 1j
     z = np.array([[np.exp(0.4j)]])
     assert rep.rho(z)[0, 0] == pytest.approx(np.exp(1.2j))
@@ -232,3 +237,69 @@ def test_closed_form_u1power():
     k = closed_form_completeness(GroupSpec("u1power", -2)).k
     assert k.shape == (1, 1, 1, 1)
     assert k[0, 0, 0, 0] == -4.0
+
+
+def test_a_lambda_that_disagrees_with_the_basis_is_refused_on_first_read():
+    rep = RepData(spec=GroupSpec("su", 3), dim=3, lam=-3.0)  # the closed form is -3 + 1/3
+    with pytest.raises(RuntimeError, match="is not lambda I for lambda = -3.0"):
+        rep.generators
+
+
+class TestClosedFormsOnly:
+    """Every exact route, the moment operator, spanning sets, exact Theorem A and the Haar and
+    Wilson Monte Carlo run on representations that never build a generator basis."""
+
+    @pytest.fixture
+    def fresh(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a generator basis was built")
+
+        monkeypatch.setattr(catalog, "_algebra", refuse)
+        # uncached instances: no basis or derived operator cached on the shared ones hides a build
+        return lambda family, n=0: build_representation.__wrapped__(GroupSpec(family, n))
+
+    @pytest.mark.parametrize("family,n,dim", [("u", 200, 200), ("su", 150, 150), ("so", 200, 200),
+                                              ("sp", 100, 200)])
+    def test_large_groups_build_from_closed_forms(self, fresh, family, n, dim):
+        tracemalloc.start()
+        try:
+            rep = fresh(family, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.dim == dim and rep.lam == casimir_eigenvalue(rep.spec)
+        assert peak < 10 * 2 ** 20
+        with pytest.raises(AssertionError, match="generator basis"):
+            rep.generators
+
+    def test_exact_routes(self, fresh):
+        haar, brownian = MeasureSpec.haar(), MeasureSpec.brownian(0.7)
+        u5, g2, su3, su2 = fresh("u", 5), fresh("g2"), fresh("su", 3), fresh("su", 2)
+        chars = [linear_loop(u5, np.eye(5), s) for s in (1, 1, 1, -1, -1, -1)]
+        assert abs(expect_product(chars, haar) - 6.0) <= 1e-10  # weingarten:permutations
+        assert abs(expect_product([linear_loop(g2, np.eye(7))] * 3, haar) - 1.0) <= 1e-10  # casimir
+        assert abs(expect_product([linear_loop(su3, np.eye(3))] * 3, haar) - 1.0) <= 1e-10  # casimir
+        rng = np.random.default_rng(5)
+        cs = rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2))
+        word = lambda rep: [loop(rep, cs[:2], [1, -1]), loop(rep, cs[2:], [1, -1])]
+        want = expect_product(word(build_representation(su2.spec)), brownian)
+        assert abs(expect_product(word(su2), brownian) - want) <= 1e-12 * abs(want)
+        for measure in (haar, brownian):
+            op = moment_operator(su2, 2, 2, measure)
+            assert op.matrix.shape == (16, 16) and len(op.spectrum) == 16
+        assert spanning_set(su2, 2, 2, "nullspace").vectors.shape == (2, 16)
+        for measure in (haar, brownian):
+            assert verify_theorem_a(word(su2), measure).passed
+
+    def test_haar_and_wilson_monte_carlo(self, fresh):
+        su3 = fresh("su", 3)
+        w = linear_loop(su3, np.eye(3))
+        est = mc_expect([w], MeasureSpec.haar(), 2000, RngSpec(3))
+        assert abs(est.value) <= 5.0 * est.stderr  # E[tr g] = 0
+        est = mc_expect([w], MeasureSpec.wilson(0.5, [w]), 2000, RngSpec(3))
+        assert np.isfinite(est.value) and est.stderr > 0
+        assert verify_theorem_a([w], MeasureSpec.wilson(0.5, [w]), samples=2000).passed
+
+    def test_the_brownian_walk_builds_the_basis(self, fresh):
+        with pytest.raises(AssertionError, match="generator basis"):
+            brownian_path_batch(fresh("su", 2), 1.0, 10, RngSpec(0), 2)

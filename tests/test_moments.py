@@ -188,9 +188,7 @@ class TestHaarMoment:
     def test_spectral_gap_guard(self, monkeypatch, capsys):
         # a synthetic 1-dim rep whose Casimir sits inside the guard band
         a = np.sqrt(5e-8)
-        fake = RepData(spec=GroupSpec("u1power", 1), dim=1,
-                       generators=np.array([[[1j * a]]]),
-                       casimir=np.array([[-(a ** 2)]]), lam=-(a ** 2))
+        fake = RepData(spec=GroupSpec("u1power", 1), dim=1, lam=-(a ** 2))
         with pytest.raises(SpectralGapError):
             haar_moment(fake, 1, 0)
         with pytest.raises(SpectralGapError):
@@ -559,6 +557,19 @@ class TestBudgetAndCaches:
         with pytest.raises(BudgetError):
             brownian_moment(U2, 3, 2, 0.5, budget=16)
         assert [c.cache_info() for c in caches] == cached  # refused before the lookups
+
+    def test_one_slot_casimir_shapes_are_capped_at_the_kernel_side(self):
+        # D = d on one slot, but the completeness kernels are d**2 x d**2: 285 MB complex at d = 65
+        u65 = build_representation(GroupSpec("u", 65))
+        w = linear_loop(u65, np.eye(65))
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match="d\\*\\*2 = 4225, over the budget 4096") as err:
+                expect_product([w], MeasureSpec.brownian(1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.required == 4225 and peak < 2 ** 20
 
     def test_spectrum_forms_no_moment_matrix(self):
         # T is formed on first read of `matrix`, and `lgm moment` reads the spectrum first,
@@ -958,11 +969,13 @@ class TestWeightBlocks:
         got = expect_product([linear_loop(G2, np.eye(7))] * k, HAAR)
         assert abs(got - want) <= 1e-10
 
-    def test_a_singular_weight_element_merges_weights(self):
-        # SO(4) with only the so(3) generators on the first three coordinates: X has a
+    def test_a_singular_weight_element_merges_weights(self, monkeypatch):
+        # SO(4) weighted by an element of the so(3) on the first three coordinates: X has a
         # two-dimensional kernel, so its weights are coarser, but C still blocks by them
         sub = SO4.generators[[not np.any(x[3]) and not np.any(x[:, 3]) for x in SO4.generators]]
-        fake = RepData(spec=SO4.spec, dim=4, generators=sub, casimir=SO4.casimir, lam=SO4.lam)
+        singular = np.tensordot(np.cos(1.2345 * np.arange(1, 4)), sub.real, axes=1)
+        fake, element = build_representation.__wrapped__(SO4.spec), moments._weight_element
+        monkeypatch.setattr(moments, "_weight_element", lambda rep: singular if rep is fake else element(rep))
         assert len(sub) == 3 and np.count_nonzero(moments._weight_basis(fake)[1] == 0) == 2
         assert len(moments._weight_blocks(fake, 2, 2)[0]) > len(moments._weight_blocks(SO4, 2, 2)[0])
         for n, nprime in ((2, 2), (2, 1)):
@@ -972,16 +985,17 @@ class TestWeightBlocks:
         null, want = moments._null_space(fake, 2, 2), moments._null_space(SO4, 2, 2)
         assert np.max(np.abs(null @ null.T - want @ want.T)) <= 1e-12
 
-    def test_weight_element_must_lie_in_the_algebra(self):
-        # adding a real symmetric matrix to a purely imaginary generator puts its real part
-        # outside the algebra (a real generator would span its own perturbed real part)
-        gens = SU2.generators.copy()
-        a = next(a for a, xi in enumerate(gens) if not np.any(xi.real))
-        gens[a] = gens[a] + 1e-3 * np.diag([1.0, -1.0])
-        fake = RepData(spec=SU2.spec, dim=2, generators=gens, casimir=SU2.casimir, lam=SU2.lam)
-        with pytest.raises(RuntimeError, match="not in the Lie algebra"):
+    @pytest.mark.parametrize("scale", [1e-3, 1e-3j], ids=["symmetric", "imaginary"])
+    def test_weight_element_must_be_real_antisymmetric(self, scale, monkeypatch):
+        # a completeness relation off by a term that is not invariant: S (x) A, S symmetric and
+        # A antisymmetric, adds <A, M> S to X; an imaginary term makes X complex
+        fake, kernels = build_representation.__wrapped__(SU2.spec), moments._kernels
+        extra = scale * np.einsum("ij,kl->ijkl", np.diag([1.0, -1.0]), [[0.0, 1.0], [-1.0, 0.0]])
+        monkeypatch.setattr(moments, "_kernels", lambda rep: (kernels(rep)[0] + extra,) + kernels(rep)[1:]
+                            if rep is fake else kernels(rep))
+        with pytest.raises(RuntimeError, match="SU\\(2\\): the weight element X is not real antisymmetric"):
             haar_moment(fake, 2, 0)
-        assert moments._weight_basis(SU2)[0].shape == (2, 2)  # the true generators pass
+        assert moments._weight_basis(SU2)[0].shape == (2, 2)  # the true completeness relation passes
 
 
 def walk_wiring(source, shape, twisted):
@@ -1071,3 +1085,32 @@ class TestWiring:
             assert np.array_equal(got, want)
         assert np.array_equal(order, want_order)
         assert np.array_equal(starts, want_starts)
+
+
+def _partitions(total: int, largest: int):
+    """The partitions of ``total`` into parts of at most ``largest``, each part list descending."""
+    if total == 0:
+        yield ()
+        return
+    for j in range(min(total, largest), 0, -1):
+        for rest in _partitions(total - j, j):
+            yield (j,) + rest
+
+
+# (N, {j: a_j}) for every a with 1 <= sum_j j a_j <= 4, or <= 3 at N = 100
+DIACONIS_SHAHSHAHANI = [(big_n, {j: part.count(j) for j in set(part)}) for big_n, top in ((4, 4), (10, 4), (100, 3))
+                        for total in range(1, top + 1) for part in _partitions(total, total)]
+
+
+@pytest.mark.parametrize("big_n,a", DIACONIS_SHAHSHAHANI,
+                         ids=[f"U({big_n})-" + ".".join(f"{j}^{k}" for j, k in sorted(a.items()))
+                              for big_n, a in DIACONIS_SHAHSHAHANI])
+def test_diaconis_shahshahani_power_traces(big_n, a):
+    # E[prod_j |tr g^j|^(2 a_j)] = prod_j j^a_j a_j! on U(N), N >= sum_j j a_j (Diaconis-Shahshahani 1994);
+    # tr g^j is a loop of j + slots with identity coefficients, and its conjugate of j - slots
+    rep = build_representation(GroupSpec("u", big_n))
+    eye = [np.eye(big_n)]
+    items = [loop(rep, eye * j, [s] * j) for j, k in a.items() for s in (1, -1) for _ in range(k)]
+    assert moments._product_route(items, HAAR, DEFAULT_BUDGET)[0] == "weingarten:permutations"
+    want = float(np.prod([j ** k * np.prod(np.arange(1, k + 1)) for j, k in a.items()]))
+    assert abs(expect_product(items, HAAR) - want) <= 1e-12 * want
