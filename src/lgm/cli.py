@@ -255,8 +255,8 @@ def _build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--stream", type=int, default=0, help="rng substream")
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="max tensor-power dimension (Casimir route) or squared "
-                             "label count (Weingarten routes)")
+                        help="max tensor-power dimension D and kernel side d**2 (Casimir "
+                             "route), or squared label count L**2 (Weingarten routes)")
     measure = argparse.ArgumentParser(add_help=False)
     measure.add_argument("--measure", default="haar")
     loops = argparse.ArgumentParser(add_help=False)

@@ -33,10 +33,11 @@ Group elements are unitary matrices in the group's own realization (1x1 for
 the U(1) characters); the inverse is taken as the conjugate transpose.
 Loops evaluate on a batch of draws in real arithmetic: a complex matrix
 ``x`` acts on the right of the interleaved ``float64`` view of a complex
-stack through its real ``2d x 2d`` form ``S(x)`` (`_interleaved_form`),
-which numpy multiplies several times faster than the complex stack at these
-sizes.  An estimate prepares its draws once (`_Draws`) and hands them to
-every loop.
+stack through its real ``2d x 2d`` form ``S(x)``, which numpy multiplies
+several times faster than the complex stack at these sizes.  That form
+lives in ``tensor`` (`_interleaved_form`, imported here), and the Brownian
+walk multiplies its steps in it.  An estimate prepares its draws once
+(`_Draws`) and hands them to every loop.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .catalog import GroupSpec, RepData, _completeness_terms, build_representation, check_one_group
+from .tensor import _interleaved_form
 
 __all__ = [
     "Loop",
@@ -74,23 +76,6 @@ class _Batched:
 
     def evaluate(self, g: np.ndarray) -> complex:
         return complex(self.evaluate_batch(np.asarray(g, dtype=np.complex128)[None])[0])
-
-
-def _interleaved_form(x: np.ndarray) -> np.ndarray:
-    """The real ``(..., 2d, 2d)`` form ``S(x)`` of complex ``(..., d, d)`` matrices.
-
-    Entry ``(j, k)`` of ``x`` becomes the block ``[[Re, Im], [-Im, Re]]``, so
-    that ``(y.view(float64) @ S(x)).view(complex128) == y @ x`` for any
-    C-contiguous complex ``y``: the real and imaginary parts interleave, as
-    in memory, where ``tensor._real_form`` stacks them in two blocks.  ``x``
-    may be any strided view.
-    """
-    *lead, d, _ = x.shape
-    s = np.empty((*lead, d, 2, d, 2))
-    s[..., 0, :, 0] = s[..., 1, :, 1] = x.real
-    s[..., 0, :, 1] = x.imag
-    np.negative(x.imag, out=s[..., 1, :, 0])
-    return s.reshape(*lead, 2 * d, 2 * d)
 
 
 class _Draws:
@@ -235,9 +220,6 @@ class LoopSum(_Batched):
         for t in self.terms:
             out = out + t.evaluate_batch(draws)
         return out
-
-    def __add__(self, other: "LoopSum") -> "LoopSum":
-        return LoopSum(self.terms + other.terms)
 
 
 def _checked_coeff(c: np.ndarray, d: int) -> np.ndarray:

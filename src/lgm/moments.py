@@ -72,7 +72,7 @@ forms no matrix larger than its largest weight block or a kernel, and no
 vector of length ``D`` but the Haar null vectors, once per shape, to check
 them.  A Weingarten shape over the budget falls back to the Casimir route
 when ``max(D, d**2)`` fits.  The dense label sets of `spanning_set` are
-capped by both.
+capped by both.  A refusal (`BudgetError`) names the size it capped.
 
 The Wilson action admits no exact closed form: `expect_product` refuses
 it, and its expectations are estimated by ``sampling.mc_expect``.
@@ -112,10 +112,10 @@ DEFAULT_BUDGET = 4096
 
 
 class BudgetError(RuntimeError):
-    """A tensor-power dimension D, a kernel side ``d**2`` or a label set's ``L**2`` exceeds the budget."""
+    """A size the budget caps exceeds it; the message names it: ``D``, ``d**2`` or ``L**2``."""
 
-    def __init__(self, required: int, budget: int):
-        super().__init__(f"tensor representation needs dimension {required}, over the budget {budget}; "
+    def __init__(self, required: int, budget: int, size: str = "D"):
+        super().__init__(f"the tensor power needs {size} = {required}, over the budget {budget}; "
                          "raise the budget to proceed")
         self.required = required
         self.budget = budget
@@ -245,14 +245,10 @@ class MomentOperator:
 def _check_budget(rep: RepData, n: int, nprime: int, budget: int) -> int:
     if n + nprime < 1:
         raise ValueError("need n + n' >= 1")
-    required, square = rep.dim ** (n + nprime), rep.dim ** 2
-    if square > max(required, budget):  # one slot: D = d, but the kernels are d**2 x d**2
-        error = BudgetError(square, budget)
-        error.args = (f"the completeness kernels need d**2 = {square}, over the budget {budget}; "
-                      "raise the budget to proceed",)
-        raise error
-    if required > budget:
-        raise BudgetError(required, budget)
+    required = rep.dim ** (n + nprime)
+    for size, value in (("D", required), ("d**2", rep.dim ** 2)):  # one slot: D = d, below the kernels' d**2
+        if value > budget:
+            raise BudgetError(value, budget, size)
     return required
 
 
@@ -611,10 +607,7 @@ def spanning_set(rep: RepData, n: int, nprime: int, source: str,
         raise ValueError("pairings source needs the SO or Sp family and an even total number of slots")
     if source in ("permutations", "pairings"):
         if (n_labels := _label_count(source, n, nprime)) ** 2 > budget:  # Gram and Wg are L x L
-            error = BudgetError(n_labels ** 2, budget)  # refused before any vector is formed
-            error.args = (f"the {n_labels} {source} need L**2 = {n_labels ** 2}, over the budget {budget}; "
-                          "raise the budget to proceed",)
-            raise error
+            raise BudgetError(n_labels ** 2, budget, "L**2")  # refused before any vector is formed
         labels, vecs = _label_vectors(rep, n, nprime, source)
     elif source == "g2u":
         if rep.spec.family != "g2" or (n, nprime) != (2, 0):
@@ -828,6 +821,15 @@ def _forms(rep: RepData) -> np.ndarray:
     return forms
 
 
+def _word_products(letters: np.ndarray, steps: Sequence[np.ndarray]) -> np.ndarray:
+    """Products of words in ``letters`` (axis 0), longest first: ``steps[t]`` holds the t-th
+    letter of every word longer than t, so the words still open are a prefix."""
+    acc = letters.take(steps[0], axis=0)
+    for idx in steps[1:]:
+        acc[:len(idx)] = acc[:len(idx)] @ letters.take(idx, axis=0)
+    return acc
+
+
 def _contract(wiring, cs: np.ndarray, forms: np.ndarray) -> np.ndarray:
     """``M[a, b]`` of each coefficient set as a column, ``(L**2, B)``, from the wiring
     and the ``(B, m, d, d)`` coefficient matrices in slot order, `_BATCH_ENTRIES` at a time."""
@@ -843,10 +845,7 @@ def _contract(wiring, cs: np.ndarray, forms: np.ndarray) -> np.ndarray:
             wide = letters.reshape(-1, d) @ forms.transpose(1, 0, 2).reshape(d, -1)
             letters = wide.reshape(k, -1, d, len(forms), d).transpose(0, 3, 1, 2, 4).reshape(
                 k * len(forms), -1, d, d)
-        acc = letters.take(steps[0], axis=0)
-        for idx in steps[1:]:  # the cycles still open are a prefix
-            acc[:len(idx)] = acc[:len(idx)] @ letters.take(idx, axis=0)
-        traces = np.einsum("kbii->kb", acc)
+        traces = np.einsum("kbii->kb", _word_products(letters, steps))
         out.append(np.multiply.reduceat(traces.take(order, axis=0), starts))
     return np.concatenate(out, axis=1)
 
@@ -1025,26 +1024,6 @@ def _expect_products(flats: Sequence[Sequence[Loop]], measure: MeasureSpec, budg
             scale = math.prod(w.scale for w in flat)
             values[i] = (x * scale, y * scale)
     return np.array(values, dtype=np.complex128).reshape(len(flats), 2)
-
-
-def _expect_terms(terms: Sequence[tuple[complex, Sequence[ProductItem]]], measure: MeasureSpec,
-                  budget: int = DEFAULT_BUDGET) -> np.ndarray:
-    """``coef * E[prod items]``, and ``coef`` times its generator, for each term of a loop
-    polynomial (Haar or Brownian).
-
-    Every term is expanded once, and the plain products of all the terms
-    are contracted together by one `_expect_products` call.  On the terms of
-    ``sampling._laplacian_terms`` this is the Loop-level oracle of the
-    Theorem-A plans.
-    """
-    flats, owner = [], []
-    for t, (_, items) in enumerate(terms):
-        expanded = _expand_items(items)
-        flats += expanded
-        owner += [t] * len(expanded)
-    sums = np.zeros((len(terms), 2), dtype=np.complex128)
-    np.add.at(sums, np.array(owner, dtype=np.intp), _expect_products(flats, measure, budget))
-    return np.array([coef for coef, _ in terms])[:, None] * sums
 
 
 def expect_product(items: Sequence[ProductItem], measure: MeasureSpec,

@@ -48,8 +48,9 @@ the algebra is recognized from its generators, not its family name.  On the
 others one GEMM forms the block's increments and one call of the real
 Taylor kernel ``expm_skew_batch`` exponentiates them.  Every walk runs in
 real arithmetic: complex generators, a U(1) character's ``i`` included,
-are taken in their real ``2d x 2d`` form and read back as complex once at
-the end; SO and G2 draws come out exactly real.
+are taken in the interleaved real ``2d x 2d`` form ``S(x)`` of ``tensor``,
+the walk multiplies its steps in it, and reads the endpoints back as complex
+once at the end; SO and G2 draws come out exactly real.
 
 Estimators are deterministic functions of an RngSpec, and one pipeline,
 `_mc_estimate`, makes every one: it takes a loop polynomial ``sum coef *
@@ -80,7 +81,7 @@ import numpy as np
 from . import tensor
 from .catalog import RepData, check_one_group, octonion_psi
 from .loops import Loop, _atoms, _Draws, _Letters, _Scale, conjugate_loop, linear_loop, total_merge, total_twist
-from .moments import DEFAULT_BUDGET, MeasureSpec, _contract_group, _expand_items, _item_terms
+from .moments import DEFAULT_BUDGET, MeasureSpec, _contract_group, _expand_items, _item_terms, _word_products
 
 __all__ = [
     "RngSpec",
@@ -150,9 +151,8 @@ def _check_integer(name: str, value) -> None:
 
 
 def _check_path(t: float, steps: int) -> None:
-    """The finiteness rule of ``MeasureSpec``, plus a positive time and step count."""
-    if not (math.isfinite(t) and t > 0):
-        raise ValueError(f"path time must be finite and positive, got t={t}")
+    """The time rule of ``MeasureSpec.brownian``, plus a positive integer step count."""
+    MeasureSpec.brownian(t)
     _check_integer("steps", steps)
     if steps < 1:
         raise ValueError("need at least one step")
@@ -321,11 +321,12 @@ def haar_sample(rep: RepData, rng: RngSpec) -> np.ndarray:
 @lru_cache(maxsize=64)
 def _walk_generators(rep: RepData) -> np.ndarray:
     """The algebra basis the walk exponentiates, in real arithmetic: real
-    bases (SO, G2) as they are, complex ones in their real ``2d x 2d`` form,
-    so a U(1) character's ``[[i]]`` walks as the rotation generator."""
+    bases (SO, G2) as they are, complex ones in their interleaved real
+    ``2d x 2d`` form (`tensor._interleaved_form`), so a U(1) character's
+    ``[[i]]`` walks as the rotation generator ``[[0, 1], [-1, 0]]``."""
     xis = rep.sampling_generators
     # an own copy, read-only: the cache hands it to every path on the rep
-    xis = np.array(tensor._real_form(xis) if np.any(xis.imag) else xis.real)
+    xis = np.array(tensor._interleaved_form(xis) if np.any(xis.imag) else xis.real)
     xis.flags.writeable = False
     return xis
 
@@ -414,7 +415,7 @@ def brownian_path_batch(rep: RepData, t: float, steps: int, rng: RngSpec,
         for e in _walk_steps(rep, z.reshape(k * count, dim_g), scale).reshape(k, count, d_r, d_r):
             g = g @ e
     if d_r > rep.dim:
-        return tensor._complex_form(g)
+        return tensor._from_interleaved(g)
     return g.astype(np.complex128, copy=False)
 
 
@@ -570,14 +571,12 @@ class _TheoremAPlan:
     weights: np.ndarray    # (T, P) term coefficients: row 0 is F, then the Laplacian's terms
 
     def values(self, loops: Sequence[Loop], measure: MeasureSpec, budget: int) -> np.ndarray:
-        """``(T, 2)``: expectation and generator of ``F``, then of each term of ``Delta F``,
-        as ``moments._expect_terms`` gives them for ``[(1, F)] + _laplacian_terms(F)``."""
+        """``(T, 2)``: expectation and generator of ``F``, then of each term ``(coef, items)`` of
+        ``Delta F`` (`_laplacian_terms`), ``coef`` times the sum over its plain products."""
         cs = np.array([c for w in loops for c, _ in w.factors])
         d = cs.shape[-1]
         atoms = np.concatenate([np.stack([cs, cs.transpose(0, 2, 1)], axis=1).reshape(-1, d, d), self.constants])
-        acc = atoms.take(self.steps[0], axis=0)
-        for idx in self.steps[1:]:  # the recipes still open are a prefix
-            acc[:len(idx)] = acc[:len(idx)] @ atoms.take(idx, axis=0)
+        acc = _word_products(atoms, self.steps)
         traces = np.append(np.einsum("kii->k", acc), 1.0)
         scales = self.scales * traces[self.trace_of].prod(axis=1) * math.prod(w.scale for w in loops)
         products = np.concatenate([_contract_group(key, acc[recipes], measure, budget)

@@ -7,8 +7,10 @@ for group elements and loop coefficients.  The spectral routine symmetrizes
 its input, ``(M + M*) / 2``, which absorbs Hermiticity roundoff.  Both
 kernels keep a real input real: the skew exponential is a real Taylor
 polynomial with scaling and squaring, and runs a complex input through its
-real 2n x 2n form.  The Brownian walk uses it for the algebras of rank two
-and more; rank-one steps take a closed form in ``sampling``.
+interleaved real 2n x 2n form ``S(x)`` (`_interleaved_form`).  That form
+lives here, and is the one real form of complex matrices: loop evaluation
+uses it, and so does the Brownian walk, which multiplies its steps in it
+and calls the exponential for the algebras of rank two and more.
 """
 
 from __future__ import annotations
@@ -62,25 +64,32 @@ def expm_skew_batch(x: np.ndarray) -> np.ndarray:
     thousands of small matrices at a time, for every algebra that is not
     rank one (rank-one steps have a closed form there).  A real (antisymmetric) stack
     gives a real stack.  A complex stack, 1 x 1 included, is exponentiated
-    in its real form ``[[Re, -Im], [Im, Re]]``, which multiplies like the
-    complex matrices, and read back from the left block column.
+    in its interleaved real form, ``exp S(x) = S(exp x)``, and read back.
     """
     x = np.asarray(x)
     if not np.iscomplexobj(x):
         return _expm_real(x.astype(np.float64, copy=False))
-    return _complex_form(_expm_real(_real_form(x)))
+    return _from_interleaved(_expm_real(_interleaved_form(x)))
 
 
-def _real_form(x: np.ndarray) -> np.ndarray:
-    """``[[Re x, -Im x], [Im x, Re x]]``: real ``2n x 2n`` matrices that add
-    and multiply as the complex ``n x n`` stack ``x`` does."""
-    return np.block([[x.real, -x.imag], [x.imag, x.real]])
+def _interleaved_form(x: np.ndarray) -> np.ndarray:
+    """The real ``(..., 2d, 2d)`` form ``S(x)`` of complex ``(..., d, d)`` matrices, ``x`` any view.
+
+    Entry ``(j, k)`` of ``x`` becomes the block ``[[Re, Im], [-Im, Re]]``, so that
+    ``(y.view(float64) @ S(x)).view(complex128) == y @ x`` for C-contiguous complex ``y``: real
+    and imaginary parts interleave, as in memory.  ``S(x) S(y) = S(xy)``, ``S(x^H) = S(x)^T``.
+    """
+    *lead, d, _ = x.shape
+    s = np.empty((*lead, d, 2, d, 2))
+    s[..., 0, :, 0] = s[..., 1, :, 1] = x.real
+    s[..., 0, :, 1] = x.imag
+    np.negative(x.imag, out=s[..., 1, :, 0])
+    return s.reshape(*lead, 2 * d, 2 * d)
 
 
-def _complex_form(r: np.ndarray) -> np.ndarray:
-    """The complex stack whose real form is ``r``, read from its left block column."""
-    n = r.shape[-1] // 2
-    return r[..., :n, :n] + 1j * r[..., n:, :n]
+def _from_interleaved(s: np.ndarray) -> np.ndarray:
+    """The complex ``x`` of ``s = S(x)``: the even rows of ``s``, viewed as complex."""
+    return np.ascontiguousarray(s[..., ::2, :]).view(np.complex128)
 
 
 def _expm_real(y: np.ndarray) -> np.ndarray:

@@ -571,6 +571,21 @@ class TestBudgetAndCaches:
             tracemalloc.stop()
         assert err.value.required == 4225 and peak < 2 ** 20
 
+    @pytest.mark.parametrize("size,required,refuse", [
+        ("D", 4 ** 7, lambda: moment_operator(build_representation(GroupSpec("u", 4)), 4, 3, MeasureSpec.haar())),
+        ("d**2", 65 ** 2, lambda: expect_product([linear_loop(build_representation(GroupSpec("u", 65)), np.eye(65))],
+                                                 MeasureSpec.brownian(1.0))),
+        ("L**2", 10395 ** 2, lambda: spanning_set(SP1, 12, 0, "pairings")),
+    ], ids=["D", "d2", "L2"])
+    def test_every_refusal_names_its_size(self, size, required, refuse):
+        with pytest.raises(BudgetError) as err:
+            refuse()
+        assert (err.value.required, err.value.budget) == (required, DEFAULT_BUDGET)
+        assert f"needs {size} = {required}, over the budget {DEFAULT_BUDGET}; raise the budget" in str(err.value)
+
+    def test_two_argument_refusal_names_d(self):
+        assert "needs D = 5, over the budget 4; raise the budget" in str(BudgetError(5, 4))
+
     def test_spectrum_forms_no_moment_matrix(self):
         # T is formed on first read of `matrix`, and `lgm moment` reads the spectrum first,
         # so the spectrum's eigh temporaries never sit on top of T

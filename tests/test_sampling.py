@@ -352,7 +352,7 @@ class TestBrownianPath:
         u1_3 = build_representation(GroupSpec("u1power", 3))
         xis = sampling._walk_generators(u1_3)
         assert xis.dtype == np.float64 and xis.shape == (1, 2, 2)
-        assert np.array_equal(xis[0], [[0.0, -1.0], [1.0, 0.0]])
+        assert np.array_equal(xis[0], [[0.0, 1.0], [-1.0, 0.0]])  # the interleaved form of [[i]]
 
         def refuse(x):
             raise AssertionError("the path ran the Taylor kernel")
@@ -751,6 +751,23 @@ def plan_loops(key, sizes, seed):
     return loops
 
 
+def expect_terms(terms, measure, budget=moments.DEFAULT_BUDGET):
+    """``coef * E[prod items]``, and ``coef`` times its generator, for each term of a loop
+    polynomial (Haar or Brownian): the Loop-level oracle of the Theorem-A plans.
+
+    Every term is expanded once, and the plain products of all the terms are
+    contracted together by one ``moments._expect_products`` call.
+    """
+    flats, owner = [], []
+    for t, (_, items) in enumerate(terms):
+        expanded = moments._expand_items(items)
+        flats += expanded
+        owner += [t] * len(expanded)
+    sums = np.zeros((len(terms), 2), dtype=np.complex128)
+    np.add.at(sums, np.array(owner, dtype=np.intp), moments._expect_products(flats, measure, budget))
+    return np.array([coef for coef, _ in terms])[:, None] * sums
+
+
 class TestTheoremAPlan:
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(sorted(PLAN_FAMILIES)), st.lists(st.integers(1, 3), min_size=1, max_size=3),
@@ -764,7 +781,7 @@ class TestTheoremAPlan:
         # the plan's values against the Loop-level surgery and expansion, term by term
         loops = plan_loops(key, sizes, seed)
         got = _theorem_a_plan(tuple((w.rep, w.signs) for w in loops)).values(loops, measure, moments.DEFAULT_BUDGET)
-        want = moments._expect_terms([(1.0, loops)] + _laplacian_terms(loops), measure)
+        want = expect_terms([(1.0, loops)] + _laplacian_terms(loops), measure)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -784,6 +801,31 @@ class TestTheoremAPlan:
         assert built == []
         total_merge(*fresh)  # the Loop-level surgery is counted
         assert built
+
+    def test_words_are_multiplied_out_by_one_loop(self, monkeypatch):
+        # a Weingarten contraction's diagram words and a plan's recipes both go through
+        # moments._word_products; warm caches first, so each call below runs it exactly once
+        rng = np.random.default_rng(44)
+        coeff = lambda d: rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        pair = [linear_loop(U2, coeff(2), 1), linear_loop(U2, coeff(2), -1)]
+        words = [loop(SU2, [coeff(2) for _ in s], s) for s in ([1, -1, 1], [-1])]
+        brownian = MeasureSpec.brownian(0.7)  # every shape on the Casimir route: no diagram words
+        expect_product(pair, MeasureSpec.haar())
+        verify_theorem_a(words, brownian)
+        calls = []
+        word_products = moments._word_products
+
+        def counting(letters, steps):
+            calls.append(len(steps))
+            return word_products(letters, steps)
+
+        for module in (moments, sampling):
+            monkeypatch.setattr(module, "_word_products", counting)
+        expect_product(pair, MeasureSpec.haar())
+        assert len(calls) == 1
+        calls.clear()
+        assert verify_theorem_a(words, brownian).passed
+        assert len(calls) == 1
 
 
 def _mixed_plaquettes(reps, rng, count):

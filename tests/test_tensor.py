@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from lgm.tensor import expm_skew_batch, pseudoinverse, tensor_to_json
+from lgm.tensor import _from_interleaved, _interleaved_form, expm_skew_batch, pseudoinverse, tensor_to_json
 
 
 def faddeev_leverrier(m):
@@ -179,6 +179,39 @@ def tensor_from_json(doc: dict) -> np.ndarray:
         idx = tuple(int(i) for i in entry["idx"])
         a[idx] = complex(entry["re"], entry["im"])
     return a
+
+
+def complex_stack(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestInterleavedForm:
+    @pytest.mark.parametrize("shape", [(1, 1), (6, 3, 3), (2, 4, 5, 5)], ids=str)
+    def test_round_trip(self, shape):
+        x = complex_stack(np.random.default_rng(1), *shape)
+        s = _interleaved_form(x)
+        assert s.dtype == np.float64 and s.shape == shape[:-2] + (2 * shape[-2], 2 * shape[-1])
+        back = _from_interleaved(s)
+        assert back.dtype == np.complex128 and back.flags.c_contiguous and np.array_equal(back, x)
+
+    def test_strided_input(self):
+        x = complex_stack(np.random.default_rng(2), 4, 6, 6)
+        view = x[::2, 1:4, ::2]
+        assert np.array_equal(_from_interleaved(_interleaved_form(view)), view)
+
+    def test_multiplies_as_the_complex_stack(self):
+        rng = np.random.default_rng(3)
+        x, y = complex_stack(rng, 8, 4, 4), complex_stack(rng, 8, 4, 4)
+        got = _interleaved_form(x) @ _interleaved_form(y)
+        assert np.max(np.abs(got - _interleaved_form(x @ y))) <= 1e-13 * np.max(np.abs(x @ y))
+        # a complex row stack, read as float64, times S(y) is the complex product, read as float64
+        prod = (x.reshape(-1, 4).view(np.float64) @ _interleaved_form(y[0])).view(np.complex128)
+        assert np.allclose(prod, x.reshape(-1, 4) @ y[0], rtol=0, atol=1e-13 * np.max(np.abs(x)))
+
+    def test_adjoint_is_the_transpose(self):
+        x = complex_stack(np.random.default_rng(4), 5, 3, 3)
+        assert np.array_equal(_interleaved_form(x.conj().transpose(0, 2, 1)),
+                              _interleaved_form(x).transpose(0, 2, 1))
 
 
 class TestJson:
